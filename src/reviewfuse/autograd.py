@@ -28,10 +28,6 @@ from .errors import (
 
 _grad_enabled = True
 
-# Optional NaN/Inf guard on every op output. Off by default (costs a pass
-# over each result); the training loop checks the loss explicitly.
-CHECK_FINITE = False
-
 
 @contextmanager
 def no_grad():
@@ -120,8 +116,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(out_data)):
-        raise ContractError("non-finite value produced by a forward op")
     out = Tensor(out_data, dtype=out_data.dtype)
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
@@ -233,6 +227,57 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+MASK_NEG = -1e9
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over a batch of sequences.
+
+    ``q``, ``k``, ``v`` are (B*L, d) with the L positions of each sequence
+    in consecutive rows; ``mask`` is (B, L), 1 for real tokens and 0 for
+    padding. Heads are an axis of a (B, h, L, d/h) view; padded keys get an
+    additive -1e9 bias before the softmax. Returns the (B*L, d) context,
+    heads side by side in their column blocks.
+    """
+    _check_same_dtype(q, k, v)
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise DimensionError(f"attention mask must be (B, L), got {mask.shape}")
+    bsz, seq_len = mask.shape
+    if (q.data.ndim != 2 or q.data.shape[0] != bsz * seq_len
+            or k.data.shape != q.data.shape or v.data.shape != q.data.shape):
+        raise DimensionError(
+            f"attention: q/k/v {q.data.shape}/{k.data.shape}/{v.data.shape} "
+            f"do not match mask {mask.shape}")
+    n, d = q.data.shape
+    if n_heads < 1 or d % n_heads:
+        raise DimensionError(f"attention: width {d} not divisible into {n_heads} heads")
+    dh = d // n_heads
+    dt = q.data.dtype
+
+    def heads(a: np.ndarray) -> np.ndarray:  # (B*L, d) -> (B, h, L, dh)
+        return a.reshape(bsz, seq_len, n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = dt.type(1.0 / np.sqrt(dh))
+    bias = ((1.0 - mask) * MASK_NEG).astype(dt)[:, None, None, :]
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out_data = (probs @ vh).transpose(0, 2, 1, 3).reshape(n, d)
+
+    def backward(g: np.ndarray) -> None:
+        gh = heads(g)
+        dprobs = gh @ vh.transpose(0, 1, 3, 2)
+        dscores = (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * probs * c
+        for t, gt in ((q, dscores @ kh),
+                      (k, dscores.transpose(0, 1, 3, 2) @ qh),
+                      (v, probs.transpose(0, 1, 3, 2) @ gh)):
+            _accum(t, gt.transpose(0, 2, 1, 3).reshape(n, d))
+
+    return _make(out_data, (q, k, v), backward)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     _check_same_dtype(x, gamma, beta)
@@ -261,17 +306,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def dropout(x: Tensor, p: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with prob ``p`` and rescale survivors by 1/(1-p)."""
+            rng: np.random.Generator | None = None,
+            uniforms: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: zero with prob ``p`` and rescale survivors by 1/(1-p).
+
+    The keep decisions come from ``uniforms`` (U[0, 1) draws of ``x``'s
+    shape) when given, else from a fresh draw of ``rng``.
+    """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         def backward_id(g: np.ndarray) -> None:
             _accum(x, g)
         return _make(x.data.copy(), (x,), backward_id)
-    if rng is None:
-        raise ParameterError("dropout in training mode requires an rng")
-    keep = (rng.random(x.data.shape) >= p)
+    if uniforms is None:
+        if rng is None:
+            raise ParameterError(
+                "dropout in training mode requires an rng or uniforms")
+        uniforms = rng.random(x.data.shape)
+    elif uniforms.shape != x.data.shape:
+        raise DimensionError(
+            f"dropout: uniforms {uniforms.shape} vs input {x.data.shape}")
+    keep = uniforms >= p
     factor = x.data.dtype.type(1.0 / (1.0 - p))
     mask = keep.astype(x.data.dtype) * factor
     out_data = x.data * mask
@@ -389,15 +445,19 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds (repeated ids accumulate)."""
-    ids = list(ids)
+def embedding_lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
+    """Gather rows of ``table``; backward scatter-adds (repeated ids accumulate).
+
+    Also serves as the row gather of batched activations (``[CLS]`` pooling).
+    """
     v = table.data.shape[0]
-    for i in ids:
-        if not 0 <= i < v:
-            raise TokenIndexError(f"token id {i} out of range [0, {v})")
-    idx = np.asarray(ids, dtype=np.int64)
-    out_data = table.data[idx].copy()
+    idx = np.asarray(ids).reshape(-1)  # ints beyond int64 stay object dtype
+    bad = ~((idx >= 0) & (idx < v))
+    if bad.any():
+        raise TokenIndexError(
+            f"token id {idx[np.argmax(bad)]} out of range [0, {v})")
+    idx = idx.astype(np.int64)
+    out_data = table.data[idx]
 
     def backward(g: np.ndarray) -> None:
         dt = np.zeros_like(table.data)

@@ -2,12 +2,14 @@
 
 Little-endian layout: magic "FKIT", u32 version, u32 tensor count; per
 tensor u32 name length + UTF-8 name, u32 rank, rank x u64 extents, f32
-row-major payload; then a JSON config block as u64 length + bytes.
+row-major payload; then a JSON config block as u64 length + bytes, which
+ends the file. Every decode fault raises ``FormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -63,14 +65,33 @@ def load_bundle(path) -> ModelBundle:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = _decode(take(name_len, "name"), f"{path}: tensor name")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
-        numel = int(np.prod(shape)) if rank else 1
-        payload = take(4 * numel, f"payload of {name}")
+        # exact Python ints, so ``take`` bounds it against the bytes left
+        # (numpy's product wraps to 0 for extents like 2^62)
+        payload = take(4 * math.prod(shape), f"payload of {name}")
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # extents beyond what numpy can index
+            raise FormatError(f"{path}: tensor {name!r} shape {shape}: {e}") from None
     (cfg_len,) = struct.unpack("<Q", take(8, "config length"))
-    config = json.loads(take(cfg_len, "config").decode("utf-8"))
+    text = _decode(take(cfg_len, "config"), f"{path}: config")
+    if pos != len(blob):
+        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes after the config")
+    try:
+        config = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise FormatError(f"{path}: config is not valid JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: config must be a JSON object")
     return ModelBundle(tensors=tensors, config=config, version=version)
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not valid UTF-8: {e}") from None

@@ -168,16 +168,15 @@ class PreparedDataset:
         images = None
         if need_images:
             resize_side = max(crop_side, round(crop_side * 8 / 7))
-            mats = []
-            for s in samples:
+            # filled in place: stacking a list would hold two copies at the peak
+            images = np.empty((len(samples), 3, crop_side, crop_side), dtype=dtype)
+            for i, s in enumerate(samples):
                 if s.image_path is None:
                     raise AlignmentError(f"sample {s.id} has no aligned image")
                 img = load_ppm(s.image_path)
                 img = resize_bilinear(img, resize_side)
                 img = center_crop(img, crop_side)
-                mats.append(normalize_channels(img, mean, std, dtype=dtype).data)
-            images = np.stack(mats) if mats else np.zeros((0, 3, crop_side, crop_side),
-                                                          dtype=dtype)
+                images[i] = normalize_channels(img, mean, std, dtype=dtype).data
         labels = np.asarray([s.label for s in samples], dtype=np.int64)
         return cls(reviews=reviews, images=images, labels=labels,
                    ids=[s.id for s in samples])

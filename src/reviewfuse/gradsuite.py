@@ -69,9 +69,10 @@ def _check_attention_block(rng):
     cfg = TextEncoderConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2,
                             d_ff=12, max_len=5, dropout_p=0.0)
     p = init_text_encoder(cfg, rng, dtype=np.float64)
-    x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-    mask = np.array([1, 1, 1, 1, 0])  # one PAD position
-    w = rng.normal(size=(5, 8))
+    # two sequences of five positions, with one and three PAD positions
+    mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
+    x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
+    w = rng.normal(size=(10, 8))
     block_params = [v for k, v in p.items() if k.startswith("l0.")]
     return grad_check(
         lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg), Tensor(w))),

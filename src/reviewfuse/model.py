@@ -66,10 +66,8 @@ class ReviewClassifier:
         if self.text_cfg is not None:
             if reviews is None:
                 raise ContractError(f"mode {self.mode} needs tokenized text")
-            tp = self._sub("text.")
-            rows = [encode_text(tp, self.text_cfg, r, training, rng)
-                    for r in reviews]
-            feats = ag.stack_rows(rows)
+            feats = encode_text(self._sub("text."), self.text_cfg, reviews,
+                                training, rng)
         if self.image_cfg is not None:
             if images is None:
                 raise ContractError(f"mode {self.mode} needs image tensors")

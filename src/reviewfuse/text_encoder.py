@@ -2,7 +2,9 @@
 
 Post-layer-norm blocks (attention + residual + LN, then FFN + residual + LN),
 learned positional embeddings, additive -1e9 attention mask on padded
-positions. The row at position 0 ([CLS]) is the review embedding.
+positions. A batch runs as one (B*L, d_model) activation, with heads as an
+axis inside ``autograd.attention``. The row at position 0 ([CLS]) of each
+sequence is its review embedding.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import DimensionError, ParameterError
 from .textproc import TokenizedReview
-
-MASK_NEG = -1e9
 
 
 @dataclass
@@ -78,56 +78,64 @@ def init_text_encoder(cfg: TextEncoderConfig, rng: np.random.Generator,
     return p
 
 
-def encoder_block(x: Tensor, mask, params: dict[str, Tensor], layer: int,
-                  cfg: TextEncoderConfig, training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """One post-LN transformer block over an L x d_model sequence."""
-    seq_len, d = x.data.shape
-    if d != cfg.d_model:
-        raise DimensionError(f"block input width {d} != d_model {cfg.d_model}")
-    dh = cfg.d_model // cfg.n_heads
+def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
+                  layer: int, cfg: TextEncoderConfig, training: bool = False,
+                  uniforms: np.ndarray | None = None) -> Tensor:
+    """One post-LN transformer block over a (B*L, d_model) batch of sequences.
+
+    ``mask`` is the (B, L) attention mask; row ``b*L + t`` of ``x`` is
+    position ``t`` of sequence ``b``. Training with dropout on needs
+    ``uniforms``: the (2, B*L, d_model) U[0, 1) draws of the block's two
+    dropout sites.
+    """
+    if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
+        raise DimensionError(
+            f"block input shape {x.data.shape}, expected (B*L, {cfg.d_model})")
     pre = f"l{layer}."
+    u_attn, u_ffn = (None, None) if uniforms is None else uniforms
 
-    q = ag.matmul(x, params[pre + "wq"])
-    k = ag.matmul(x, params[pre + "wk"])
-    v = ag.matmul(x, params[pre + "wv"])
-
-    mask_arr = np.asarray(mask, dtype=x.data.dtype)
-    # additive bias on key positions: masked columns get -1e9 before softmax
-    bias = np.broadcast_to((1.0 - mask_arr) * MASK_NEG, (seq_len, seq_len)).astype(x.data.dtype)
-
-    head_ctx = None
-    for h in range(cfg.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ag.slice_cols(q, lo, hi)
-        kh = ag.slice_cols(k, lo, hi)
-        vh = ag.slice_cols(v, lo, hi)
-        scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 1.0 / math.sqrt(dh))
-        attn = ag.softmax(ag.add_const(scores, bias))
-        ctx = ag.matmul(attn, vh)
-        head_ctx = ctx if head_ctx is None else ag.concat_cols(head_ctx, ctx)
-
-    attn_out = ag.matmul(head_ctx, params[pre + "wo"])
-    attn_out = ag.dropout(attn_out, cfg.dropout_p, training, rng)
+    ctx = ag.attention(ag.matmul(x, params[pre + "wq"]),
+                       ag.matmul(x, params[pre + "wk"]),
+                       ag.matmul(x, params[pre + "wv"]), mask, cfg.n_heads)
+    attn_out = ag.dropout(ag.matmul(ctx, params[pre + "wo"]), cfg.dropout_p,
+                          training, uniforms=u_attn)
     y = ag.layer_norm(ag.add(x, attn_out), params[pre + "ln1_g"], params[pre + "ln1_b"])
 
     hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
                                  params[pre + "ffn_b1"]))
     ffn_out = ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
                           params[pre + "ffn_b2"])
-    ffn_out = ag.dropout(ffn_out, cfg.dropout_p, training, rng)
+    ffn_out = ag.dropout(ffn_out, cfg.dropout_p, training, uniforms=u_ffn)
     return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"], params[pre + "ln2_b"])
 
 
 def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
-                review: TokenizedReview, training: bool = False,
+                reviews: list[TokenizedReview], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Embed, run all blocks, return the [CLS]-position row (length d_model)."""
-    if len(review.ids) != cfg.max_len:
-        raise DimensionError(
-            f"review length {len(review.ids)} != configured max_len {cfg.max_len}"
-        )
-    x = ag.add(ag.embedding_lookup(params["tok_emb"], review.ids), params["pos_emb"])
+    """Embed a batch, run all blocks on one (B*L, d_model) activation, and
+    return the B x d_model [CLS]-position rows."""
+    bsz, seq_len, d = len(reviews), cfg.max_len, cfg.d_model
+    if bsz == 0:
+        raise DimensionError("encode_text needs at least one review")
+    for r in reviews:
+        if len(r.ids) != seq_len or len(r.mask) != seq_len:
+            raise DimensionError(
+                f"review length {len(r.ids)} != configured max_len {seq_len}"
+            )
+    ids = np.array([r.ids for r in reviews]).reshape(-1)
+    mask = np.array([r.mask for r in reviews])
+    drops = None
+    if training and cfg.dropout_p > 0:
+        if rng is None:
+            raise ParameterError("dropout in training mode requires an rng")
+        # every dropout draw of the step at once, review-major, so each
+        # review gets the masks it would get if encoded on its own
+        drops = rng.random((bsz, cfg.n_layers, 2, seq_len, d))
+    positions = np.tile(np.arange(seq_len), bsz)
+    x = ag.add(ag.embedding_lookup(params["tok_emb"], ids),
+               ag.embedding_lookup(params["pos_emb"], positions))
     for i in range(cfg.n_layers):
-        x = encoder_block(x, review.mask, params, i, cfg, training, rng)
-    return ag.take_row(x, 0)
+        u = None if drops is None else \
+            drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
+        x = encoder_block(x, mask, params, i, cfg, training, u)
+    return ag.embedding_lookup(x, np.arange(bsz) * seq_len)

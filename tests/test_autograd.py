@@ -176,6 +176,14 @@ class TestDropout:
         b = ag.dropout(x, 0.3, True, np.random.default_rng(42)).data
         np.testing.assert_array_equal(a, b)
 
+    def test_given_uniforms_replace_the_draw(self):
+        x = t64(np.ones((4, 5)))
+        a = ag.dropout(x, 0.3, True, np.random.default_rng(42)).data
+        u = np.random.default_rng(42).random((4, 5))
+        np.testing.assert_array_equal(ag.dropout(x, 0.3, True, None, u).data, a)
+        with pytest.raises(DimensionError):
+            ag.dropout(x, 0.3, True, None, u.reshape(-1))
+
 
 class TestGlobalAvgPool:
     def test_mean(self):
@@ -208,6 +216,15 @@ class TestEmbeddingLookup:
         with pytest.raises(TokenIndexError, match="5"):
             ag.embedding_lookup(t64(np.zeros((3, 2))), [5])
 
+    def test_out_of_range_names_first_offender(self):
+        table = t64(np.zeros((3, 2)))
+        with pytest.raises(TokenIndexError, match=r"id -1 out"):
+            ag.embedding_lookup(table, np.array([0, 2, -1, 7]))
+        with pytest.raises(TokenIndexError, match=r"id 3 out"):
+            ag.embedding_lookup(table, [1, 3, -4])
+        with pytest.raises(TokenIndexError, match=str(2 ** 70)):
+            ag.embedding_lookup(table, [0, 2 ** 70])
+
     def test_gradcheck(self):
         rng = np.random.default_rng(11)
         table = t64(rng.normal(size=(5, 3)))
@@ -216,6 +233,53 @@ class TestEmbeddingLookup:
             lambda: ag.tsum(ag.mul(ag.embedding_lookup(table, [0, 2, 2, 4]), w)),
             [table])
         assert err < 1e-6
+
+
+class TestAttention:
+    MASK = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])  # B=2, L=4, padded keys
+
+    def qkv(self, seed, d=6):
+        rng = np.random.default_rng(seed)
+        return [t64(rng.normal(size=(8, d))) for _ in range(3)]
+
+    def test_gradcheck(self):
+        q, k, v = self.qkv(40)
+        w = t64(np.random.default_rng(41).normal(size=(8, 6)), False)
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(ag.attention(q, k, v, self.MASK, 3), w)),
+            [q, k, v])
+        assert err < 1e-6
+
+    def test_padded_keys_and_other_sequences_do_not_leak(self):
+        q, k, v = self.qkv(42)
+        before = ag.attention(q, k, v, self.MASK, 2).data
+        for row in (3, 6, 7):  # the PAD positions
+            k.data[row] += 5.0
+            v.data[row] -= 5.0
+        after = ag.attention(q, k, v, self.MASK, 2).data
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
+        v.data[4] += 1.0  # a real token of sequence 1
+        moved = ag.attention(q, k, v, self.MASK, 2).data
+        np.testing.assert_array_equal(moved[:4], before[:4])
+        assert np.all(np.abs(moved[4:] - before[4:]).max(axis=1) > 0)
+
+    def test_single_head_matches_dense_softmax(self):
+        q, k, v = self.qkv(43, d=4)
+        out = ag.attention(q, k, v, self.MASK, 1).data
+        for b in range(2):
+            rows = slice(4 * b, 4 * b + 4)
+            s = q.data[rows] @ k.data[rows].T / 2.0
+            s[:, self.MASK[b] == 0] = -np.inf
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(out[rows], p @ v.data[rows], atol=1e-12)
+
+    def test_shape_mismatch_raises(self):
+        q, k, v = self.qkv(44)
+        with pytest.raises(DimensionError):
+            ag.attention(q, k, v, np.ones((3, 4)), 2)
+        with pytest.raises(DimensionError):
+            ag.attention(q, k, v, self.MASK, 4)
 
 
 class TestConcat:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -193,6 +194,55 @@ class TestPredict:
                          "--text", "alpha", "--image",
                          str(tmp_path / "missing.ppm"))
         assert code == 2
+
+
+def fkit_blob(tensors, config: bytes) -> bytes:
+    """A bundle built byte by byte: ``tensors`` holds (raw name, shape, payload)."""
+    out = [b"FKIT", struct.pack("<II", 1, len(tensors))]
+    for name, shape, payload in tensors:
+        out += [struct.pack("<I", len(name)), name,
+                struct.pack(f"<I{len(shape)}Q", len(shape), *shape), payload]
+    return b"".join(out + [struct.pack("<Q", len(config)), config])
+
+
+class TestMalformedBundle:
+    """Decode faults in a model file are data errors (exit 2), not tracebacks."""
+
+    def predict(self, capsys, path):
+        return run(capsys, "predict", "--model", str(path), "--text", "alpha")
+
+    @pytest.mark.parametrize("config", [b'{"model": ', b"[" * 100_000,
+                                        b"[1, 2]"])
+    def test_bad_config_json(self, capsys, tmp_path, config):
+        # cut short, nested past the parser's recursion limit, not an object
+        path = tmp_path / "m.fkit"
+        path.write_bytes(fkit_blob([(b"w", (2,), bytes(8))], config))
+        code, _, err = self.predict(capsys, path)
+        assert code == 2 and "JSON" in err
+
+    def test_non_utf8_tensor_name(self, capsys, tmp_path):
+        path = tmp_path / "m.fkit"
+        path.write_bytes(fkit_blob([(b"w\xff\xfe", (2,), bytes(8))], b"{}"))
+        code, _, err = self.predict(capsys, path)
+        assert code == 2 and "UTF-8" in err
+
+    @pytest.mark.parametrize("shape", [(2 ** 62, 4), (2 ** 62, 0),
+                                       (2 ** 64 - 1, 0)])
+    def test_huge_extents(self, capsys, tmp_path, shape):
+        # (2^62, 4) has 2^64 elements, which numpy's product wraps to 0
+        path = tmp_path / "m.fkit"
+        path.write_bytes(fkit_blob([(b"w", shape, b"")], b"{}"))
+        code, _, err = self.predict(capsys, path)
+        assert code == 2 and "error:" in err
+
+    def test_trailing_bytes(self, capsys, tmp_path):
+        path = TestPredict()._zero_model_path(tmp_path, mode="text_only")
+        code, out, _ = self.predict(capsys, path)
+        assert code == 0 and "label:" in out
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        code, _, err = self.predict(capsys, path)
+        assert code == 2 and "trailing" in err
 
 
 class TestGradcheckCommand:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from reviewfuse import autograd as ag
 from reviewfuse.autograd import grad_check
-from reviewfuse.errors import DimensionError
+from reviewfuse.errors import DimensionError, ParameterError
+from reviewfuse.fusion import classify_batch
+from reviewfuse.model import ReviewClassifier
 from reviewfuse.text_encoder import (
     TextEncoderConfig,
     encode_text,
@@ -11,8 +15,8 @@ from reviewfuse.text_encoder import (
     init_text_encoder,
     paper_scale_text_config,
 )
-from reviewfuse.errors import ParameterError
 from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID, TokenizedReview
+from reviewfuse.workflow import desk_model
 
 
 def tiny_cfg(**kw):
@@ -58,13 +62,14 @@ class TestInit:
 class TestEncoderBlock:
     def test_singleton_attention_weight_is_one(self):
         # L=1, all-ones mask: softmax over one position must be exactly 1,
-        # so attention output equals the value projection of the token
+        # so attention output equals the value projection of the token;
+        # two such sequences in one batch must not see each other
         cfg = tiny_cfg(n_heads=1, max_len=1)
         p = init_text_encoder(cfg, np.random.default_rng(2))
-        x = ag.Tensor(np.random.default_rng(3).normal(size=(1, 8)).astype(np.float32))
-        out = encoder_block(x, [1], p, 0, cfg)
-        assert out.shape == (1, 8)
-        # recompute by hand with weight exactly 1.0 on the single token
+        x = ag.Tensor(np.random.default_rng(3).normal(size=(2, 8)).astype(np.float32))
+        out = encoder_block(x, np.ones((2, 1)), p, 0, cfg)
+        assert out.shape == (2, 8)
+        # recompute by hand with weight exactly 1.0 on each sequence's token
         v = x.data @ p["l0.wv"].data
         ctx = v @ p["l0.wo"].data
         resid = x.data + ctx
@@ -82,18 +87,19 @@ class TestEncoderBlock:
         cfg = tiny_cfg(max_len=2)
         p = init_text_encoder(cfg, np.random.default_rng(4))
         row = np.random.default_rng(5).normal(size=8).astype(np.float32)
-        x = ag.Tensor(np.stack([row, row]))
-        out = encoder_block(x, [1, 1], p, 0, cfg)
-        np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-6)
+        x = ag.Tensor(np.stack([row, row, row, row]))
+        out = encoder_block(x, np.ones((2, 2)), p, 0, cfg)
+        for i in range(1, 4):
+            np.testing.assert_allclose(out.data[0], out.data[i], atol=1e-6)
 
     def test_block_gradcheck_f32_against_f64_oracle(self):
         cfg = tiny_cfg(max_len=4)
         p64 = init_text_encoder(cfg, np.random.default_rng(6), dtype=np.float64)
         p32 = {k: ag.Tensor(v.data.astype(np.float32), requires_grad=True)
                for k, v in p64.items()}
-        x64 = np.random.default_rng(7).normal(size=(4, 8))
-        w = np.random.default_rng(8).normal(size=(4, 8))
-        mask = [1, 1, 1, 0]
+        x64 = np.random.default_rng(7).normal(size=(8, 8))
+        w = np.random.default_rng(8).normal(size=(8, 8))
+        mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
 
         def f(params, x_arr, dtype):
             x = ag.Tensor(x_arr.astype(dtype))
@@ -109,11 +115,12 @@ class TestEncoderBlock:
     def test_block_gradcheck_f64(self):
         cfg = tiny_cfg(max_len=3)
         p = init_text_encoder(cfg, np.random.default_rng(9), dtype=np.float64)
-        x = ag.Tensor(np.random.default_rng(10).normal(size=(3, 8)),
+        x = ag.Tensor(np.random.default_rng(10).normal(size=(6, 8)),
                       requires_grad=True)
-        w = ag.Tensor(np.random.default_rng(11).normal(size=(3, 8)))
+        w = ag.Tensor(np.random.default_rng(11).normal(size=(6, 8)))
+        mask = np.array([[1, 1, 1], [1, 1, 0]])
         err = grad_check(
-            lambda: ag.tsum(ag.mul(encoder_block(x, [1, 1, 1], p, 0, cfg), w)),
+            lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg), w)),
             list(p.values()) + [x])
         assert err < 1e-6
 
@@ -122,8 +129,10 @@ class TestEncodeText:
     def test_output_length(self):
         cfg = tiny_cfg()
         p = init_text_encoder(cfg, np.random.default_rng(12))
-        r = make_review([CLS_ID, 5, SEP_ID], cfg.max_len)
-        assert encode_text(p, cfg, r).shape == (cfg.d_model,)
+        batch = [make_review([CLS_ID, 5, SEP_ID], cfg.max_len),
+                 make_review([CLS_ID, 5, 6, 7, SEP_ID], cfg.max_len),
+                 make_review([CLS_ID, SEP_ID], cfg.max_len)]
+        assert encode_text(p, cfg, batch).shape == (3, cfg.d_model)
 
     def test_paper_scale_vector_length(self):
         cfg = paper_scale_text_config(vocab_size=30)
@@ -133,13 +142,16 @@ class TestEncodeText:
                                  n_heads=12, d_ff=3072, max_len=128)
         p = init_text_encoder(cfg1, np.random.default_rng(13))
         r = make_review([CLS_ID, 7, SEP_ID], 128)
-        assert encode_text(p, cfg1, r).shape == (768,)
+        assert encode_text(p, cfg1, [r]).shape == (1, 768)
 
     def test_wrong_length_raises(self):
         cfg = tiny_cfg()
         p = init_text_encoder(cfg, np.random.default_rng(14))
+        good = make_review([CLS_ID, SEP_ID], cfg.max_len)
         with pytest.raises(DimensionError):
-            encode_text(p, cfg, make_review([CLS_ID, SEP_ID], 5))
+            encode_text(p, cfg, [good, make_review([CLS_ID, SEP_ID], 5)])
+        with pytest.raises(DimensionError):
+            encode_text(p, cfg, [])
 
     def test_pad_position_isolation(self):
         cfg = tiny_cfg()
@@ -148,25 +160,138 @@ class TestEncodeText:
         r2 = TokenizedReview(ids=list(r1.ids), mask=list(r1.mask),
                              true_length=r1.true_length)
         r2.ids[5] = 9  # perturb a masked position
-        a = encode_text(p, cfg, r1).data
-        b = encode_text(p, cfg, r2).data
+        other = make_review([CLS_ID, 7, 8, 9, 10, SEP_ID], cfg.max_len)
+        a = encode_text(p, cfg, [r1, other]).data
+        b = encode_text(p, cfg, [r2, other]).data
         assert np.max(np.abs(a - b)) < 1e-5
+        # nor does a sequence see its batch neighbours
+        alone = encode_text(p, cfg, [r1]).data
+        assert np.max(np.abs(a[0] - alone[0])) < 1e-5
 
     def test_eval_determinism_bitwise(self):
         cfg = tiny_cfg(dropout_p=0.3)
         p = init_text_encoder(cfg, np.random.default_rng(16))
-        r = make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len)
-        a = encode_text(p, cfg, r, training=False).data
-        b = encode_text(p, cfg, r, training=False).data
+        batch = [make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len),
+                 make_review([CLS_ID, 6, SEP_ID], cfg.max_len)]
+        a = encode_text(p, cfg, batch, training=False).data
+        b = encode_text(p, cfg, batch, training=False).data
         np.testing.assert_array_equal(a, b)
+        with pytest.raises(ParameterError):
+            encode_text(p, cfg, batch, training=True)
 
     def test_gradient_reaches_every_parameter(self):
         cfg = tiny_cfg(n_layers=2)
         p = init_text_encoder(cfg, np.random.default_rng(17))
-        r = make_review([CLS_ID, 4, 5, 6, SEP_ID], cfg.max_len)
-        out = encode_text(p, cfg, r, training=False)
+        batch = [make_review([CLS_ID, 4, 5, 6, SEP_ID], cfg.max_len),
+                 make_review([CLS_ID, 7, SEP_ID], cfg.max_len)]
+        out = encode_text(p, cfg, batch, training=False)
         ag.tsum(ag.mul(out, out)).backward()
         for name, t in p.items():
             assert t.grad is not None, name
             if name != "tok_emb":  # embedding grads are sparse by design
                 assert np.any(t.grad != 0), name
+
+
+    def test_training_step_graph_is_small(self):
+        # one B=32 text_only step of the desk model: the graph grows with
+        # the layer count, not with the batch or the number of heads
+        model = desk_model("text_only", vocab_size=40)
+        rng = np.random.default_rng(18)
+        batch = [make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
+                 for n in rng.integers(0, 15, 32)]
+        logits = model.forward_batch(batch, None, training=True, rng=rng)
+        seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward_fn is not None
+                stack.extend(t._parents)
+        assert nodes <= 60
+
+# ---------------------------------------------------------------------------
+# float64 twin: the per-sample, per-head encoder the batched one replaced,
+# built from the generic ops, as an independent reference
+
+
+def reference_block(x, mask, params, layer, cfg, training=False, rng=None):
+    """One post-LN block over a single L x d_model sequence, head by head."""
+    seq_len = x.data.shape[0]
+    dh = cfg.d_model // cfg.n_heads
+    pre = f"l{layer}."
+    q = ag.matmul(x, params[pre + "wq"])
+    k = ag.matmul(x, params[pre + "wk"])
+    v = ag.matmul(x, params[pre + "wv"])
+    mask_arr = np.asarray(mask, dtype=x.data.dtype)
+    bias = np.broadcast_to((1.0 - mask_arr) * -1e9,
+                           (seq_len, seq_len)).astype(x.data.dtype)
+    head_ctx = None
+    for h in range(cfg.n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh = ag.slice_cols(q, lo, hi)
+        kh = ag.slice_cols(k, lo, hi)
+        vh = ag.slice_cols(v, lo, hi)
+        scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 1.0 / math.sqrt(dh))
+        ctx = ag.matmul(ag.softmax(ag.add_const(scores, bias)), vh)
+        head_ctx = ctx if head_ctx is None else ag.concat_cols(head_ctx, ctx)
+    attn_out = ag.dropout(ag.matmul(head_ctx, params[pre + "wo"]),
+                          cfg.dropout_p, training, rng)
+    y = ag.layer_norm(ag.add(x, attn_out), params[pre + "ln1_g"],
+                      params[pre + "ln1_b"])
+    hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
+                                 params[pre + "ffn_b1"]))
+    ffn_out = ag.dropout(ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
+                                     params[pre + "ffn_b2"]),
+                         cfg.dropout_p, training, rng)
+    return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"],
+                         params[pre + "ln2_b"])
+
+
+def reference_encode(params, cfg, reviews, training=False, rng=None):
+    """B x d_model [CLS] rows, one sequence at a time."""
+    rows = []
+    for r in reviews:
+        x = ag.add(ag.embedding_lookup(params["tok_emb"], r.ids), params["pos_emb"])
+        for i in range(cfg.n_layers):
+            x = reference_block(x, r.mask, params, i, cfg, training, rng)
+        rows.append(ag.take_row(x, 0))
+    return ag.stack_rows(rows)
+
+
+class TestBatchedMatchesPerSampleTwin:
+    TOL = 1e-12
+
+    def logits_and_grads(self, batched, training, dropout_p):
+        cfg = tiny_cfg(vocab_size=15, n_layers=2, max_len=7, dropout_p=dropout_p)
+        model = ReviewClassifier("text_only", cfg, None, d_hidden=5,
+                                 dropout_p=dropout_p, seed=21, dtype=np.float64)
+        rng = np.random.default_rng(22)
+        # mixed padding: true lengths 7 (no PAD), 3, 2 and 5
+        batch = [make_review([CLS_ID] + list(rng.integers(4, 15, n - 2)) + [SEP_ID],
+                             cfg.max_len) for n in (7, 3, 2, 5)]
+        rng = np.random.default_rng(23)
+        if batched:
+            logits = model.forward_batch(batch, None, training, rng)
+        else:
+            text = {k[5:]: v for k, v in model.params.items()
+                    if k.startswith("text.")}
+            feats = reference_encode(text, cfg, batch, training, rng)
+            logits = classify_batch(model.params, model.fusion_cfg, feats,
+                                    training, rng)
+        model.zero_grad()
+        ag.cross_entropy(logits, [0, 1, 1, 0]).backward()
+        return logits.data, {k: v.grad.copy() for k, v in model.params.items()}
+
+    # with dropout on, the batched encoder must draw the same mask for each
+    # review as the per-review encoder does
+    @pytest.mark.parametrize("training,dropout_p",
+                             [(False, 0.0), (True, 0.0), (True, 0.3)])
+    def test_logits_and_every_gradient(self, training, dropout_p):
+        got, got_grads = self.logits_and_grads(True, training, dropout_p)
+        want, want_grads = self.logits_and_grads(False, training, dropout_p)
+        np.testing.assert_allclose(got, want, rtol=0, atol=self.TOL)
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert np.any(g != 0), name
+            np.testing.assert_allclose(got_grads[name], g, rtol=0,
+                                       atol=self.TOL, err_msg=name)
