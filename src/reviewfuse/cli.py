@@ -31,12 +31,13 @@ from .errors import (
     TokenIndexError,
     TrainingDivergenceError,
 )
+from .fusion import predict_labels
 from .gradsuite import run_gradcheck
+from .imageproc import preprocess
 from .metrics import emit_report, evaluate, format_confusion
-from .model import ReviewClassifier
 from .synthgen import GeneratorSpec, generate_synthetic
 from .textproc import Vocabulary, tokenize
-from .training import TrainConfig, fit, model_to_bundle
+from .training import TrainConfig, fit, model_from_bundle, model_to_bundle
 from .workflow import (
     DESK_CROP_SIDE,
     DESK_MAX_LEN,
@@ -177,16 +178,38 @@ EVAL_DEFAULTS = {
 }
 
 
+def _int_at_least(value, low: int) -> bool:
+    return type(value) is int and value >= low
+
+
 def _load_model_and_vocab(path):
+    """A bundle's model, vocabulary and preprocessing settings, checked
+    against each other; every fault is a FormatError."""
     bundle = load_bundle(path)
     try:
-        model_cfg = bundle.config["model"]
-        vocab = Vocabulary(bundle.config["vocab_tokens"])
+        tokens = bundle.config["vocab_tokens"]
         prep = bundle.config["preprocess"]
     except KeyError as e:
         raise FormatError(f"{path}: bundle config missing {e}")
-    model = ReviewClassifier.from_config(model_cfg)
-    model.load_state(bundle.tensors)
+    model = model_from_bundle(bundle)
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise FormatError(f"{path}: vocab_tokens must be a list of strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except ParameterError as e:
+        raise FormatError(f"{path}: {e}") from None
+    if model.text_cfg is not None and len(vocab) != model.text_cfg.vocab_size:
+        raise FormatError(f"{path}: {len(vocab)} vocabulary entries for a "
+                          f"{model.text_cfg.vocab_size}-row token table")
+    if not (isinstance(prep, dict) and _int_at_least(prep.get("max_len"), 3)
+            and _int_at_least(prep.get("crop_side"), 1)):
+        raise FormatError(f"{path}: preprocess must hold integer max_len >= 3 "
+                          f"and crop_side >= 1, got {prep!r}")
+    for key, sub_cfg, field in (("max_len", model.text_cfg, "max_len"),
+                                ("crop_side", model.image_cfg, "input_side")):
+        if sub_cfg is not None and prep[key] != getattr(sub_cfg, field):
+            raise FormatError(f"{path}: preprocess {key} {prep[key]} does not "
+                              f"match the model's {field} {getattr(sub_cfg, field)}")
     return model, vocab, prep
 
 
@@ -237,13 +260,12 @@ def cmd_predict(args) -> int:
     if model.image_cfg is not None:
         if cfg["image"] is None:
             raise UsageError(f"mode {model.mode} requires --image")
-        from .imageproc import preprocess
         img = preprocess(cfg["image"], crop_side=prep["crop_side"])
         images = Tensor(img.data[np.newaxis, ...])
     with ag.no_grad():
         logits = model.forward_batch(reviews, images, training=False)
     probs = ag.softmax(logits).data[0]
-    label = 1 if logits.data[0, 1] > logits.data[0, 0] else 0
+    label = predict_labels(logits)[0]
     print(f"label: {'genuine' if label == 1 else 'fake'}")
     print(f"p_fake: {probs[0]:.4f}")
     print(f"p_genuine: {probs[1]:.4f}")

@@ -10,8 +10,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import AlignmentError, ManifestError, SplitError
-from .imageproc import IMAGENET_MEAN, IMAGENET_STD, center_crop, load_ppm, \
-    normalize_channels, resize_bilinear
+from .imageproc import preprocess
 from .textproc import TokenizedReview, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
@@ -94,14 +93,6 @@ def align_images(samples: list[ReviewSample], image_dir, extension: str = "ppm",
     return aligned, len(missing)
 
 
-def count_surplus_images(samples: list[ReviewSample], image_dir,
-                         extension: str = "ppm") -> int:
-    """Number of image files in the directory not referenced by any sample."""
-    referenced = {f"{s.id}.{extension}" for s in samples}
-    present = {f for f in os.listdir(image_dir) if f.endswith("." + extension)}
-    return len(present - referenced)
-
-
 @dataclass
 class DatasetSplit:
     train: list[ReviewSample]
@@ -157,9 +148,7 @@ class PreparedDataset:
     def prepare(cls, samples: list[ReviewSample],
                 vocab: Vocabulary | None = None, max_len: int = 16,
                 crop_side: int = 32, need_text: bool = True,
-                need_images: bool = True,
-                mean=IMAGENET_MEAN, std=IMAGENET_STD,
-                dtype=np.float32) -> "PreparedDataset":
+                need_images: bool = True) -> "PreparedDataset":
         reviews = None
         if need_text:
             if vocab is None:
@@ -167,16 +156,13 @@ class PreparedDataset:
             reviews = [tokenize(vocab, s.text, max_len) for s in samples]
         images = None
         if need_images:
-            resize_side = max(crop_side, round(crop_side * 8 / 7))
             # filled in place: stacking a list would hold two copies at the peak
-            images = np.empty((len(samples), 3, crop_side, crop_side), dtype=dtype)
+            images = np.empty((len(samples), 3, crop_side, crop_side),
+                              dtype=np.float32)
             for i, s in enumerate(samples):
                 if s.image_path is None:
                     raise AlignmentError(f"sample {s.id} has no aligned image")
-                img = load_ppm(s.image_path)
-                img = resize_bilinear(img, resize_side)
-                img = center_crop(img, crop_side)
-                images[i] = normalize_channels(img, mean, std, dtype=dtype).data
+                images[i] = preprocess(s.image_path, crop_side).data
         labels = np.asarray([s.label for s in samples], dtype=np.int64)
         return cls(reviews=reviews, images=images, labels=labels,
                    ids=[s.id for s in samples])

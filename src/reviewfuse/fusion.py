@@ -1,4 +1,5 @@
-"""Concatenation fusion and the binary classification head."""
+"""The classification head over fused (text then image) features, and the
+label rule every prediction goes through."""
 
 from __future__ import annotations
 
@@ -50,16 +51,6 @@ def init_fusion(cfg: FusionConfig, rng: np.random.Generator,
     }
 
 
-def fuse(text_vec: Tensor, img_vec: Tensor, cfg: FusionConfig) -> Tensor:
-    """Concatenate text features then image features (fixed order)."""
-    if text_vec.data.shape != (cfg.d_text,) or img_vec.data.shape != (cfg.d_img,):
-        raise DimensionError(
-            f"fuse: got {text_vec.data.shape} + {img_vec.data.shape}, "
-            f"expected ({cfg.d_text},) + ({cfg.d_img},)"
-        )
-    return ag.concat(text_vec, img_vec)
-
-
 def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,
                    training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
@@ -74,21 +65,9 @@ def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,
     return ag.add_bias(ag.matmul(hidden, params["head.w2"]), params["head.b2"])
 
 
-def classify(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,
-             training: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
-    """Single-sample variant: length d_in vector -> length-2 logits."""
-    if fused.data.shape != (cfg.d_in,):
-        raise DimensionError(
-            f"classify: fused length {fused.data.shape}, expected ({cfg.d_in},)"
-        )
-    batched = ag.reshape(fused, (1, cfg.d_in))
-    return ag.take_row(classify_batch(params, cfg, batched, training, rng), 0)
-
-
-def predict_label(logits) -> int:
-    """Argmax over the two logits; exact tie goes to class 0 (fake)."""
+def predict_labels(logits) -> np.ndarray:
+    """B x 2 logits -> B int labels by argmax; an exact tie goes to 0 (fake)."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if arr.shape != (2,):
-        raise DimensionError(f"predict_label expects 2 logits, got shape {arr.shape}")
-    return 1 if arr[1] > arr[0] else 0
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DimensionError(f"predict_labels expects B x 2 logits, got shape {arr.shape}")
+    return (arr[:, 1] > arr[:, 0]).astype(np.int64)

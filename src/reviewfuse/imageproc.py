@@ -135,11 +135,11 @@ def normalize_channels(img: RawImage,
     return Tensor(normed.transpose(2, 0, 1), dtype=dtype)
 
 
-def preprocess(path, crop_side: int = 32,
-               mean=IMAGENET_MEAN, std=IMAGENET_STD, dtype=np.float32) -> Tensor:
-    """Full eval transform: load -> resize to crop_side * 8/7 -> crop -> normalize."""
+def preprocess(path, crop_side: int = 32) -> Tensor:
+    """The one image transform of training, eval and predict: load -> resize
+    to crop_side * 8/7 -> center crop -> ImageNet-normalize to float32."""
     img = load_ppm(path)
     resize_side = max(crop_side, round(crop_side * 8 / 7))
     img = resize_bilinear(img, resize_side)
     img = center_crop(img, crop_side)
-    return normalize_channels(img, mean, std, dtype=dtype)
+    return normalize_channels(img)

@@ -9,11 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import autograd as ag
 from .errors import ContractError, LabelError
+from .fusion import predict_labels
 from .model import ReviewClassifier
+from .training import eval_outputs
 
 # benchmark rows from the reference comparison (accuracy, precision, recall,
 # f1); recorded as report metadata, never asserted at desk scale
@@ -110,17 +109,11 @@ def compute_metrics(cm: ConfusionMatrix, model_tag: str = "",
 
 
 def evaluate(model: ReviewClassifier, dataset, model_tag: str | None = None,
-             split_tag: str = "test", batch_size: int = 64) -> MetricsReport:
+             split_tag: str = "test") -> MetricsReport:
     """Eval-mode predictions over a PreparedDataset -> MetricsReport."""
-    preds: list[int] = []
-    golds: list[int] = []
-    with ag.no_grad():
-        for reviews, images, labels in dataset.batches(batch_size, seed=0,
-                                                       epoch=0, shuffle=False):
-            logits = model.forward_batch(reviews, images, training=False)
-            preds.extend((logits.data[:, 1] > logits.data[:, 0]).astype(int).tolist())
-            golds.extend(labels)
-    return compute_metrics(confusion_matrix(preds, golds),
+    logits, golds = eval_outputs(model.forward_batch, dataset)
+    return compute_metrics(confusion_matrix(predict_labels(logits).tolist(),
+                                            golds.tolist()),
                            model_tag=model_tag or model.mode,
                            split_tag=split_tag)
 

@@ -42,7 +42,6 @@ class ReviewClassifier:
         d_img = self.image_cfg.d_out if self.image_cfg else 0
         self.fusion_cfg = FusionConfig(d_text=d_text, d_img=d_img,
                                        d_hidden=d_hidden, dropout_p=dropout_p)
-        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         if self.text_cfg:
@@ -116,10 +115,10 @@ class ReviewClassifier:
         }
 
     @classmethod
-    def from_config(cls, cfg: dict, seed: int = 0, dtype=np.float32) -> "ReviewClassifier":
+    def from_config(cls, cfg: dict) -> "ReviewClassifier":
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
         image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
                      if cfg.get("image_cfg") else None)
         return cls(cfg["mode"], text_cfg, image_cfg,
                    d_hidden=cfg.get("d_hidden", 32),
-                   dropout_p=cfg.get("dropout_p", 0.3), seed=seed, dtype=dtype)
+                   dropout_p=cfg.get("dropout_p", 0.3))

@@ -46,18 +46,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def save(self, path) -> None:
-        """One non-reserved token per line; line number = id - 4."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token[4:]:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
-
 
 def build_vocab(corpus: list[str], max_size: int = 2000, min_count: int = 1) -> Vocabulary:
     """Rank normalized whitespace tokens by frequency (ties lexicographic)."""

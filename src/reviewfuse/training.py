@@ -10,7 +10,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, cross_entropy
 from .bundle import ModelBundle
-from .errors import ContractError, ParameterError, TrainingDivergenceError
+from .errors import ContractError, FormatError, ParameterError, \
+    TrainingDivergenceError
+from .fusion import predict_labels
 from .model import ReviewClassifier
 
 
@@ -101,20 +103,30 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
     return total_loss / total_n
 
 
-def evaluate_accuracy(model: ReviewClassifier, dataset, batch_size: int = 64) -> float:
-    """Fraction correct in eval mode (dropout off, no graph recording)."""
-    correct = 0
-    total = 0
+EVAL_BATCH = 64
+
+
+def eval_outputs(forward, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``forward(reviews, images)`` over a dataset in eval mode.
+
+    Batches of ``EVAL_BATCH`` in dataset order, no graph recording; returns
+    the outputs stacked row per sample, and the labels.
+    """
+    outputs, labels = [], []
     with ag.no_grad():
-        for reviews, images, labels in dataset.batches(batch_size, seed=0,
-                                                       epoch=0, shuffle=False):
-            logits = model.forward_batch(reviews, images, training=False)
-            preds = (logits.data[:, 1] > logits.data[:, 0]).astype(int)
-            correct += int((preds == np.asarray(labels)).sum())
-            total += len(labels)
-    if total == 0:
-        raise ContractError("evaluate_accuracy got an empty dataset")
-    return correct / total
+        for reviews, images, batch_labels in dataset.batches(
+                EVAL_BATCH, seed=0, epoch=0, shuffle=False):
+            outputs.append(forward(reviews, images).data)
+            labels.extend(batch_labels)
+    if not outputs:
+        raise ContractError("eval_outputs got an empty dataset")
+    return np.concatenate(outputs), np.asarray(labels, dtype=np.int64)
+
+
+def evaluate_accuracy(model: ReviewClassifier, dataset) -> float:
+    """Fraction correct in eval mode (dropout off, no graph recording)."""
+    logits, labels = eval_outputs(model.forward_batch, dataset)
+    return int((predict_labels(logits) == labels).sum()) / len(labels)
 
 
 @dataclass
@@ -188,7 +200,11 @@ def model_to_bundle(model: ReviewClassifier, extra_config: dict | None = None) -
                        config=config)
 
 
-def model_from_bundle(bundle: ModelBundle, dtype=np.float32) -> ReviewClassifier:
-    model = ReviewClassifier.from_config(bundle.config["model"], dtype=dtype)
-    model.load_state(bundle.tensors)
+def model_from_bundle(bundle: ModelBundle) -> ReviewClassifier:
+    """The bundle's model; a malformed model config or tensor set is a FormatError."""
+    try:
+        model = ReviewClassifier.from_config(bundle.config["model"])
+        model.load_state(bundle.tensors)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed model in bundle: {e!r}") from None
     return model

@@ -12,13 +12,13 @@ from . import autograd as ag
 from .autograd import Tensor, cross_entropy
 from .data import PreparedDataset, align_images, read_manifest
 from .errors import ManifestError
-from .fusion import classify_batch
+from .fusion import classify_batch, predict_labels
 from .image_encoder import ImageEncoderConfig
 from .metrics import PAPER_REFERENCE, MetricsReport, evaluate
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig
 from .textproc import Vocabulary, build_vocab
-from .training import AdamState, TrainConfig, TrainReport, adam_step, fit
+from .training import AdamState, TrainConfig, adam_step, eval_outputs, fit
 
 DESK_MAX_LEN = 16
 DESK_CROP_SIDE = 32
@@ -75,34 +75,12 @@ def desk_model(mode: str, vocab_size: int, max_len: int = DESK_MAX_LEN,
                             dropout_p=0.0, seed=seed)
 
 
-def train_on_corpus(corpus: Corpus, mode: str, cfg: TrainConfig,
-                    log=None) -> tuple[ReviewClassifier, TrainReport]:
-    model = desk_model(mode, vocab_size=len(corpus.vocab),
-                       max_len=corpus.max_len, crop_side=corpus.crop_side,
-                       seed=cfg.seed)
-    report, _ = fit(model, corpus.train, corpus.val, cfg, log=log)
-    return model, report
-
-
 WARM_EPOCHS = 300
 WARM_LR = 1e-3
 
 
-def _cached_features(model: ReviewClassifier, dataset: PreparedDataset
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode encoder features and labels for every sample, in order."""
-    feats, labels = [], []
-    with ag.no_grad():
-        for reviews, images, batch_labels in dataset.batches(
-                64, seed=0, epoch=0, shuffle=False):
-            feats.append(model.encode_batch(reviews, images).data)
-            labels.append(np.asarray(batch_labels))
-    return np.concatenate(feats, axis=0), np.concatenate(labels, axis=0)
-
-
 def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
-                    val_set: PreparedDataset, cfg: TrainConfig,
-                    epochs: int = WARM_EPOCHS, warm_lr: float = WARM_LR) -> float:
+                    val_set: PreparedDataset, cfg: TrainConfig) -> float:
     """Phase one of the two-phase recipe: train the head on frozen features.
 
     Encoder features are cached once in eval mode, then the classification
@@ -120,15 +98,15 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
     """
-    Xtr, ytr = _cached_features(model, train_set)
-    Xva, yva = _cached_features(model, val_set)
+    Xtr, ytr = eval_outputs(model.encode_batch, train_set)
+    Xva, yva = eval_outputs(model.encode_batch, val_set)
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
-    warm_cfg = TrainConfig(lr=warm_lr, weight_decay=0.0,
+    warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)
     state = AdamState()
     best_acc = -1.0
     best = {k: v.data.copy() for k, v in head.items()}
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, WARM_EPOCHS + 1):
         rng = np.random.default_rng([cfg.seed, epoch, 0x4EAD])
         order = rng.permutation(len(ytr))
         for i in range(0, len(order), warm_cfg.batch_size):
@@ -143,7 +121,7 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
         with ag.no_grad():
             logits = classify_batch(model.params, model.fusion_cfg,
                                     Tensor(Xva), False, None)
-        acc = float((logits.data.argmax(axis=1) == yva).mean())
+        acc = float((predict_labels(logits) == yva).mean())
         if acc > best_acc:
             best_acc = acc
             best = {k: v.data.copy() for k, v in head.items()}

@@ -5,12 +5,15 @@ import struct
 import numpy as np
 import pytest
 
-from reviewfuse.bundle import save_bundle
+from reviewfuse.bundle import load_bundle, save_bundle
 from reviewfuse.cli import main
+from reviewfuse.data import PreparedDataset, align_images, read_manifest
+from reviewfuse.fusion import predict_labels
 from reviewfuse.image_encoder import ImageEncoderConfig
 from reviewfuse.model import ReviewClassifier
 from reviewfuse.text_encoder import TextEncoderConfig
-from reviewfuse.training import model_to_bundle
+from reviewfuse.textproc import Vocabulary
+from reviewfuse.training import eval_outputs, model_from_bundle, model_to_bundle
 
 
 def run(capsys, *argv):
@@ -188,6 +191,31 @@ class TestPredict:
         pg = float(out.split("p_genuine: ")[1].split()[0])
         assert abs(pf + pg - 1.0) <= 0.0001
 
+    def test_matches_batched_eval_of_test_split(self, capsys, corpus_dir,
+                                                trained):
+        # predict and eval share one loader, transform and label rule: a
+        # single-sample predict reports the row eval computes for that sample
+        bundle = load_bundle(trained)
+        model = model_from_bundle(bundle)
+        prep = bundle.config["preprocess"]
+        samples, _ = align_images(read_manifest(corpus_dir / "test.csv"),
+                                  corpus_dir / "images")
+        ds = PreparedDataset.prepare(
+            samples, vocab=Vocabulary(bundle.config["vocab_tokens"]),
+            max_len=prep["max_len"], crop_side=prep["crop_side"])
+        logits, _ = eval_outputs(model.forward_batch, ds)
+        labels = predict_labels(logits)
+        z = logits.astype(np.float64)
+        p_genuine = 1.0 / (1.0 + np.exp(z[:, 0] - z[:, 1]))
+        for i in (0, 1, len(samples) - 1):
+            code, out, _ = run(capsys, "predict", "--model", trained,
+                               "--text", samples[i].text,
+                               "--image", samples[i].image_path)
+            assert code == 0
+            assert f"label: {('fake', 'genuine')[labels[i]]}" in out
+            printed = float(out.split("p_genuine: ")[1].split()[0])
+            assert abs(printed - p_genuine[i]) <= 1e-4
+
     def test_unreadable_image(self, capsys, tmp_path):
         model = self._zero_model_path(tmp_path)
         code, _, _ = run(capsys, "predict", "--model", model,
@@ -233,6 +261,43 @@ class TestMalformedBundle:
         path = tmp_path / "m.fkit"
         path.write_bytes(fkit_blob([(b"w", shape, b"")], b"{}"))
         code, _, err = self.predict(capsys, path)
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.update(model=5),
+        lambda c: c["model"]["text_cfg"].update(vocab_size="x"),
+        lambda c: c["model"]["text_cfg"].update(bogus=1),
+        lambda c: c["model"].pop("mode"),
+        lambda c: c["model"].update(mode="bogus"),
+        lambda c: c["model"]["text_cfg"].update(d_model=-1),
+        lambda c: c.update(vocab_tokens=5),
+        lambda c: c.update(vocab_tokens=["alpha", 5]),
+        lambda c: c.update(vocab_tokens=["alpha"] * 6),
+        # 50 entries against the 10-row token table
+        lambda c: c.update(vocab_tokens=[f"w{i}" for i in range(46)]),
+        lambda c: c.update(preprocess=[8, 8]),
+        lambda c: c["preprocess"].pop("max_len"),
+        lambda c: c["preprocess"].update(max_len="8"),
+        lambda c: c["preprocess"].update(max_len=2),
+        lambda c: c["preprocess"].update(crop_side=0),
+        lambda c: c["preprocess"].update(max_len=12),
+        lambda c: c["preprocess"].update(crop_side=16),
+    ], ids=["model-not-object", "vocab-size-str", "unknown-text-cfg-key",
+            "missing-mode", "bogus-mode", "negative-d-model",
+            "vocab-tokens-not-list", "vocab-token-not-str",
+            "duplicate-vocab-tokens", "vocab-larger-than-table",
+            "preprocess-list", "missing-max-len", "max-len-str",
+            "max-len-too-small", "crop-side-zero", "max-len-not-the-model's",
+            "crop-side-not-the-model's"])
+    def test_malformed_config_entry(self, capsys, tmp_path, mutate):
+        path = TestPredict()._zero_model_path(tmp_path)
+        image = TestPredict()._ppm(tmp_path)
+        argv = ["predict", "--model", path, "--text", "alpha", "--image", image]
+        assert run(capsys, *argv)[0] == 0
+        bundle = load_bundle(path)
+        mutate(bundle.config)
+        save_bundle(bundle, path)
+        code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err
 
     def test_trailing_bytes(self, capsys, tmp_path):

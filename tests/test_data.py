@@ -8,13 +8,12 @@ from reviewfuse.data import (
     PreparedDataset,
     ReviewSample,
     align_images,
-    count_surplus_images,
     read_manifest,
     stratified_split,
     write_manifest,
 )
 from reviewfuse.errors import AlignmentError, ManifestError, SplitError
-from reviewfuse.imageproc import RawImage, save_ppm
+from reviewfuse.imageproc import RawImage, preprocess, save_ppm
 from reviewfuse.textproc import build_vocab
 
 
@@ -93,13 +92,12 @@ class TestAlignImages:
         aligned, dropped = align_images(samples, tmp_path, strict=False)
         assert [s.id for s in aligned] == ["a"] and dropped == 1
 
-    def test_surplus_images_ignored_and_counted(self, tmp_path):
+    def test_surplus_images_ignored(self, tmp_path):
         for n in ("a.ppm", "b.ppm", "extra1.ppm", "extra2.ppm"):
             self._touch_ppm(tmp_path, n)
         samples = [ReviewSample("a", "x", 0), ReviewSample("b", "y", 1)]
         aligned, dropped = align_images(samples, tmp_path)
-        assert len(aligned) == 2 and dropped == 0
-        assert count_surplus_images(samples, tmp_path) == 2
+        assert [s.id for s in aligned] == ["a", "b"] and dropped == 0
 
 
 class TestStratifiedSplit:
@@ -188,3 +186,21 @@ class TestBatchIter:
                 mean_pix = imgs.data[j].mean()
                 # invert normalization roughly: all channels equal i*10/255
                 assert revs[j] is not None
+
+
+class TestPrepareImages:
+    def test_rows_are_the_preprocess_transform(self, tmp_path):
+        # training and predict share one transform: each prepared row is
+        # bitwise what preprocess gives for the same file
+        rng = np.random.default_rng(14)
+        samples = []
+        for i, (w, h) in enumerate([(37, 37), (50, 41), (32, 60)]):
+            path = os.path.join(tmp_path, f"p{i}.ppm")
+            px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            save_ppm(RawImage(w, h, px), path)
+            samples.append(ReviewSample(f"p{i}", "x", i % 2, image_path=path))
+        ds = PreparedDataset.prepare(samples, need_text=False, crop_side=32)
+        assert ds.images.dtype == np.float32
+        for i, s in enumerate(samples):
+            np.testing.assert_array_equal(ds.images[i],
+                                          preprocess(s.image_path, 32).data)

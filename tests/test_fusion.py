@@ -6,45 +6,70 @@ from reviewfuse.autograd import Tensor, grad_check
 from reviewfuse.errors import DimensionError
 from reviewfuse.fusion import (
     FusionConfig,
-    classify,
     classify_batch,
-    fuse,
     init_fusion,
     paper_scale_fusion_config,
-    predict_label,
+    predict_labels,
 )
+from reviewfuse.textproc import build_vocab, tokenize
+from reviewfuse.workflow import desk_model
+
+BATCH_SIZES = (1, 3)
 
 
 def desk_cfg():
     return FusionConfig(d_text=32, d_img=64, d_hidden=32, dropout_p=0.3)
 
 
+def desk_batch(n, seed=0):
+    """``n`` tokenized reviews and ``n`` desk-size image tensors."""
+    words = ["great", "cold", "service", "pizza", "never", "again"]
+    vocab = build_vocab(words, max_size=50)
+    rng = np.random.default_rng(seed)
+    reviews = [tokenize(vocab, " ".join(rng.choice(words, size=4)), max_len=16)
+               for _ in range(n)]
+    images = Tensor(rng.normal(size=(n, 3, 32, 32)).astype(np.float32))
+    return reviews, images
+
+
 class TestFuse:
+    """Fusion happens in ReviewClassifier.encode_batch: text features, then
+    image features, one row per sample."""
+
     def test_paper_scale_2816(self):
         cfg = paper_scale_fusion_config()
-        out = fuse(Tensor(np.zeros(768, dtype=np.float32)),
-                   Tensor(np.zeros(2048, dtype=np.float32)), cfg)
-        assert out.shape == (2816,)
+        assert cfg.d_in == 768 + 2048 == 2816
         assert cfg.d_hidden == 512
 
     def test_desk_default_96(self):
-        cfg = desk_cfg()
-        out = fuse(Tensor(np.zeros(32, dtype=np.float32)),
-                   Tensor(np.zeros(64, dtype=np.float32)), cfg)
-        assert out.shape == (96,)
+        model = desk_model("fused", vocab_size=50)
+        assert model.fusion_cfg.d_in == 96
+        for n in BATCH_SIZES:
+            assert model.encode_batch(*desk_batch(n)).shape == (n, 96)
 
     def test_text_features_first(self):
-        cfg = FusionConfig(d_text=3, d_img=2)
-        t = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32))
-        i = Tensor(np.array([9.0, 8.0], dtype=np.float32))
-        out = fuse(t, i, cfg)
-        np.testing.assert_array_equal(out.data[:3], t.data)
+        fused = desk_model("fused", vocab_size=50, seed=3)
+        text = desk_model("text_only", vocab_size=50, seed=4)
+        image = desk_model("image_only", vocab_size=50, seed=5)
+        for part in (text, image):
+            for k, t in part.params.items():
+                if not k.startswith("head."):
+                    t.data = fused.params[k].data.copy()
+        reviews, images = desk_batch(3, seed=1)
+        feats = fused.encode_batch(reviews, images).data
+        d_text = fused.fusion_cfg.d_text
+        np.testing.assert_array_equal(feats[:, :d_text],
+                                      text.encode_batch(reviews, None).data)
+        np.testing.assert_array_equal(feats[:, d_text:],
+                                      image.encode_batch(None, images).data)
 
     def test_length_mismatch(self):
-        cfg = desk_cfg()
+        # text and image batches of different lengths cannot be fused
+        model = desk_model("fused", vocab_size=50)
+        reviews, _ = desk_batch(3)
+        _, images = desk_batch(2)
         with pytest.raises(DimensionError):
-            fuse(Tensor(np.zeros(31, dtype=np.float32)),
-                 Tensor(np.zeros(64, dtype=np.float32)), cfg)
+            model.encode_batch(reviews, images)
 
 
 class TestClassify:
@@ -53,18 +78,19 @@ class TestClassify:
         p = init_fusion(cfg, np.random.default_rng(0))
         for t in p.values():
             t.data[:] = 0.0
-        logits = classify(p, cfg, Tensor(np.ones(96, dtype=np.float32)))
-        np.testing.assert_array_equal(logits.data, [0.0, 0.0])
-        probs = ag.softmax(logits).data
-        np.testing.assert_allclose(probs, [0.5, 0.5])
+        for n in BATCH_SIZES:
+            logits = classify_batch(p, cfg, Tensor(np.ones((n, 96), dtype=np.float32)))
+            np.testing.assert_array_equal(logits.data, np.zeros((n, 2)))
+            np.testing.assert_allclose(ag.softmax(logits).data, 0.5)
 
     def test_eval_deterministic_bitwise(self):
         cfg = desk_cfg()
         p = init_fusion(cfg, np.random.default_rng(1))
-        x = Tensor(np.random.default_rng(2).normal(size=96).astype(np.float32))
-        a = classify(p, cfg, x, training=False).data
-        b = classify(p, cfg, x, training=False).data
-        np.testing.assert_array_equal(a, b)
+        for n in BATCH_SIZES:
+            x = Tensor(np.random.default_rng(2).normal(size=(n, 96)).astype(np.float32))
+            a = classify_batch(p, cfg, x, training=False).data
+            b = classify_batch(p, cfg, x, training=False).data
+            np.testing.assert_array_equal(a, b)
 
     def test_gradcheck_f32_against_f64_oracle(self):
         cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
@@ -95,8 +121,9 @@ class TestClassify:
     def test_dimension_mismatch(self):
         cfg = desk_cfg()
         p = init_fusion(cfg, np.random.default_rng(7))
-        with pytest.raises(DimensionError):
-            classify(p, cfg, Tensor(np.zeros(95, dtype=np.float32)))
+        for shape in [(n, 95) for n in BATCH_SIZES] + [(96,)]:
+            with pytest.raises(DimensionError):
+                classify_batch(p, cfg, Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_linear_region_linearity(self):
         # with dropout off and all hidden pre-activations positive the head
@@ -104,31 +131,40 @@ class TestClassify:
         cfg = FusionConfig(d_text=2, d_img=2, d_hidden=3, dropout_p=0.0)
         p = init_fusion(cfg, np.random.default_rng(8))
         p["head.b1"].data[:] = 10.0  # push hidden units into the linear region
-        x1 = np.random.default_rng(9).normal(size=4).astype(np.float32) * 0.1
-        x2 = np.random.default_rng(10).normal(size=4).astype(np.float32) * 0.1
-        f = lambda arr: classify(p, cfg, Tensor(arr)).data
-        lhs = f(x1 + x2) + f(np.zeros(4, dtype=np.float32)) * 0
-        rhs = f(x1) + f(x2) - f(np.zeros(4, dtype=np.float32))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-5)
+        f = lambda arr: classify_batch(p, cfg, Tensor(arr)).data
+        for n in BATCH_SIZES:
+            x1 = np.random.default_rng(9).normal(size=(n, 4)).astype(np.float32) * 0.1
+            x2 = np.random.default_rng(10).normal(size=(n, 4)).astype(np.float32) * 0.1
+            zero = np.zeros((n, 4), dtype=np.float32)
+            np.testing.assert_allclose(f(x1 + x2), f(x1) + f(x2) - f(zero),
+                                       atol=1e-5)
 
     def test_softmax_of_logits_sums_to_one(self):
         cfg = desk_cfg()
         p = init_fusion(cfg, np.random.default_rng(11))
-        x = Tensor(np.random.default_rng(12).normal(size=96).astype(np.float32))
-        probs = ag.softmax(classify(p, cfg, x)).data
-        assert abs(probs.sum() - 1.0) < 1e-6
+        for n in BATCH_SIZES:
+            x = Tensor(np.random.default_rng(12).normal(size=(n, 96)).astype(np.float32))
+            probs = ag.softmax(classify_batch(p, cfg, x)).data
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestPredictLabel:
     def test_argmax(self):
-        assert predict_label(np.array([0.2, 1.7])) == 1
+        labels = predict_labels(np.array([[0.2, 1.7], [1.7, 0.2], [-3.0, -2.9]]))
+        np.testing.assert_array_equal(labels, [1, 0, 1])
 
     def test_tie_goes_to_fake(self):
-        assert predict_label(np.array([3.0, 3.0])) == 0
+        logits = Tensor(np.array([[3.0, 3.0], [0.0, 0.0]], dtype=np.float32))
+        np.testing.assert_array_equal(predict_labels(logits), [0, 0])
 
     def test_shift_invariance_sweep(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            logits = rng.normal(size=2)
-            c = rng.normal() * 100
-            assert predict_label(logits) == predict_label(logits + c)
+        logits = rng.normal(size=(50, 2))
+        shift = rng.normal(size=(50, 1)) * 100
+        np.testing.assert_array_equal(predict_labels(logits),
+                                      predict_labels(logits + shift))
+
+    def test_rejects_non_b_by_2(self):
+        for shape in [(2,), (3, 3), (1, 2, 2)]:
+            with pytest.raises(DimensionError):
+                predict_labels(np.zeros(shape))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reviewfuse import textproc as tp
+from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.errors import ParameterError
 from reviewfuse.textproc import (
     CLS_ID,
@@ -67,10 +68,13 @@ class TestBuildVocab:
         assert v.lookup("rare") == UNK_ID
 
     def test_save_load_roundtrip(self, tmp_path):
-        v = build_vocab(["alpha beta beta gamma"], max_size=10)
-        p = tmp_path / "vocab.txt"
-        v.save(p)
-        v2 = Vocabulary.load(p)
+        # a vocabulary is saved as a bundle's vocab_tokens and loaded back
+        # from them, as train and predict do
+        v = build_vocab(["alpha beta beta gamma café"], max_size=10)
+        p = tmp_path / "m.fkit"
+        save_bundle(ModelBundle(tensors={},
+                                config={"vocab_tokens": v.id_to_token[4:]}), p)
+        v2 = Vocabulary(load_bundle(p).config["vocab_tokens"])
         assert v2.id_to_token == v.id_to_token
 
 

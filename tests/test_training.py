@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from reviewfuse import autograd as ag
 from reviewfuse.autograd import Tensor
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.data import PreparedDataset, ReviewSample
@@ -13,8 +14,10 @@ from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import build_vocab
 from reviewfuse.training import (
     AdamState,
+    EVAL_BATCH,
     TrainConfig,
     adam_step,
+    eval_outputs,
     evaluate_accuracy,
     fit,
     model_from_bundle,
@@ -217,6 +220,34 @@ class TestEvaluateAccuracy:
         model = tiny_model()
         ds = tiny_dataset()
         assert evaluate_accuracy(model, ds) == evaluate_accuracy(model, ds)
+
+
+class TestEvalOutputs:
+    def test_rows_in_dataset_order_over_several_batches(self):
+        model = tiny_model("text_only")
+        ds = tiny_dataset(n=2 * EVAL_BATCH + 3)
+        calls = []
+
+        def forward(reviews, images):
+            calls.append((len(reviews), ag._grad_enabled))
+            return model.forward_batch(reviews, images)
+
+        logits, labels = eval_outputs(forward, ds)
+        assert calls == [(EVAL_BATCH, False), (EVAL_BATCH, False), (3, False)]
+        assert logits.shape == (len(ds), 2)
+        np.testing.assert_array_equal(labels, ds.labels)
+        tail = model.forward_batch(ds.reviews[-3:], None).data
+        np.testing.assert_allclose(logits[-3:], tail, rtol=1e-6, atol=1e-6)
+
+    def test_encoder_features(self):
+        model = tiny_model("fused")
+        feats, _ = eval_outputs(model.encode_batch, tiny_dataset(n=5))
+        assert feats.shape == (5, model.fusion_cfg.d_in)
+
+    def test_empty_dataset(self):
+        model = tiny_model("text_only")
+        with pytest.raises(ContractError):
+            eval_outputs(model.forward_batch, tiny_dataset(n=0))
 
 
 class TestBundleFormat:

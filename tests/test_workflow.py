@@ -3,14 +3,8 @@ import pytest
 
 from reviewfuse.errors import ManifestError
 from reviewfuse.synthgen import GeneratorSpec, generate_synthetic
-from reviewfuse.training import TrainConfig
-from reviewfuse.workflow import (
-    Corpus,
-    compare_baselines,
-    desk_model,
-    load_corpus,
-    train_on_corpus,
-)
+from reviewfuse.training import TrainConfig, fit
+from reviewfuse.workflow import compare_baselines, desk_model, load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +51,12 @@ class TestDeskModel:
 
 class TestTrainOnCorpus:
     def test_one_epoch_run(self, tiny_corpus):
+        # the train command's path: a desk model fitted on a loaded corpus
         cfg = TrainConfig(lr=1e-3, max_epochs=1, patience=1, batch_size=16,
                           seed=2)
-        model, report = train_on_corpus(tiny_corpus, "text_only", cfg)
+        model = desk_model("text_only", vocab_size=len(tiny_corpus.vocab),
+                           seed=cfg.seed)
+        report, _ = fit(model, tiny_corpus.train, tiny_corpus.val, cfg)
         assert len(report.train_losses) == 1
         assert np.isfinite(report.train_losses[0])
         assert 0.0 <= report.val_accuracies[0] <= 1.0
