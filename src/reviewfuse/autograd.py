@@ -339,22 +339,28 @@ def dropout(x: Tensor, p: float, training: bool,
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), zero padding.
+    """2-D convolution (cross-correlation) of channel-major feature maps.
 
-    ``x`` is C_in x H x W or batched B x C_in x H x W; ``w`` is
-    C_out x C_in x k x k. Output spatial extent is
-    floor((H + 2 pad - k) / stride) + 1.
+    ``x`` is C_in x B x H x W, ``w`` is C_out x C_in x k x k, zero padding;
+    the output is C_out x B x H' x W' with H' = floor((H + 2 pad - k) /
+    stride) + 1.
+
+    Implicit GEMM (Anderson et al. 2017, arXiv:1709.03395), with no column
+    buffer: the padded input is split into its stride x stride row/column
+    phases, each flattened to C_in x N over one (B, Hq, Wq) grid. Tap (i, j)
+    reads phase (i % s, j % s) shifted by o = (i // s) Wq + j // s, so it
+    adds ``w[:, :, i, j] @ phase[:, o:o + m]`` to the first m grid cells; the
+    slice is a strided view BLAS takes as is. Grid cells whose shifted reads
+    run into the next row or image lie outside H' x W' and are cropped.
     """
     _check_same_dtype(x, w)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or w.data.ndim != 4:
+    if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(
             f"conv2d: input rank {x.data.ndim}, kernel rank {w.data.ndim}"
         )
     if stride < 1:
         raise ParameterError(f"conv2d stride must be >= 1, got {stride}")
-    bsz, cin, h, wdt = xd.shape
+    cin, bsz, h, wdt = x.data.shape
     cout, cin_w, k, k2 = w.data.shape
     if cin != cin_w or k != k2:
         raise DimensionError(
@@ -367,30 +373,44 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             f"conv2d: non-positive output extent for input {x.data.shape}, "
             f"kernel {k}, stride {stride}, pad {pad}"
         )
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    # im2col: (B, C, H', W', k, k) view, then one matmul for the whole batch
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, cin * k * k)
-    w_mat = w.data.reshape(cout, cin * k * k)
-    out_mat = cols @ w_mat.T
-    out_data = out_mat.reshape(bsz, h_out, w_out, cout).transpose(0, 3, 1, 2)
-    if squeeze:
-        out_data = out_data[0]
-    out_data = np.ascontiguousarray(out_data)
+    s, dt = stride, x.data.dtype
+    hq, wq = -(-(h + 2 * pad) // s), -(-(wdt + 2 * pad) // s)
+    nq = bsz * hq * wq
+    m = nq - ((k - 1) // s) * (wq + 1)  # grid cells every tap can read
+    xq = np.zeros((cin, bsz, hq * s, wq * s), dtype=dt)
+    xq[:, :, pad:pad + h, pad:pad + wdt] = x.data
+    phases = np.ascontiguousarray(
+        xq.reshape(cin, bsz, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    ).reshape(s, s, cin, nq)
+    # tap (i, j) -> (phase row, phase column, offset into the flat grid)
+    taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(k) for j in range(k)]
+    w_taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
+    out = np.empty((cout, bsz, hq, wq), dtype=dt)
+    acc = out.reshape(cout, nq)[:, :m]
+    tmp = np.empty((cout, m), dtype=dt)
+    for t, (a, b, o) in enumerate(taps):
+        src = phases[a, b, :, o:o + m]
+        if t == 0:
+            np.matmul(w_taps[t], src, out=acc)
+        else:
+            acc += np.matmul(w_taps[t], src, out=tmp)
+    out_data = np.ascontiguousarray(out[:, :, :h_out, :w_out])
 
     def backward(g: np.ndarray) -> None:
-        gd = g[None] if squeeze else g
-        g_mat = gd.transpose(0, 2, 3, 1).reshape(bsz * h_out * w_out, cout)
-        _accum(w, (g_mat.T @ cols).reshape(w.data.shape))
-        dcols = (g_mat @ w_mat).reshape(bsz, h_out, w_out, cin, k, k)
-        dxp = np.zeros((bsz, cin, h + 2 * pad, wdt + 2 * pad), dtype=xd.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i:i + stride * h_out:stride,
-                    j:j + stride * w_out:stride] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wdt] if pad else dxp
-        _accum(x, dx[0] if squeeze else dx)
+        gq = np.zeros((cout, bsz, hq, wq), dtype=dt)
+        gq[:, :, :h_out, :w_out] = g
+        gm = gq.reshape(cout, nq)[:, :m]
+        dw = np.empty_like(w_taps)
+        dphases = np.zeros_like(phases)
+        dtmp = np.empty((cin, m), dtype=dt)
+        for t, (a, b, o) in enumerate(taps):
+            np.matmul(gm, phases[a, b, :, o:o + m].T, out=dw[t])
+            dphases[a, b, :, o:o + m] += np.matmul(w_taps[t].T, gm, out=dtmp)
+        _accum(w, np.ascontiguousarray(
+            dw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)))
+        dxq = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+        dx = dxq.reshape(cin, bsz, hq * s, wq * s)[:, :, pad:pad + h, pad:pad + wdt]
+        _accum(x, dx)
 
     return _make(out_data, (x, w), backward)
 
@@ -398,49 +418,45 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over the spatial axes of a feature map.
 
-    ``x`` is C x H x W or B x C x H x W; gamma/beta are rank-1 of length C.
-    Deterministic replacement for batch norm inside residual blocks.
+    ``x`` is channel-major, C x B x H x W; gamma/beta are rank-1 of length C.
+    Each (channel, sample) map is normalized on its own: a deterministic
+    replacement for batch norm inside residual blocks.
     """
     _check_same_dtype(x, gamma, beta)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    c = xd.shape[1]
+    if x.data.ndim != 4:
+        raise DimensionError(f"channel_norm expects C x B x H x W, got {x.data.shape}")
+    c = x.data.shape[0]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError(
             f"channel_norm: gamma/beta must be shape ({c},)"
         )
-    mean = xd.mean(axis=(2, 3), keepdims=True)
-    var = xd.var(axis=(2, 3), keepdims=True)
+    mean = x.data.mean(axis=(2, 3), keepdims=True)
+    var = x.data.var(axis=(2, 3), keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean) * inv_std
-    gm = gamma.data[None, :, None, None]
-    out_data = gm * xhat + beta.data[None, :, None, None]
-    if squeeze:
-        out_data = out_data[0]
+    xhat = (x.data - mean) * inv_std
+    gm = gamma.data[:, None, None, None]
+    out_data = gm * xhat + beta.data[:, None, None, None]
 
     def backward(g: np.ndarray) -> None:
-        gd = g[None] if squeeze else g
-        dxhat = gd * gm
+        dxhat = g * gm
         m1 = dxhat.mean(axis=(2, 3), keepdims=True)
         m2 = (dxhat * xhat).mean(axis=(2, 3), keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) * inv_std
-        _accum(x, dx[0] if squeeze else dx)
-        _accum(gamma, (gd * xhat).sum(axis=(0, 2, 3)))
-        _accum(beta, gd.sum(axis=(0, 2, 3)))
+        _accum(x, (dxhat - m1 - xhat * m2) * inv_std)
+        _accum(gamma, (g * xhat).sum(axis=(1, 2, 3)))
+        _accum(beta, g.sum(axis=(1, 2, 3)))
 
     return _make(out_data, (x, gamma, beta), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """C x H x W -> length-C vector (batched: B x C x H x W -> B x C)."""
-    if x.data.ndim not in (3, 4):
-        raise DimensionError(f"global_avg_pool expects rank 3 or 4, got {x.data.ndim}")
-    out_data = x.data.mean(axis=(-2, -1))
-    h, wdt = x.data.shape[-2:]
+    """Channel-major C x B x H x W -> B x C spatial means."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"global_avg_pool expects C x B x H x W, got {x.data.shape}")
+    out_data = np.ascontiguousarray(x.data.mean(axis=(2, 3)).T)
+    h, wdt = x.data.shape[2:]
 
     def backward(g: np.ndarray) -> None:
-        expanded = np.repeat(np.repeat(g[..., None, None], h, axis=-2), wdt, axis=-1)
-        _accum(x, expanded / (h * wdt))
+        _accum(x, np.broadcast_to((g.T / (h * wdt))[:, :, None, None], x.data.shape))
 
     return _make(out_data, (x,), backward)
 

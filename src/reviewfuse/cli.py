@@ -8,6 +8,7 @@ evaluation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -296,6 +297,7 @@ def cmd_gradcheck(args) -> int:
 # argument wiring
 
 
+@functools.cache  # one parser per process: parsing leaves no state on it
 def build_parser() -> _Parser:
     parser = _Parser(prog="reviewfuse",
                      description="Multimodal fake-review detection toolkit.")

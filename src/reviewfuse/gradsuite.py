@@ -49,7 +49,8 @@ def _check_matmul(rng):
 
 
 def _check_conv2d(rng):
-    x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+    # channel-major, two images of odd side: uneven stride-2 phases
+    x = Tensor(rng.normal(size=(2, 2, 7, 7)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     return grad_check(lambda: _weighted_sum(ag.conv2d(x, k, stride=2, pad=1),
                                             np.random.default_rng(0)),
@@ -84,8 +85,8 @@ def _check_residual_block(rng):
                              stages=[(1, 3, 2)], d_out=3)
     p = init_image_encoder(cfg, rng, dtype=np.float64)
     p["s0.b0.norm2_g"].data[:] = 0.6  # off zero so both convs participate
-    x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
-    w = rng.normal(size=(3, 3, 3))
+    x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
+    w = rng.normal(size=(3, 2, 3, 3))
     block_params = [v for k, v in p.items() if k.startswith("s0.b0.")]
     return grad_check(
         lambda: ag.tsum(ag.mul(residual_block(x, p, "s0.b0.", stride=2),

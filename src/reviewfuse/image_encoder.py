@@ -1,7 +1,8 @@
 """Small residual CNN with global average pooling.
 
 Basic two-conv blocks (3x3 / 3x3) with per-channel spatial normalization
-instead of batch norm, so evaluation is fully deterministic. The last norm
+instead of batch norm, so evaluation is fully deterministic. Activations are
+channel-major, C x B x H x W, from the stem to the pooling. The last norm
 gain of every residual branch starts at zero, making each block an identity
 map at initialization. Stride-2 blocks and channel changes use a 1x1
 projection shortcut.
@@ -85,7 +86,10 @@ def init_image_encoder(cfg: ImageEncoderConfig, rng: np.random.Generator,
 
 def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                    stride: int = 1) -> Tensor:
-    """conv3x3 -> norm -> relu -> conv3x3 -> norm, plus (projected) shortcut, relu."""
+    """conv3x3 -> norm -> relu -> conv3x3 -> norm, plus (projected) shortcut, relu.
+
+    ``x`` is channel-major, C x B x H x W.
+    """
     h = ag.conv2d(x, params[prefix + "conv1"], stride=stride, pad=1)
     h = ag.relu(ag.channel_norm(h, params[prefix + "norm1_g"], params[prefix + "norm1_b"]))
     h = ag.conv2d(h, params[prefix + "conv2"], stride=1, pad=1)
@@ -99,15 +103,17 @@ def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
 
 def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
                  img: Tensor) -> Tensor:
-    """Normalized image (3 x S x S, or batched B x 3 x S x S) -> pooled d_out vector."""
-    side = img.data.shape[-1]
-    if img.data.shape[-2:] != (cfg.input_side, cfg.input_side):
+    """Normalized images, B x 3 x S x S -> B x d_out pooled features.
+
+    The batch is moved to channel-major order once, as data: no gradient
+    flows back to the pixels.
+    """
+    if img.data.ndim != 4 or img.data.shape[-2:] != (cfg.input_side, cfg.input_side):
         raise DimensionError(
-            f"input side {img.data.shape[-2:]} != configured {cfg.input_side}"
+            f"input {img.data.shape} is not B x 3 x {cfg.input_side} x {cfg.input_side}"
         )
-    if side != img.data.shape[-2]:
-        raise DimensionError("input must be square")
-    x = ag.conv2d(img, params["stem.conv"], stride=1, pad=1)
+    x = Tensor(np.ascontiguousarray(img.data.transpose(1, 0, 2, 3)))
+    x = ag.conv2d(x, params["stem.conv"], stride=1, pad=1)
     x = ag.relu(ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"]))
     for si, (blocks, channels, stride) in enumerate(cfg.stages):
         for bi in range(blocks):

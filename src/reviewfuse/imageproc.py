@@ -2,7 +2,8 @@
 and ImageNet-style channel normalization.
 
 Images live as 8-bit RGB arrays (H x W x 3) until normalization, which
-produces a channel-major float tensor 3 x S x S ready for the CNN encoder.
+produces a channels-first float tensor 3 x S x S; the CNN encoder takes a
+batch of them, B x 3 x S x S.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ class ReviewClassifier:
                  image_cfg: ImageEncoderConfig | None,
                  d_hidden: int = 32, dropout_p: float = 0.3,
                  seed: int = 0, dtype=np.float32):
+        self._configure(mode, text_cfg, image_cfg, d_hidden, dropout_p)
+        self._init_params(np.random.default_rng(seed), dtype)
+
+    def _configure(self, mode, text_cfg, image_cfg, d_hidden, dropout_p) -> None:
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}, expected one of {MODES}")
         if mode in ("text_only", "fused") and text_cfg is None:
@@ -42,7 +46,8 @@ class ReviewClassifier:
         d_img = self.image_cfg.d_out if self.image_cfg else 0
         self.fusion_cfg = FusionConfig(d_text=d_text, d_img=d_img,
                                        d_hidden=d_hidden, dropout_p=dropout_p)
-        rng = np.random.default_rng(seed)
+
+    def _init_params(self, rng, dtype) -> None:
         self.params: dict[str, Tensor] = {}
         if self.text_cfg:
             for k, v in init_text_encoder(self.text_cfg, rng, dtype).items():
@@ -115,10 +120,28 @@ class ReviewClassifier:
         }
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "ReviewClassifier":
+    def from_state(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ReviewClassifier":
+        """The float32 model a ``config_dict`` describes, holding ``arrays``.
+
+        Draws no random numbers: the init functions lay out the parameter
+        names and shapes with zeros, and ``load_state`` checks ``arrays``
+        against them before taking their values.
+        """
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
         image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
                      if cfg.get("image_cfg") else None)
-        return cls(cfg["mode"], text_cfg, image_cfg,
-                   d_hidden=cfg.get("d_hidden", 32),
-                   dropout_p=cfg.get("dropout_p", 0.3))
+        model = cls.__new__(cls)
+        model._configure(cfg["mode"], text_cfg, image_cfg,
+                         cfg.get("d_hidden", 32), cfg.get("dropout_p", 0.3))
+        model._init_params(_ZeroDraws(), np.float32)
+        model.load_state(arrays)
+        return model
+
+
+class _ZeroDraws:
+    """Generator stand-in for the init functions: every draw is zeros."""
+
+    def normal(self, loc, scale, size):
+        return np.zeros(size)
+
+    uniform = normal

@@ -201,10 +201,13 @@ def model_to_bundle(model: ReviewClassifier, extra_config: dict | None = None) -
 
 
 def model_from_bundle(bundle: ModelBundle) -> ReviewClassifier:
-    """The bundle's model; a malformed model config or tensor set is a FormatError."""
+    """The bundle's model; a malformed model config, a tensor set that does not
+    match it, or a non-finite tensor is a FormatError."""
     try:
-        model = ReviewClassifier.from_config(bundle.config["model"])
-        model.load_state(bundle.tensors)
+        model = ReviewClassifier.from_state(bundle.config["model"], bundle.tensors)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed model in bundle: {e!r}") from None
+    for name, t in model.params.items():
+        if not np.isfinite(t.data).all():
+            raise FormatError(f"bundle tensor {name} holds NaN or Inf")
     return model

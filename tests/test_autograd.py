@@ -40,25 +40,55 @@ class TestMatmul:
         assert err < 1e-6
 
 
+def brute_force_conv(x, w, stride, pad):
+    """Nested-loop cross-correlation of a C x B x H x W map, zero padded."""
+    cin, bsz, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.zeros((cin, bsz, h + 2 * pad, wdt + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wdt] = x
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (wdt + 2 * pad - k) // stride + 1
+    out = np.zeros((cout, bsz, h_out, w_out))
+    for co in range(cout):
+        for b in range(bsz):
+            for y in range(h_out):
+                for xx in range(w_out):
+                    acc = 0.0
+                    for ci in range(cin):
+                        for i in range(k):
+                            for j in range(k):
+                                acc += (w[co, ci, i, j]
+                                        * xp[ci, b, y * stride + i, xx * stride + j])
+                    out[co, b, y, xx] = acc
+    return out
+
+
+CONV_GRID = [(k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)]
+
+
 class TestConv2d:
     def test_1x1_identity(self):
-        x = t64(np.arange(16, dtype=np.float64).reshape(1, 4, 4))
+        x = t64(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         w = t64(np.ones((1, 1, 1, 1)))
         out = ag.conv2d(x, w, stride=1, pad=0)
         np.testing.assert_allclose(out.data, x.data)
 
     def test_same_padding_shape(self):
-        x = t64(np.zeros((1, 5, 5)))
+        x = t64(np.zeros((1, 1, 5, 5)))
         w = t64(np.zeros((1, 1, 3, 3)))
-        assert ag.conv2d(x, w, stride=1, pad=1).shape == (1, 5, 5)
+        assert ag.conv2d(x, w, stride=1, pad=1).shape == (1, 1, 5, 5)
 
     def test_nonpositive_output_raises(self):
         with pytest.raises(DimensionError):
-            ag.conv2d(t64(np.zeros((1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
+            ag.conv2d(t64(np.zeros((1, 1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
+
+    def test_unbatched_input_raises(self):
+        with pytest.raises(DimensionError):
+            ag.conv2d(t64(np.zeros((1, 5, 5))), t64(np.zeros((1, 1, 3, 3))))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
-        x = t64(rng.normal(size=(2, 6, 6)))
+        x = t64(rng.normal(size=(2, 1, 6, 6)))
         w = t64(rng.normal(size=(3, 2, 3, 3)))
         err = grad_check(
             lambda: ag.tsum(ag.mul(ag.conv2d(x, w, 1, 1), ag.conv2d(x, w, 1, 1))),
@@ -71,6 +101,27 @@ class TestConv2d:
         w = t64(rng.normal(size=(3, 2, 3, 3)))
         err = grad_check(lambda: ag.tsum(ag.conv2d(x, w, 2, 1)), [x, w])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_GRID)
+    def test_gradcheck_grid(self, k, stride, pad):
+        # B=2 and an odd side: stride-2 phases of unequal extent, and shifted
+        # reads that run into the next row and the next image
+        rng = np.random.default_rng([4, k, stride, pad])
+        x = t64(rng.normal(size=(2, 2, 7, 7)))
+        w = t64(rng.normal(size=(3, 2, k, k)))
+        g = t64(rng.normal(size=ag.conv2d(x, w, stride, pad).shape), False)
+        err = grad_check(lambda: ag.tsum(ag.mul(ag.conv2d(x, w, stride, pad), g)),
+                         [x, w])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_GRID + [(3, 2, 2), (5, 3, 1)])
+    def test_matches_brute_force(self, k, stride, pad):
+        rng = np.random.default_rng([5, k, stride, pad])
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 2, k, k))
+        out = ag.conv2d(t64(x), t64(w), stride, pad).data
+        np.testing.assert_allclose(out, brute_force_conv(x, w, stride, pad),
+                                   rtol=0, atol=1e-12)
 
 
 class TestElementwise:
@@ -187,17 +238,24 @@ class TestDropout:
 
 class TestGlobalAvgPool:
     def test_mean(self):
-        x = t64(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2))
-        np.testing.assert_allclose(ag.global_avg_pool(x).data, [2.5])
+        x = t64(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2))
+        np.testing.assert_allclose(ag.global_avg_pool(x).data, [[2.5]])
 
     def test_constant(self):
-        x = t64(np.full((3, 4, 4), 7.0))
-        np.testing.assert_allclose(ag.global_avg_pool(x).data, [7.0] * 3)
+        x = t64(np.full((3, 1, 4, 4), 7.0))
+        np.testing.assert_allclose(ag.global_avg_pool(x).data, [[7.0] * 3])
+
+    def test_channel_major_in_batch_major_out(self):
+        x = np.random.default_rng(9).normal(size=(3, 2, 4, 5))
+        out = ag.global_avg_pool(t64(x)).data
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out[1, 2], x[2, 1].mean(), rtol=1e-15)
 
     def test_gradcheck(self):
-        x = t64(np.random.default_rng(10).normal(size=(2, 3, 3)))
-        err = grad_check(lambda: ag.tsum(ag.mul(ag.global_avg_pool(x),
-                                                ag.global_avg_pool(x))), [x])
+        rng = np.random.default_rng(10)
+        x = t64(rng.normal(size=(2, 3, 3, 4)))
+        w = t64(rng.normal(size=(3, 2)), False)
+        err = grad_check(lambda: ag.tsum(ag.mul(ag.global_avg_pool(x), w)), [x])
         assert err < 1e-6
 
 
@@ -409,14 +467,23 @@ class TestPlumbingOps:
 
     def test_channel_norm_gradcheck(self):
         rng = np.random.default_rng(20)
-        x = t64(rng.normal(size=(2, 3, 3)))
+        x = t64(rng.normal(size=(2, 3, 3, 4)))
         gamma = t64(rng.normal(size=2))
         beta = t64(rng.normal(size=2))
-        w = t64(rng.normal(size=(2, 3, 3)), False)
+        w = t64(rng.normal(size=(2, 3, 3, 4)), False)
         err = grad_check(
             lambda: ag.tsum(ag.mul(ag.channel_norm(x, gamma, beta), w)),
             [x, gamma, beta])
         assert err < 1e-6
+
+    def test_channel_norm_normalizes_each_channel_and_sample(self):
+        rng = np.random.default_rng(21)
+        x = t64(rng.normal(size=(2, 3, 4, 4)) * rng.uniform(1, 5, size=(2, 3, 1, 1)))
+        out = ag.channel_norm(x, t64([2.0, 3.0]), t64([-1.0, 0.5])).data
+        np.testing.assert_allclose(out.mean(axis=(2, 3)),
+                                   [[-1.0] * 3, [0.5] * 3], atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=(2, 3)), [[2.0] * 3, [3.0] * 3],
+                                   rtol=1e-4)  # eps = 1e-5 against variances >= ~0.3
 
     def test_no_grad_skips_graph(self):
         x = t64([1.0, 2.0])

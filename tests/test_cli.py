@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from reviewfuse import cli
 from reviewfuse.bundle import load_bundle, save_bundle
 from reviewfuse.cli import main
 from reviewfuse.data import PreparedDataset, align_images, read_manifest
@@ -300,6 +301,16 @@ class TestMalformedBundle:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tensor(self, capsys, tmp_path, value):
+        path = TestPredict()._zero_model_path(tmp_path, mode="text_only")
+        assert self.predict(capsys, path)[0] == 0
+        bundle = load_bundle(path)
+        bundle.tensors["head.b2"][1] = value
+        save_bundle(bundle, path)
+        code, out, err = self.predict(capsys, path)
+        assert code == 2 and "head.b2" in err and "p_fake" not in out
+
     def test_trailing_bytes(self, capsys, tmp_path):
         path = TestPredict()._zero_model_path(tmp_path, mode="text_only")
         code, out, _ = self.predict(capsys, path)
@@ -328,6 +339,24 @@ class TestUsage:
         code, out, _ = run(capsys)
         assert code == 1
         assert "gen-data" in out
+
+    def test_consecutive_calls_parse_only_their_own_argv(self, monkeypatch):
+        # the parser is built once per process; no flag may carry over
+        seen = []
+
+        def record(args, defaults):
+            seen.append(vars(args))
+            raise cli.UsageError("recorded")
+
+        monkeypatch.setattr(cli, "_merge_config", record)
+        assert main(["eval", "--data", "d1", "--seed", "5", "--compare"]) == 1
+        assert main(["eval", "--data", "d2"]) == 1
+        assert main(["predict", "--model", "m.fkit", "--text", "t"]) == 1
+        first, second, third = seen
+        assert (first["data"], first["seed"], first["compare"]) == ("d1", 5, True)
+        assert (second["data"], second["seed"], second["compare"]) == ("d2", None, None)
+        assert (third["command"], third["model"], third["image"]) == ("predict", "m.fkit", None)
+        assert "data" not in third and "seed" not in third
 
     def test_unknown_flag_fatal(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--wat")

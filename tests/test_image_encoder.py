@@ -4,6 +4,7 @@ import pytest
 from reviewfuse import autograd as ag
 from reviewfuse.autograd import grad_check
 from reviewfuse.errors import DimensionError, ParameterError
+from reviewfuse.fusion import classify_batch
 from reviewfuse.image_encoder import (
     ImageEncoderConfig,
     encode_image,
@@ -11,6 +12,8 @@ from reviewfuse.image_encoder import (
     paper_scale_image_config,
     residual_block,
 )
+from reviewfuse.model import ReviewClassifier
+from reviewfuse.workflow import desk_model
 
 
 def tiny_cfg(**kw):
@@ -55,7 +58,7 @@ class TestResidualBlock:
         p = init_image_encoder(cfg, np.random.default_rng(4))
         sub = {k[len("s0.b0."):]: v for k, v in p.items() if k.startswith("s0.b0.")}
         sub = {"s0.b0." + k: v for k, v in sub.items()}
-        x = ag.Tensor(np.abs(np.random.default_rng(5).normal(size=(4, 8, 8))).astype(np.float32))
+        x = ag.Tensor(np.abs(np.random.default_rng(5).normal(size=(4, 1, 8, 8))).astype(np.float32))
         out = residual_block(x, p, "s0.b0.", stride=1)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
@@ -63,9 +66,9 @@ class TestResidualBlock:
         cfg = ImageEncoderConfig(input_side=8, stem_channels=3,
                                  stages=[(1, 6, 2)], d_out=6)
         p = init_image_encoder(cfg, np.random.default_rng(6))
-        x = ag.Tensor(np.random.default_rng(7).normal(size=(3, 8, 8)).astype(np.float32))
+        x = ag.Tensor(np.random.default_rng(7).normal(size=(3, 1, 8, 8)).astype(np.float32))
         out = residual_block(x, p, "s0.b0.", stride=2)
-        assert out.shape == (6, 4, 4)
+        assert out.shape == (6, 1, 4, 4)
 
     def test_block_gradcheck_f64(self):
         cfg = ImageEncoderConfig(input_side=5, stem_channels=2,
@@ -73,9 +76,9 @@ class TestResidualBlock:
         p = init_image_encoder(cfg, np.random.default_rng(8), dtype=np.float64)
         # nonzero branch gain so the second conv participates in the check
         p["s0.b0.norm2_g"].data[:] = 0.7
-        x = ag.Tensor(np.random.default_rng(9).normal(size=(2, 5, 5)),
+        x = ag.Tensor(np.random.default_rng(9).normal(size=(2, 1, 5, 5)),
                       requires_grad=True)
-        w = ag.Tensor(np.random.default_rng(10).normal(size=(3, 3, 3)))
+        w = ag.Tensor(np.random.default_rng(10).normal(size=(3, 1, 3, 3)))
         block_params = [v for k, v in p.items() if k.startswith("s0.b0.")]
         err = grad_check(
             lambda: ag.tsum(ag.mul(residual_block(x, p, "s0.b0.", stride=2), w)),
@@ -87,8 +90,8 @@ class TestEncodeImage:
     def test_output_length(self):
         cfg = tiny_cfg()
         p = init_image_encoder(cfg, np.random.default_rng(11))
-        img = ag.Tensor(np.random.default_rng(12).normal(size=(3, 8, 8)).astype(np.float32))
-        assert encode_image(p, cfg, img).shape == (cfg.d_out,)
+        img = ag.Tensor(np.random.default_rng(12).normal(size=(1, 3, 8, 8)).astype(np.float32))
+        assert encode_image(p, cfg, img).shape == (1, cfg.d_out)
 
     def test_batched_output(self):
         cfg = tiny_cfg()
@@ -103,14 +106,20 @@ class TestEncodeImage:
         small = ImageEncoderConfig(input_side=16, stem_channels=4,
                                    stages=[(1, 2048, 2)], d_out=2048)
         p = init_image_encoder(small, np.random.default_rng(15))
-        img = ag.Tensor(np.random.default_rng(16).normal(size=(3, 16, 16)).astype(np.float32))
-        assert encode_image(p, small, img).shape == (2048,)
+        img = ag.Tensor(np.random.default_rng(16).normal(size=(1, 3, 16, 16)).astype(np.float32))
+        assert encode_image(p, small, img).shape == (1, 2048)
 
     def test_wrong_side_raises(self):
         cfg = tiny_cfg()
         p = init_image_encoder(cfg, np.random.default_rng(17))
         with pytest.raises(DimensionError):
-            encode_image(p, cfg, ag.Tensor(np.zeros((3, 7, 7), dtype=np.float32)))
+            encode_image(p, cfg, ag.Tensor(np.zeros((1, 3, 7, 7), dtype=np.float32)))
+
+    def test_unbatched_image_raises(self):
+        cfg = tiny_cfg()
+        p = init_image_encoder(cfg, np.random.default_rng(17))
+        with pytest.raises(DimensionError):
+            encode_image(p, cfg, ag.Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
 
     def test_zero_image_closed_form_trace(self):
         # zero input + zero-branch blocks: the embedding is computable by hand
@@ -118,16 +127,16 @@ class TestEncodeImage:
         cfg = ImageEncoderConfig(input_side=4, stem_channels=2,
                                  stages=[(1, 2, 1)], d_out=2)
         p = init_image_encoder(cfg, np.random.default_rng(18))
-        img = ag.Tensor(np.zeros((3, 4, 4), dtype=np.float32))
+        img = ag.Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         out = encode_image(p, cfg, img)
         # stem conv of zeros -> zeros; channel_norm of constant map -> beta
         # (zero) -> relu -> zeros; identity block keeps zeros; pool -> zeros
-        np.testing.assert_allclose(out.data, np.zeros(2), atol=1e-7)
+        np.testing.assert_allclose(out.data, np.zeros((1, 2)), atol=1e-7)
 
     def test_eval_determinism_bitwise(self):
         cfg = tiny_cfg()
         p = init_image_encoder(cfg, np.random.default_rng(19))
-        img = ag.Tensor(np.random.default_rng(20).normal(size=(3, 8, 8)).astype(np.float32))
+        img = ag.Tensor(np.random.default_rng(20).normal(size=(1, 3, 8, 8)).astype(np.float32))
         with ag.no_grad():
             a = encode_image(p, cfg, img).data
             b = encode_image(p, cfg, img).data
@@ -136,8 +145,8 @@ class TestEncodeImage:
     def test_shift_stability_smoke(self):
         cfg = tiny_cfg()
         p = init_image_encoder(cfg, np.random.default_rng(21))
-        base = np.random.default_rng(22).normal(size=(3, 8, 8)).astype(np.float32)
-        shifted = np.roll(base, 1, axis=2)
+        base = np.random.default_rng(22).normal(size=(1, 3, 8, 8)).astype(np.float32)
+        shifted = np.roll(base, 1, axis=3)
         a = encode_image(p, cfg, ag.Tensor(base)).data
         b = encode_image(p, cfg, ag.Tensor(shifted)).data
         in_delta = np.linalg.norm(shifted - base)
@@ -147,7 +156,7 @@ class TestEncodeImage:
     def test_zero_init_gains_receive_gradient(self):
         cfg = tiny_cfg()
         p = init_image_encoder(cfg, np.random.default_rng(23))
-        img = ag.Tensor(np.random.default_rng(24).normal(size=(3, 8, 8)).astype(np.float32))
+        img = ag.Tensor(np.random.default_rng(24).normal(size=(1, 3, 8, 8)).astype(np.float32))
         out = encode_image(p, cfg, img)
         ag.tsum(ag.mul(out, out)).backward()
         for name, t in p.items():
@@ -162,8 +171,87 @@ class TestEncodeImage:
         for name, t in p.items():
             if name.endswith("norm2_g"):
                 t.data[:] = 0.5
-        img = ag.Tensor(np.random.default_rng(24).normal(size=(3, 8, 8)).astype(np.float32))
+        img = ag.Tensor(np.random.default_rng(24).normal(size=(1, 3, 8, 8)).astype(np.float32))
         out = encode_image(p, cfg, img)
         ag.tsum(ag.mul(out, out)).backward()
         for name, t in p.items():
             assert t.grad is not None and np.any(t.grad != 0), name
+
+    def test_training_step_graph_is_small(self):
+        # one B=32 image_only step of the desk model: the channel-major layout
+        # adds no op, so the graph stays at one node per layer operation
+        model = desk_model("image_only", vocab_size=40)
+        rng = np.random.default_rng(25)
+        images = ag.Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
+        logits = model.forward_batch(None, images, training=True, rng=rng)
+        seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward_fn is not None
+                stack.extend(t._parents)
+        assert nodes <= 55
+
+
+# ---------------------------------------------------------------------------
+# float64 twin: the im2col convolution the implicit GEMM replaced
+# (Chellapilla, Puri & Simard 2006), kept as an independent reference
+
+
+def im2col_conv2d(x, w, stride=1, pad=0):
+    """conv2d of channel-major maps through one (B*H'*W', C*k*k) column matrix."""
+    xd = x.data.transpose(1, 0, 2, 3)
+    bsz, cin, h, wdt = xd.shape
+    cout, _, k, _ = w.data.shape
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (wdt + 2 * pad - k) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, cin * k * k)
+    w_mat = w.data.reshape(cout, cin * k * k)
+    out = (cols @ w_mat.T).reshape(bsz, h_out, w_out, cout).transpose(3, 0, 1, 2)
+
+    def backward(g):
+        g_mat = g.transpose(1, 2, 3, 0).reshape(bsz * h_out * w_out, cout)
+        ag._accum(w, (g_mat.T @ cols).reshape(w.data.shape))
+        dcols = (g_mat @ w_mat).reshape(bsz, h_out, w_out, cin, k, k)
+        dxp = np.zeros(xp.shape)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:i + stride * h_out:stride,
+                    j:j + stride * w_out:stride] += dcols[..., i, j].transpose(0, 3, 1, 2)
+        ag._accum(x, dxp[:, :, pad:pad + h, pad:pad + wdt].transpose(1, 0, 2, 3))
+
+    return ag._make(np.ascontiguousarray(out), (x, w), backward)
+
+
+def test_float64_twin_of_im2col_encoder(monkeypatch):
+    # an odd input side, stride-2 stages with 1x1 projections and a stride-1
+    # channel change: every tap offset and phase the encoder can use
+    cfg = ImageEncoderConfig(input_side=9, stem_channels=3,
+                             stages=[(1, 4, 1), (2, 5, 2), (1, 6, 2)], d_out=6)
+    model = ReviewClassifier("image_only", None, cfg, d_hidden=5,
+                             dropout_p=0.0, seed=26, dtype=np.float64)
+    for name, t in model.params.items():
+        if name.endswith("norm2_g"):
+            t.data[:] = 0.5  # every residual branch contributes
+    images = ag.Tensor(np.random.default_rng(27).normal(size=(3, 3, 9, 9)))
+
+    def run():
+        model.zero_grad()
+        feats = model.encode_batch(None, images)
+        logits = classify_batch(model.params, model.fusion_cfg, feats)
+        ag.cross_entropy(logits, [0, 1, 1]).backward()
+        return feats.data, {k: t.grad for k, t in model.params.items()
+                            if k.startswith("img.")}
+
+    feats, grads = run()
+    monkeypatch.setattr(ag, "conv2d", im2col_conv2d)
+    ref_feats, ref_grads = run()
+    np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=1e-10)
+    assert len(grads) == 30
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10,
+                                   err_msg=name)
