@@ -5,6 +5,9 @@ differentiable operation records its inputs and a backward closure on the
 output tensor; ``Tensor.backward()`` topologically sorts the recorded graph
 and replays it in reverse, accumulating gradients additively so that reused
 tensors (e.g. shared embedding tables) receive the sum of all contributions.
+Tensors with ``requires_grad=False`` (constant inputs such as a batch of
+cached features or pixels) get no gradient, and backward computes none for
+them.
 
 Only float32 and float64 are supported. There is no broadcasting except for
 multiplication by a python scalar (``scale``) and the explicit row-bias add
@@ -79,6 +82,8 @@ class Tensor:
             raise ContractError(
                 f"backward root must be scalar, got shape {self.data.shape}"
             )
+        # op nodes in post-order; leaves have nothing to replay, so the sort
+        # skips them (their relative order among op nodes is unchanged)
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -92,9 +97,9 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p._backward_fn is not None and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones(self.data.shape, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -104,6 +109,8 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:
+        return
     if g.shape != t.data.shape:
         raise ContractError(
             f"gradient shape {g.shape} does not match tensor shape {t.data.shape}"
@@ -116,11 +123,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(out_data, dtype=out_data.dtype)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward_fn = None
     return out
 
 
@@ -144,8 +157,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), backward)
 
@@ -305,37 +320,83 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            rng: np.random.Generator | None = None,
-            uniforms: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: zero with prob ``p`` and rescale survivors by 1/(1-p).
+def dropout_mask(shape: tuple[int, ...], p: float, dtype,
+                 rng: np.random.Generator | None = None,
+                 uniforms: np.ndarray | None = None) -> np.ndarray:
+    """Inverted-dropout multipliers of ``shape``: 0 with prob ``p``, else 1/(1-p).
 
-    The keep decisions come from ``uniforms`` (U[0, 1) draws of ``x``'s
-    shape) when given, else from a fresh draw of ``rng``.
+    The keep decisions come from ``uniforms`` (U[0, 1) draws of ``shape``)
+    when given, else from a fresh draw of ``rng``.
     """
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        def backward_id(g: np.ndarray) -> None:
-            _accum(x, g)
-        return _make(x.data.copy(), (x,), backward_id)
     if uniforms is None:
         if rng is None:
             raise ParameterError(
                 "dropout in training mode requires an rng or uniforms")
-        uniforms = rng.random(x.data.shape)
-    elif uniforms.shape != x.data.shape:
-        raise DimensionError(
-            f"dropout: uniforms {uniforms.shape} vs input {x.data.shape}")
-    keep = uniforms >= p
-    factor = x.data.dtype.type(1.0 / (1.0 - p))
-    mask = keep.astype(x.data.dtype) * factor
+        uniforms = rng.random(shape)
+    elif uniforms.shape != shape:
+        raise DimensionError(f"dropout: uniforms {uniforms.shape} vs input {shape}")
+    dt = np.dtype(dtype)
+    return (uniforms >= p).astype(dt) * dt.type(1.0 / (1.0 - p))
+
+
+def dropout(x: Tensor, p: float, training: bool,
+            rng: np.random.Generator | None = None,
+            uniforms: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout with the multipliers of ``dropout_mask``; ``x`` itself
+    when off (eval mode or p = 0)."""
+    if not 0.0 <= p < 1.0:
+        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
+    mask = dropout_mask(x.data.shape, p, x.data.dtype, rng, uniforms)
     out_data = x.data * mask
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * mask)
 
     return _make(out_data, (x,), backward)
+
+
+def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+             keep: np.ndarray | None = None) -> Tensor:
+    """``relu(x @ w1 + b1) * keep @ w2 + b2`` as one graph node.
+
+    ``keep`` is None (no dropout) or the B x hidden multipliers of
+    ``dropout_mask``. Forward and backward do the arithmetic of the
+    matmul, add_bias, relu, dropout, matmul, add_bias chain in its order, so
+    outputs and gradients are bit-identical to it.
+    """
+    _check_same_dtype(x, w1, b1, w2, b2)
+    xs, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
+    if (len(xs) != 2 or len(s1) != 2 or len(s2) != 2 or xs[1] != s1[0]
+            or b1.data.shape != (s1[1],) or s2[0] != s1[1]
+            or b2.data.shape != (s2[1],)):
+        raise DimensionError(
+            f"mlp_head: input {xs}, layers {s1} + {b1.data.shape}, "
+            f"{s2} + {b2.data.shape}")
+    pre = x.data @ w1.data + b1.data
+    hidden = np.maximum(pre, 0)
+    if keep is not None:
+        if keep.shape != pre.shape:
+            raise DimensionError(f"mlp_head: keep {keep.shape} vs hidden {pre.shape}")
+        if keep.dtype != pre.dtype:
+            raise ContractError(f"dtype mismatch: {pre.dtype} vs keep {keep.dtype}")
+        hidden = hidden * keep
+    out_data = hidden @ w2.data + b2.data
+
+    def backward(g: np.ndarray) -> None:
+        _accum(b2, g.sum(axis=0))
+        _accum(w2, hidden.T @ g)
+        dh = g @ w2.data.T
+        if keep is not None:
+            dh *= keep
+        dh *= (pre > 0)
+        _accum(b1, dh.sum(axis=0))
+        _accum(w1, x.data.T @ dh)
+        if x.requires_grad:
+            _accum(x, dh @ w1.data.T)
+
+    return _make(out_data, (x, w1, b1, w2, b2), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -394,6 +455,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             np.matmul(w_taps[t], src, out=acc)
         else:
             acc += np.matmul(w_taps[t], src, out=tmp)
+    del tmp  # one activation-sized buffer less at the crop's copy, the peak
     out_data = np.ascontiguousarray(out[:, :, :h_out, :w_out])
 
     def backward(g: np.ndarray) -> None:
@@ -401,13 +463,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gq[:, :, :h_out, :w_out] = g
         gm = gq.reshape(cout, nq)[:, :m]
         dw = np.empty_like(w_taps)
+        for t, (a, b, o) in enumerate(taps):
+            np.matmul(gm, phases[a, b, :, o:o + m].T, out=dw[t])
+        _accum(w, np.ascontiguousarray(
+            dw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)))
+        if not x.requires_grad:  # the stem's pixels
+            return
         dphases = np.zeros_like(phases)
         dtmp = np.empty((cin, m), dtype=dt)
         for t, (a, b, o) in enumerate(taps):
-            np.matmul(gm, phases[a, b, :, o:o + m].T, out=dw[t])
             dphases[a, b, :, o:o + m] += np.matmul(w_taps[t].T, gm, out=dtmp)
-        _accum(w, np.ascontiguousarray(
-            dw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)))
         dxq = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
         dx = dxq.reshape(cin, bsz, hq * s, wq * s)[:, :, pad:pad + h, pad:pad + wdt]
         _accum(x, dx)
@@ -602,32 +667,39 @@ def tsum(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
+def cross_entropy(logits: Tensor, labels: Sequence[int] | np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``labels`` under softmax(logits).
 
     ``logits`` is B x 2; computed through log-sum-exp so saturated logits
-    stay finite. Backward is (softmax - one_hot) / B.
+    stay finite. Backward is (softmax - one_hot) / B, from the softmax the
+    forward pass computed.
     """
-    labels = list(labels)
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy expects B x C logits, got {logits.data.shape}")
     bsz, ncls = logits.data.shape
-    if len(labels) != bsz:
-        raise ContractError(f"{bsz} logit rows but {len(labels)} labels")
-    for y in labels:
-        if y not in (0, 1) or ncls <= y:
-            raise LabelError(f"label {y} outside {{0, 1}}")
-    idx = np.asarray(labels, dtype=np.int64)
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits.data - m).sum(axis=1))
-    picked = logits.data[np.arange(bsz), idx]
-    out_data = np.asarray((lse - picked).mean(), dtype=logits.data.dtype)
+    y = np.asarray(labels)
+    if y.ndim != 1 or len(y) != bsz:
+        raise ContractError(f"{bsz} logit rows but labels of shape {y.shape}")
+    valid = (y == 0) | (y == 1) if ncls > 1 else y == 0
+    if not valid.all():
+        raise LabelError(f"label {y[np.argmin(valid)]} outside {{0, 1}}")
+    idx = y.astype(np.int64)
+    rows = np.arange(bsz)
+    z = logits.data
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
+    # sum / B is bitwise ndarray.mean: mean divides the same sum in float64
+    # and rounds to float32, which for a single division gives the correctly
+    # rounded float32 quotient
+    out_data = np.asarray((lse - z[rows, idx]).sum() / bsz, dtype=z.dtype)
+    probs = e / total
 
     def backward(g: np.ndarray) -> None:
-        p = np.exp(logits.data - m)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(bsz), idx] -= 1.0
-        _accum(logits, p * (g / bsz))
+        d = probs.copy()
+        d[rows, idx] -= 1.0
+        _accum(logits, d * (g / bsz))
 
     return _make(out_data, (logits,), backward)
 
@@ -648,7 +720,10 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
     mathematical function, typically float64) supplies the finite-difference
     side. Returns the max relative error with denominator
     max(|analytic|, |numeric|, floor); raise ``floor`` when checking float32
-    graphs, where near-zero gradients carry ~1e-10 rounding residue.
+    graphs, where near-zero gradients carry ~1e-10 rounding residue. A
+    tensor in ``params`` that ends with no gradient (it does not require
+    one, or does not reach the output) is a ``ContractError``, not a
+    check silently skipped.
     """
     if eps <= 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
@@ -660,15 +735,17 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
         p.zero_grad()
     out = f()
     out.backward()
-    analytic = [None if p.grad is None else p.grad.copy() for p in params]
+    for i, p in enumerate(params):
+        if p.grad is None:
+            raise ContractError(
+                f"grad_check: tensor {i} of shape {p.data.shape} got no gradient")
+    analytic = [p.grad.copy() for p in params]
 
     probe_f = fd_f if fd_f is not None else f
     probe_params = list(fd_params) if fd_params is not None else params
 
     worst = 0.0
     for p, pp, a in zip(params, probe_params, analytic):
-        if a is None:
-            continue
         flat = pp.data.reshape(-1)
         a_flat = a.reshape(-1)
         for i in range(flat.size):

@@ -3,14 +3,17 @@
 Little-endian layout: magic "FKIT", u32 version, u32 tensor count; per
 tensor u32 name length + UTF-8 name, u32 rank, rank x u64 extents, f32
 row-major payload; then a JSON config block as u64 length + bytes, which
-ends the file. Every decode fault raises ``FormatError``.
+ends the file. Every decode fault raises ``FormatError``. Files are
+written atomically (``atomic_open``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +31,30 @@ class ModelBundle:
     version: int = VERSION
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path`` for writing; on a clean exit it
+    replaces ``path`` (``os.replace``), on an exception it is removed.
+
+    Readers, and a run that fails midway, see the previous file or the
+    complete new one, never a partial write.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def save_bundle(bundle: ModelBundle, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", bundle.version, len(bundle.tensors)))
         for name, arr in bundle.tensors.items():
@@ -46,41 +71,58 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 def load_bundle(path) -> ModelBundle:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
+    size = len(blob)
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError(f"{path}: truncated while reading {what} at offset {pos}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
+    def truncated(what: str, pos: int) -> FormatError:
+        return FormatError(f"{path}: truncated while reading {what} at offset {pos}")
 
-    pos = 0
-    if take(4, "magic") != MAGIC:
+    if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic, not a model bundle")
-    version, count = struct.unpack("<II", take(8, "header"))
+    if size < 12:
+        raise truncated("header", 4)
+    version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} (want {VERSION})")
+    pos = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = _decode(take(name_len, "name"), f"{path}: tensor name")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
-        # exact Python ints, so ``take`` bounds it against the bytes left
-        # (numpy's product wraps to 0 for extents like 2^62)
-        payload = take(4 * math.prod(shape), f"payload of {name}")
+        if pos + 4 > size:
+            raise truncated("name length", pos)
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        pos += 4
+        if pos + name_len + 4 > size:
+            raise truncated("name and rank", pos)
+        name = _decode(blob[pos:pos + name_len], f"{path}: tensor name")
+        (rank,) = struct.unpack_from("<I", blob, pos + name_len)
+        pos += name_len + 4
+        if pos + 8 * rank > size:
+            raise truncated(f"extents of {name}", pos)
+        shape = struct.unpack_from(f"<{rank}Q", blob, pos)
+        pos += 8 * rank
+        # exact Python ints, so the bound holds for extents like 2^62
+        # (numpy's product wraps to 0)
+        count_f4 = math.prod(shape)
+        if pos + 4 * count_f4 > size:
+            raise truncated(f"payload of {name}", pos)
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            tensors[name] = np.frombuffer(blob, dtype="<f4", count=count_f4,
+                                          offset=pos).reshape(shape).copy()
         except ValueError as e:  # extents beyond what numpy can index
             raise FormatError(f"{path}: tensor {name!r} shape {shape}: {e}") from None
-    (cfg_len,) = struct.unpack("<Q", take(8, "config length"))
-    text = _decode(take(cfg_len, "config"), f"{path}: config")
-    if pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes after the config")
+        pos += 4 * count_f4
+    if pos + 8 > size:
+        raise truncated("config length", pos)
+    (cfg_len,) = struct.unpack_from("<Q", blob, pos)
+    pos += 8
+    if pos + cfg_len > size:
+        raise truncated("config", pos)
+    text = _decode(blob[pos:pos + cfg_len], f"{path}: config")
+    pos += cfg_len
+    if pos != size:
+        raise FormatError(f"{path}: {size - pos} trailing bytes after the config")
     try:
         config = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -90,8 +132,8 @@ def load_bundle(path) -> ModelBundle:
     return ModelBundle(tensors=tensors, config=config, version=version)
 
 
-def _decode(raw: bytes, what: str) -> str:
+def _decode(raw: memoryview, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{what} is not valid UTF-8: {e}") from None

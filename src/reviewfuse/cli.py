@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .bundle import load_bundle, save_bundle
+from .bundle import atomic_open, load_bundle, save_bundle
 from .data import PreparedDataset, align_images, read_manifest
 from .errors import (
     AlignmentError,
@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     }
     save_bundle(model_to_bundle(model, extra), cfg["out"])
     report_path = cfg["report"] or cfg["out"] + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {cfg['out']} and {report_path}")

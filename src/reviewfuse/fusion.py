@@ -54,15 +54,19 @@ def init_fusion(cfg: FusionConfig, rng: np.random.Generator,
 def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,
                    training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """B x d_in fused features -> B x 2 logits (linear, ReLU, dropout, linear)."""
+    """B x d_in fused features -> B x 2 logits (linear, ReLU, dropout, linear),
+    one ``mlp_head`` node; dropout draws its B x d_hidden uniforms from
+    ``rng`` when training with ``dropout_p`` > 0."""
     if fused.data.ndim != 2 or fused.data.shape[1] != cfg.d_in:
         raise DimensionError(
             f"classify: fused shape {fused.data.shape}, expected (B, {cfg.d_in})"
         )
-    hidden = ag.relu(ag.add_bias(ag.matmul(fused, params["head.w1"]),
-                                 params["head.b1"]))
-    hidden = ag.dropout(hidden, cfg.dropout_p, training, rng)
-    return ag.add_bias(ag.matmul(hidden, params["head.w2"]), params["head.b2"])
+    keep = None
+    if training and cfg.dropout_p > 0:
+        keep = ag.dropout_mask((fused.data.shape[0], cfg.d_hidden), cfg.dropout_p,
+                               fused.data.dtype, rng)
+    return ag.mlp_head(fused, params["head.w1"], params["head.b1"],
+                       params["head.w2"], params["head.b2"], keep)
 
 
 def predict_labels(logits) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, grad_check
-from .fusion import FusionConfig, classify_batch, init_fusion
+from .fusion import FusionConfig, init_fusion
 from .image_encoder import ImageEncoderConfig, init_image_encoder, residual_block
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig, encoder_block, init_text_encoder
@@ -109,11 +109,15 @@ def _check_cross_entropy(rng):
 
 
 def _check_fusion_head(rng):
-    cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
+    # the head op with one fixed dropout draw, so every call sees one mask
+    cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.3)
     p = init_fusion(cfg, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    keep = ag.dropout_mask((3, cfg.d_hidden), cfg.dropout_p, np.float64, rng)
     return grad_check(
-        lambda: ag.cross_entropy(classify_batch(p, cfg, x), [0, 1, 1]),
+        lambda: ag.cross_entropy(ag.mlp_head(x, p["head.w1"], p["head.b1"],
+                                             p["head.w2"], p["head.b2"], keep),
+                                 [0, 1, 1]),
         list(p.values()) + [x])
 
 

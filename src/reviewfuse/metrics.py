@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .bundle import atomic_open
 from .errors import ContractError, LabelError
 from .fusion import predict_labels
 from .model import ReviewClassifier
@@ -147,14 +148,15 @@ _FORMATTERS = {"plain": format_plain, "csv": format_csv, "json": format_json}
 
 def emit_report(reports: list[MetricsReport] | MetricsReport,
                 fmt: str = "plain", path=None) -> str:
-    """Render reports; write to ``path`` when given, always return the text."""
+    """Render reports; write to ``path`` (atomically) when given, always
+    return the text."""
     if isinstance(reports, MetricsReport):
         reports = [reports]
     if fmt not in _FORMATTERS:
         raise ContractError(f"unknown report format {fmt!r}")
     text = _FORMATTERS[fmt](reports)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 

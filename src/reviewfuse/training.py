@@ -38,12 +38,48 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """Adam's moments and step count over one flat buffer of parameters.
+
+    The first ``adam_step`` binds the state to its parameter dict: each
+    parameter is copied into its slice of one contiguous buffer ``flat`` and
+    its ``Tensor.data`` becomes a view of that slice. ``m`` and ``v`` share
+    that layout, and ``decay`` holds each element's weight-decay factor (1
+    for exempt tensors), so a step is one gather of the gradients plus about
+    ten whole-buffer numpy ops.
+    """
 
     def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self.names: tuple[str, ...] | None = None  # set by the first step
+        self.decay = None
+        self._decay_key = None
+
+    def bind(self, params: dict[str, Tensor]) -> None:
+        dtypes = {p.data.dtype for p in params.values()} or {np.dtype(np.float32)}
+        if len(dtypes) != 1:
+            raise ContractError(
+                f"adam_step needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        ends = np.cumsum([p.data.size for p in params.values()]).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        self.names = tuple(params)
+        self.flat = np.zeros(ends[-1] if ends else 0, dtype=dtypes.pop())
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.views = [self.flat[lo:hi].reshape(p.data.shape)
+                      for (lo, hi), p in zip(self.bounds, params.values())]
+
+    def decay_factors(self, cfg: TrainConfig, decay_exempt) -> np.ndarray:
+        """Per-element factor of decoupled weight decay, rebuilt when
+        ``cfg.lr``, ``cfg.weight_decay`` or ``decay_exempt`` change."""
+        key = (cfg.lr, cfg.weight_decay, decay_exempt)
+        if self._decay_key != key:
+            self.decay = np.ones_like(self.flat)
+            factor = 1.0 - cfg.lr * cfg.weight_decay
+            for name, (lo, hi) in zip(self.names, self.bounds):
+                if not (decay_exempt and decay_exempt(name)):
+                    self.decay[lo:hi] = factor
+            self._decay_key = key
+        return self.decay
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
@@ -51,31 +87,52 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
     """One optimizer step from the gradients currently stored on ``params``.
 
     Decoupled weight decay shrinks non-exempt parameters before the Adam
-    update; bias correction makes the very first step ~ -lr * sign(g).
+    update; bias correction makes the very first step ~ -lr * sign(g). A
+    missing gradient counts as zero. Element for element this is the
+    per-tensor update ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in the same operation
+    order, so results are bit-identical to it.
     """
+    if state.names is None:
+        state.bind(params)
+    elif state.names != tuple(params):
+        raise ContractError("AdamState is bound to another parameter set")
+    theta, m, v = state.flat, state.m, state.v
+    grads = []
+    for name, p, view in zip(state.names, params.values(), state.views):
+        if p.data is not view:  # first step, or load_state replaced the array
+            if p.data.shape != view.shape or p.data.dtype != view.dtype:
+                raise ContractError(
+                    f"parameter {name} changed to {p.data.shape} {p.data.dtype}")
+            view[...] = p.data
+            p.data = view
+        g = p.grad
+        if g is None:
+            g = np.zeros(view.size, dtype=theta.dtype)
+        elif g.shape != view.shape:
+            raise ContractError(
+                f"gradient shape {g.shape} != parameter shape {view.shape} for {name}")
+        grads.append(g.reshape(-1))
+    # the gradient and one scratch buffer live for the step only
+    g = np.concatenate(grads, dtype=theta.dtype) if grads else np.zeros_like(theta)
+    tmp = np.empty_like(theta)
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ContractError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        if cfg.weight_decay and not (decay_exempt and decay_exempt(name)):
-            p.data *= (1.0 - cfg.lr * cfg.weight_decay)
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
+    if cfg.weight_decay:
+        theta *= state.decay_factors(cfg, decay_exempt)
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps_adam
+    step = np.divide(m, bc1, out=g)  # the gradient is spent: reuse its buffer
+    step *= cfg.lr
+    step /= tmp
+    theta -= step
 
 
 def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
@@ -96,6 +153,7 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
         model.zero_grad()
         loss.backward()
         adam_step(model.params, state, cfg, model.decay_exempt)
+        del logits, loss  # free this step's graph before the next forward pass
         total_loss += val * len(labels)
         total_n += len(labels)
     if total_n == 0:

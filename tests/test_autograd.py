@@ -95,6 +95,21 @@ class TestConv2d:
             [x, w])
         assert err < 1e-6
 
+    def test_constant_input_gets_no_grad_and_same_kernel_grad(self):
+        # the stem's pixels require no gradient: backward skips dx and
+        # leaves dW bit-identical
+        rng = np.random.default_rng(30)
+        x_data = rng.normal(size=(3, 2, 7, 7)).astype(np.float32)
+        w_data = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        grads = []
+        for needs in (True, False):
+            x = Tensor(x_data.copy(), requires_grad=needs)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            ag.tsum(ag.relu(ag.conv2d(x, w, stride=2, pad=1))).backward()
+            assert (x.grad is not None) == needs
+            grads.append(w.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
     def test_gradcheck_stride2_batched(self):
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=(2, 2, 5, 5)))
@@ -201,13 +216,15 @@ class TestLayerNorm:
 
 class TestDropout:
     def test_p_zero_identity(self):
+        # off means no node and no draw: the input itself comes back
         x = t64([1.0, 2.0])
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(ag.dropout(x, 0.0, True, rng).data, x.data)
+        assert ag.dropout(x, 0.0, True, rng) is x
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_eval_identity(self):
         x = t64([1.0, 2.0])
-        np.testing.assert_array_equal(ag.dropout(x, 0.9, False).data, x.data)
+        assert ag.dropout(x, 0.9, False) is x
 
     def test_bad_p(self):
         with pytest.raises(ParameterError):
@@ -375,6 +392,23 @@ class TestCrossEntropy:
         with pytest.raises(LabelError):
             ag.cross_entropy(t64([[0.0, 0.0]]), [2])
 
+    @pytest.mark.parametrize("label", [-1, 0.5])
+    def test_negative_or_fractional_label(self, label):
+        with pytest.raises(LabelError):
+            ag.cross_entropy(t64([[0.0, 0.0]]), [label])
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ContractError):
+            ag.cross_entropy(t64([[0.0, 0.0], [1.0, 0.0]]), [0])
+        with pytest.raises(ContractError):
+            ag.cross_entropy(t64([[0.0, 0.0]]), [0, 1])
+
+    def test_labels_as_array_or_list_agree(self):
+        logits = t64(np.random.default_rng(31).normal(size=(5, 2)))
+        a = ag.cross_entropy(logits, [0, 1, 1, 0, 1]).item()
+        b = ag.cross_entropy(logits, np.array([0, 1, 1, 0, 1])).item()
+        assert a == b
+
     def test_nonnegative(self):
         rng = np.random.default_rng(13)
         logits = t64(rng.normal(size=(8, 2)))
@@ -437,6 +471,16 @@ class TestGradCheckOracle:
         with pytest.raises(ParameterError):
             grad_check(lambda: ag.tsum(t64([1.0])), [], eps=0.0)
 
+    @pytest.mark.parametrize("case", ["constant", "unused"])
+    def test_tensor_without_gradient_is_an_error(self, case):
+        # a check that quietly skips a tensor checks less than it claims
+        x = t64([1.0, 2.0])
+        other = t64([3.0, 4.0], requires_grad=case == "unused")
+        f = (lambda: ag.tsum(ag.mul(x, other))) if case == "constant" \
+            else (lambda: ag.tsum(ag.mul(x, x)))
+        with pytest.raises(ContractError, match="no gradient"):
+            grad_check(f, [x, other])
+
 
 class TestPlumbingOps:
     def test_stack_rows_and_take_row(self):
@@ -490,3 +534,78 @@ class TestPlumbingOps:
         with ag.no_grad():
             out = ag.relu(x)
         assert out._parents == ()
+
+
+# ---------------------------------------------------------------------------
+# the fused head op against the six-op chain it replaced
+
+
+def six_op_head(x, w1, b1, w2, b2, p, uniforms):
+    """matmul, add_bias, relu, dropout, matmul, add_bias: the head as
+    separate graph nodes."""
+    hidden = ag.relu(ag.add_bias(ag.matmul(x, w1), b1))
+    hidden = ag.dropout(hidden, p, True, uniforms=uniforms)
+    return ag.add_bias(ag.matmul(hidden, w2), b2)
+
+
+def head_params(rng, dtype, d_in=7, d_hidden=5):
+    shapes = [(d_in, d_hidden), (d_hidden,), (d_hidden, 2), (2,)]
+    return [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+            for s in shapes]
+
+
+class TestMlpHead:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("x_needs_grad", [False, True])
+    def test_bit_identical_to_six_op_chain(self, dropout, x_needs_grad):
+        rng = np.random.default_rng(32)
+        x_data = rng.normal(size=(32, 7)).astype(np.float32)
+        params = head_params(rng, np.float32)
+        u = rng.random((32, 5))
+        keep = None if dropout == 0.0 else \
+            ag.dropout_mask((32, 5), dropout, np.float32, uniforms=u)
+        labels = rng.integers(0, 2, 32)
+        results = []
+        for head, extra in ((ag.mlp_head, (keep,)), (six_op_head, (dropout, u))):
+            x = Tensor(x_data.copy(), requires_grad=x_needs_grad)
+            ps = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+            logits = head(x, *ps, *extra)
+            ag.cross_entropy(logits, labels).backward()
+            results.append([logits.data, x.grad] + [p.grad for p in ps])
+        new, old = results
+        assert new[0].dtype == np.float32
+        for a, b in zip(new, old):
+            if b is None:
+                assert a is None
+            else:
+                np.testing.assert_array_equal(a, b)
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=(4, 7)).astype(np.float32))
+        logits = ag.mlp_head(x, *head_params(rng, np.float32))
+        assert logits._parents[0] is x and len(logits._parents) == 5
+        assert all(not p._parents for p in logits._parents)
+
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_gradcheck(self, with_keep):
+        rng = np.random.default_rng(34)
+        x = t64(rng.normal(size=(3, 7)))
+        params = head_params(rng, np.float64)
+        keep = ag.dropout_mask((3, 5), 0.4, np.float64, rng) if with_keep else None
+        w = rng.normal(size=(3, 2))
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(ag.mlp_head(x, *params, keep), t64(w, False))),
+            params + [x])
+        assert err < 1e-6
+
+    def test_shape_and_dtype_checks(self):
+        rng = np.random.default_rng(35)
+        params = head_params(rng, np.float64)
+        with pytest.raises(DimensionError):
+            ag.mlp_head(t64(np.zeros((3, 6))), *params)
+        with pytest.raises(DimensionError):
+            ag.mlp_head(t64(np.zeros((3, 7))), *params, np.ones((3, 4)))
+        with pytest.raises(ContractError):
+            ag.mlp_head(t64(np.zeros((3, 7))), *params,
+                        np.ones((3, 5), dtype=np.float32))

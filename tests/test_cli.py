@@ -14,7 +14,12 @@ from reviewfuse.image_encoder import ImageEncoderConfig
 from reviewfuse.model import ReviewClassifier
 from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import Vocabulary
-from reviewfuse.training import eval_outputs, model_from_bundle, model_to_bundle
+from reviewfuse.training import (
+    TrainReport,
+    eval_outputs,
+    model_from_bundle,
+    model_to_bundle,
+)
 
 
 def run(capsys, *argv):
@@ -96,6 +101,23 @@ class TestTrain:
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
         assert open(outs[0] + ".report.json").read() == \
                open(outs[1] + ".report.json").read()
+
+    def test_failed_report_write_leaves_previous_file(self, tmp_path,
+                                                      corpus_dir, monkeypatch):
+        # json.dump streams the report; a value it cannot encode stops it
+        # midway, after part of the file is written
+        out = str(tmp_path / "m.fkit")
+        argv = ["train", "--data", str(corpus_dir), "--out", out,
+                "--mode", "text_only", "--max-epochs", "1", "--seed", "4"]
+        assert main(argv) == 0
+        before = open(out + ".report.json", "rb").read()
+        to_dict = TrainReport.to_dict
+        monkeypatch.setattr(TrainReport, "to_dict",
+                            lambda self: {**to_dict(self), "zz": object()})
+        with pytest.raises(TypeError):
+            main(argv)
+        assert open(out + ".report.json", "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == ["m.fkit", "m.fkit.report.json"]
 
     def test_missing_data_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope"),

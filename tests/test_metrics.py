@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ class TestFormatting:
         path = tmp_path / "report.csv"
         text = emit_report(self._reports(), fmt="csv", path=path)
         assert path.read_text() == text
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.csv"
+        emit_report(self._reports(), fmt="csv", path=path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            emit_report(self._reports(), fmt="json", path=path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.csv"]
 
     def test_emit_unknown_format(self):
         with pytest.raises(ContractError):

@@ -106,10 +106,12 @@ class TestEncoderBlock:
             out = encoder_block(x, mask, params, 0, cfg)
             return ag.tsum(ag.mul(out, ag.Tensor(w.astype(dtype))))
 
-        err = grad_check(lambda: f(p32, x64, np.float32), p32.values(),
+        # the block's own parameters: the embedding tables do not reach it
+        block = [k for k in p64 if k.startswith("l0.")]
+        err = grad_check(lambda: f(p32, x64, np.float32), [p32[k] for k in block],
                          eps=1e-5,
                          fd_f=lambda: f(p64, x64, np.float64),
-                         fd_params=p64.values())
+                         fd_params=[p64[k] for k in block])
         assert err < 1e-3
 
     def test_block_gradcheck_f64(self):
@@ -121,7 +123,7 @@ class TestEncoderBlock:
         mask = np.array([[1, 1, 1], [1, 1, 0]])
         err = grad_check(
             lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg), w)),
-            list(p.values()) + [x])
+            [v for k, v in p.items() if k.startswith("l0.")] + [x])
         assert err < 1e-6
 
 
@@ -194,7 +196,8 @@ class TestEncodeText:
 
     def test_training_step_graph_is_small(self):
         # one B=32 text_only step of the desk model: the graph grows with
-        # the layer count, not with the batch or the number of heads
+        # the layer count, not with the batch or the number of heads; the
+        # head is one node, and the dropout sites cost one node each
         model = desk_model("text_only", vocab_size=40)
         rng = np.random.default_rng(18)
         batch = [make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
@@ -207,7 +210,7 @@ class TestEncodeText:
                 seen.add(id(t))
                 nodes += t._backward_fn is not None
                 stack.extend(t._parents)
-        assert nodes <= 60
+        assert nodes == 38
 
 # ---------------------------------------------------------------------------
 # float64 twin: the per-sample, per-head encoder the batched one replaced,

@@ -110,6 +110,52 @@ class TestAdamStep:
             adam_step({"w": p}, state, cfg)
         assert state.t == 3
 
+    def test_flat_update_bit_identical_to_per_tensor_adam(self):
+        # 50 steps over float32 tensors, some exempt from decay, one whose
+        # gradient is always missing; at step 25 one tensor's array is
+        # replaced, as load_state does, and the state must take it back in
+        cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
+        rng = np.random.default_rng(40)
+        shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,), "emb": (6, 2),
+                  "idle": (2, 2)}
+        exempt = lambda n: "norm" in n or n.startswith("b")  # noqa: E731
+        init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        flat = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        ref = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        state = AdamState()
+        for t in range(1, 51):
+            grads = {k: None if k == "idle" else
+                     rng.normal(size=s).astype(np.float32)
+                     for k, s in shapes.items()}
+            if t == 25:
+                flat["emb"].data = flat["emb"].data.copy()
+            for k, p in flat.items():
+                p.grad = grads[k]
+            adam_step(flat, state, cfg, exempt)
+            # reference: the per-tensor update, one tensor at a time
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for k, p in ref.items():
+                g = np.zeros_like(p) if grads[k] is None else grads[k]
+                if not exempt(k):
+                    p *= (1.0 - cfg.lr * cfg.weight_decay)
+                m[k] *= cfg.beta1
+                m[k] += (1.0 - cfg.beta1) * g
+                v2[k] *= cfg.beta2
+                v2[k] += (1.0 - cfg.beta2) * g * g
+                p -= cfg.lr * (m[k] / bc1) / (np.sqrt(v2[k] / bc2) + cfg.eps_adam)
+        for k in shapes:
+            assert flat[k].data.dtype == np.float32
+            np.testing.assert_array_equal(flat[k].data, ref[k])
+
+    def test_state_is_bound_to_one_parameter_set(self):
+        cfg = TrainConfig()
+        state = AdamState()
+        adam_step({"w": Tensor(np.zeros(2), requires_grad=True)}, state, cfg)
+        with pytest.raises(ContractError):
+            adam_step({"u": Tensor(np.zeros(2), requires_grad=True)}, state, cfg)
+
     def test_grad_shape_mismatch(self):
         cfg = TrainConfig()
         p = Tensor(np.zeros(3), requires_grad=True)
@@ -309,6 +355,19 @@ class TestBundleFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             load_bundle(path)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        # the config is serialized after every tensor is written, so this
+        # save fails midway; the old bundle must survive byte for byte
+        path = tmp_path / "m.fkit"
+        save_bundle(ModelBundle(tensors={"w": np.ones(3, dtype=np.float32)},
+                                config={"k": 1}), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_bundle(ModelBundle(tensors={"w": np.zeros(9, dtype=np.float32)},
+                                    config={"k": object()}), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.fkit"]
 
     def test_config_survives_unicode(self, tmp_path):
         cfg = {"note": "café résumé", "vocab": ["über"]}
