@@ -399,6 +399,11 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return _make(out_data, (x, w1, b1, w2, b2), backward)
 
 
+# scratch of one conv2d tile's stacked taps: a quarter of a 2 MiB L2, so
+# the stacked matrix stays in cache while the GEMM reads it
+CONV_TILE_BYTES = 512 * 1024
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) of channel-major feature maps.
 
@@ -406,13 +411,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     the output is C_out x B x H' x W' with H' = floor((H + 2 pad - k) /
     stride) + 1.
 
-    Implicit GEMM (Anderson et al. 2017, arXiv:1709.03395), with no column
-    buffer: the padded input is split into its stride x stride row/column
-    phases, each flattened to C_in x N over one (B, Hq, Wq) grid. Tap (i, j)
-    reads phase (i % s, j % s) shifted by o = (i // s) Wq + j // s, so it
-    adds ``w[:, :, i, j] @ phase[:, o:o + m]`` to the first m grid cells; the
-    slice is a strided view BLAS takes as is. Grid cells whose shifted reads
-    run into the next row or image lie outside H' x W' and are cropped.
+    Tiled, tap-stacked GEMM (a low-memory GEMM convolution in the sense of
+    Anderson et al. 2017, arXiv:1709.03395): the batch is cut into tiles of
+    whole images whose stacked taps fit ``CONV_TILE_BYTES`` (one image per
+    tile where one image needs more). Each tile's images are zero-padded
+    into a scratch buffer, one strided view reads all k x k taps of every
+    output cell, and one copy stacks them into a (C_in k k, cells) matrix.
+    One GEMM with the kernel as its
+    (C_out, C_in k k) reshape writes the tile's H' x W' cells straight into
+    the output. Backward restacks each tile for ``dW += g_tile @ stacked.T``
+    and scatter-adds ``w.T @ g_tile`` tap by tap into the padded tile.
     """
     _check_same_dtype(x, w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -435,82 +443,125 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             f"kernel {k}, stride {stride}, pad {pad}"
         )
     s, dt = stride, x.data.dtype
-    hq, wq = -(-(h + 2 * pad) // s), -(-(wdt + 2 * pad) // s)
-    nq = bsz * hq * wq
-    m = nq - ((k - 1) // s) * (wq + 1)  # grid cells every tap can read
-    xq = np.zeros((cin, bsz, hq * s, wq * s), dtype=dt)
-    xq[:, :, pad:pad + h, pad:pad + wdt] = x.data
-    phases = np.ascontiguousarray(
-        xq.reshape(cin, bsz, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
-    ).reshape(s, s, cin, nq)
-    # tap (i, j) -> (phase row, phase column, offset into the flat grid)
-    taps = [(i % s, j % s, (i // s) * wq + j // s) for i in range(k) for j in range(k)]
-    w_taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
-    out = np.empty((cout, bsz, hq, wq), dtype=dt)
-    acc = out.reshape(cout, nq)[:, :m]
-    tmp = np.empty((cout, m), dtype=dt)
-    for t, (a, b, o) in enumerate(taps):
-        src = phases[a, b, :, o:o + m]
-        if t == 0:
-            np.matmul(w_taps[t], src, out=acc)
-        else:
-            acc += np.matmul(w_taps[t], src, out=tmp)
-    del tmp  # one activation-sized buffer less at the crop's copy, the peak
-    out_data = np.ascontiguousarray(out[:, :, :h_out, :w_out])
+    hp, wp, hw, kk = h + 2 * pad, wdt + 2 * pad, h_out * w_out, cin * k * k
+    tile = max(1, min(bsz, CONV_TILE_BYTES // (kk * hw * dt.itemsize)))
+    w2 = w.data.reshape(cout, kk)
+
+    def stacker():
+        """Scratch buffers and a function that stacks the taps of the nb
+        images from b0 into the first nb * H' * W' columns of (kk, cells)."""
+        xp = np.zeros((cin, tile, hp, wp), dtype=dt)
+        stacked = np.empty((cin, k, k, tile, h_out, w_out), dtype=dt)
+        e = dt.itemsize
+        strides = (tile * hp * wp * e, wp * e, e, hp * wp * e, s * wp * e, s * e)
+
+        def stack(b0: int, nb: int) -> np.ndarray:
+            xp[:, :nb, pad:pad + h, pad:pad + wdt] = x.data[:, b0:b0 + nb]
+            stacked[:, :, :, :nb] = np.ndarray(
+                (cin, k, k, nb, h_out, w_out), dt, xp, strides=strides)
+            return stacked.reshape(kk, tile * hw)[:, :nb * hw]
+
+        return stack
+
+    out_data = np.empty((cout, bsz, h_out, w_out), dtype=dt)
+    out2 = out_data.reshape(cout, bsz * hw)
+    stack = stacker()
+    for b0 in range(0, bsz, tile):
+        nb = min(tile, bsz - b0)
+        np.matmul(w2, stack(b0, nb), out=out2[:, b0 * hw:(b0 + nb) * hw])
 
     def backward(g: np.ndarray) -> None:
-        gq = np.zeros((cout, bsz, hq, wq), dtype=dt)
-        gq[:, :, :h_out, :w_out] = g
-        gm = gq.reshape(cout, nq)[:, :m]
-        dw = np.empty_like(w_taps)
-        for t, (a, b, o) in enumerate(taps):
-            np.matmul(gm, phases[a, b, :, o:o + m].T, out=dw[t])
-        _accum(w, np.ascontiguousarray(
-            dw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)))
-        if not x.requires_grad:  # the stem's pixels
-            return
-        dphases = np.zeros_like(phases)
-        dtmp = np.empty((cin, m), dtype=dt)
-        for t, (a, b, o) in enumerate(taps):
-            dphases[a, b, :, o:o + m] += np.matmul(w_taps[t].T, gm, out=dtmp)
-        dxq = dphases.reshape(s, s, cin, bsz, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-        dx = dxq.reshape(cin, bsz, hq * s, wq * s)[:, :, pad:pad + h, pad:pad + wdt]
-        _accum(x, dx)
+        g2 = np.ascontiguousarray(g).reshape(cout, bsz * hw)
+        stack = stacker()
+        dw2 = np.zeros((cout, kk), dtype=dt)
+        if x.requires_grad:  # not the stem's pixels
+            dx = np.empty_like(x.data)
+            dxp = np.empty((cin, tile, hp, wp), dtype=dt)
+            dst = np.empty((cin, k, k, tile, h_out, w_out), dtype=dt)
+            dst2 = dst.reshape(kk, tile * hw)
+        for b0 in range(0, bsz, tile):
+            nb = min(tile, bsz - b0)
+            gt = g2[:, b0 * hw:(b0 + nb) * hw]
+            dw2 += gt @ stack(b0, nb).T
+            if not x.requires_grad:
+                continue
+            np.matmul(w2.T, gt, out=dst2[:, :nb * hw])
+            dxp[:, :nb] = 0
+            for i in range(k):
+                for j in range(k):
+                    dxp[:, :nb, i:i + s * h_out:s, j:j + s * w_out:s] += dst[:, i, j, :nb]
+            dx[:, b0:b0 + nb] = dxp[:, :nb, pad:pad + h, pad:pad + wdt]
+        _accum(w, dw2.reshape(w.data.shape))
+        if x.requires_grad:
+            _accum(x, dx)
 
     return _make(out_data, (x, w), backward)
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization over the spatial axes of a feature map.
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+                 residual: Tensor | None = None, relu: bool = False,
+                 eps: float = 1e-5) -> Tensor:
+    """``relu(gamma * xhat + beta [+ residual])`` for channel-major maps.
 
-    ``x`` is channel-major, C x B x H x W; gamma/beta are rank-1 of length C.
-    Each (channel, sample) map is normalized on its own: a deterministic
-    replacement for batch norm inside residual blocks.
+    ``x`` is C x B x H x W; gamma/beta are rank-1 of length C. Each
+    (channel, sample) map is normalized on its own to ``xhat``: a
+    deterministic replacement for batch norm inside residual blocks. The
+    optional ``residual`` (same shape as ``x``) is added after the affine
+    map, and ``relu`` clamps the sum at zero, so a residual block ends in
+    one node.
     """
-    _check_same_dtype(x, gamma, beta)
+    parents = (x, gamma, beta) + ((residual,) if residual is not None else ())
+    _check_same_dtype(*parents)
     if x.data.ndim != 4:
         raise DimensionError(f"channel_norm expects C x B x H x W, got {x.data.shape}")
-    c = x.data.shape[0]
+    shape = x.data.shape
+    c, b, n = shape[0], shape[1], shape[2] * shape[3]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError(
             f"channel_norm: gamma/beta must be shape ({c},)"
         )
-    mean = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    gm = gamma.data[:, None, None, None]
-    out_data = gm * xhat + beta.data[:, None, None, None]
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise DimensionError(
+            f"channel_norm: residual {residual.data.shape} vs input {x.data.shape}")
+    # each map as one row of n values: moments in one reduce and one einsum
+    # over the centred copy, which then becomes the output in place
+    xf = x.data.reshape(c, b, n)
+    mean = np.add.reduce(xf, axis=2)
+    mean /= n
+    out = np.subtract(xf, mean[:, :, None])
+    var = np.einsum("cbn,cbn->cb", out, out)
+    var /= n
+    var += eps
+    inv_std = 1.0 / np.sqrt(var)
+    a = gamma.data[:, None] * inv_std  # d out / d x per map, before the ReLU
+    out *= a[:, :, None]
+    out += beta.data[:, None, None]
+    if residual is not None:
+        out += residual.data.reshape(c, b, n)
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward(g: np.ndarray) -> None:
-        dxhat = g * gm
-        m1 = dxhat.mean(axis=(2, 3), keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=(2, 3), keepdims=True)
-        _accum(x, (dxhat - m1 - xhat * m2) * inv_std)
-        _accum(gamma, (g * xhat).sum(axis=(1, 2, 3)))
-        _accum(beta, g.sum(axis=(1, 2, 3)))
+        g = g.reshape(c, b, n)
+        if relu:
+            g = g * (out > 0)
+        if residual is not None:
+            _accum(residual, g.reshape(shape))
+        xhat = np.subtract(xf, mean[:, :, None])
+        xhat *= inv_std[:, :, None]
+        sum_g = np.add.reduce(g, axis=2)
+        sum_gx = np.einsum("cbn,cbn->cb", g, xhat)
+        _accum(gamma, sum_gx.sum(axis=1))
+        _accum(beta, sum_g.sum(axis=1))
+        if not x.requires_grad:
+            return
+        # dx = a (g - mean(g) - xhat mean(g xhat)), map by map
+        xhat *= (-a * sum_gx / n)[:, :, None]
+        xhat += g * a[:, :, None]
+        xhat -= (a * sum_g / n)[:, :, None]
+        _accum(x, xhat.reshape(shape))
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return _make(out.reshape(shape), parents, backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -91,6 +91,8 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     if missing:
         raise UsageError("missing required settings: "
                          + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
+    if merged.get("seed", 0) < 0:  # numpy seeds are non-negative
+        raise UsageError(f"--seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -120,6 +122,8 @@ GEN_DEFAULTS = {
 
 def cmd_gen_data(args) -> int:
     cfg = _merge_config(args, GEN_DEFAULTS)
+    if cfg["n"] < 0:
+        raise UsageError(f"--n must be >= 0, got {cfg['n']}")
     spec = GeneratorSpec(n=cfg["n"], seed=cfg["seed"],
                          text_flip_rate=cfg["text_flip_rate"],
                          p_match=cfg["p_match"], image_side=cfg["image_side"])

@@ -66,6 +66,18 @@ def _check_layer_norm(rng):
         lambda: ag.tsum(ag.mul(ag.layer_norm(x, g, b), Tensor(w))), [x, g, b])
 
 
+def _check_channel_norm(rng):
+    # the fused form a residual block ends in: affine, shortcut add, ReLU
+    x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+    g = Tensor(rng.normal(size=2), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    r = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+    return grad_check(
+        lambda: _weighted_sum(ag.channel_norm(x, g, b, residual=r, relu=True),
+                              np.random.default_rng(0)),
+        [x, g, b, r])
+
+
 def _check_attention_block(rng):
     cfg = TextEncoderConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2,
                             d_ff=12, max_len=5, dropout_p=0.0)
@@ -169,6 +181,7 @@ _F64_CHECKS = [
     ("matmul", _check_matmul),
     ("conv2d", _check_conv2d),
     ("layer_norm", _check_layer_norm),
+    ("channel_norm", _check_channel_norm),
     ("attention_block", _check_attention_block),
     ("residual_block", _check_residual_block),
     ("embedding", _check_embedding),

@@ -52,7 +52,7 @@ def paper_scale_image_config() -> ImageEncoderConfig:
 
 def _he_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int, dtype) -> np.ndarray:
     std = math.sqrt(2.0 / (c_in * k * k))
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(dtype)
+    return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(dtype, copy=False)
 
 
 def init_image_encoder(cfg: ImageEncoderConfig, rng: np.random.Generator,
@@ -88,17 +88,19 @@ def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                    stride: int = 1) -> Tensor:
     """conv3x3 -> norm -> relu -> conv3x3 -> norm, plus (projected) shortcut, relu.
 
-    ``x`` is channel-major, C x B x H x W.
+    ``x`` is channel-major, C x B x H x W. Each norm carries the ReLU (and
+    the second one the shortcut add) that follows it.
     """
     h = ag.conv2d(x, params[prefix + "conv1"], stride=stride, pad=1)
-    h = ag.relu(ag.channel_norm(h, params[prefix + "norm1_g"], params[prefix + "norm1_b"]))
+    h = ag.channel_norm(h, params[prefix + "norm1_g"], params[prefix + "norm1_b"],
+                        relu=True)
     h = ag.conv2d(h, params[prefix + "conv2"], stride=1, pad=1)
-    h = ag.channel_norm(h, params[prefix + "norm2_g"], params[prefix + "norm2_b"])
     if prefix + "proj" in params:
         shortcut = ag.conv2d(x, params[prefix + "proj"], stride=stride, pad=0)
     else:
         shortcut = x
-    return ag.relu(ag.add(h, shortcut))
+    return ag.channel_norm(h, params[prefix + "norm2_g"], params[prefix + "norm2_b"],
+                           residual=shortcut, relu=True)
 
 
 def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
@@ -114,7 +116,7 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
         )
     x = Tensor(np.ascontiguousarray(img.data.transpose(1, 0, 2, 3)))
     x = ag.conv2d(x, params["stem.conv"], stride=1, pad=1)
-    x = ag.relu(ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"]))
+    x = ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"], relu=True)
     for si, (blocks, channels, stride) in enumerate(cfg.stages):
         for bi in range(blocks):
             x = residual_block(x, params, f"s{si}.b{bi}.",

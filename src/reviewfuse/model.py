@@ -100,6 +100,11 @@ class ReviewClassifier:
         return {k: v.data for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take ``arrays`` as the parameters after checking names and shapes.
+
+        An array of the model's dtype is used as is, not copied: a caller
+        that goes on using its arrays passes copies.
+        """
         if set(arrays) != set(self.params):
             missing = set(self.params) ^ set(arrays)
             raise ContractError(f"parameter name mismatch: {sorted(missing)[:5]}")
@@ -108,7 +113,7 @@ class ReviewClassifier:
                 raise ContractError(
                     f"shape mismatch for {k}: {arrays[k].shape} vs {t.data.shape}"
                 )
-            t.data = arrays[k].astype(t.data.dtype, copy=True)
+            t.data = np.asarray(arrays[k], dtype=t.data.dtype)
 
     def config_dict(self) -> dict:
         return {
@@ -123,9 +128,10 @@ class ReviewClassifier:
     def from_state(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ReviewClassifier":
         """The float32 model a ``config_dict`` describes, holding ``arrays``.
 
-        Draws no random numbers: the init functions lay out the parameter
-        names and shapes with zeros, and ``load_state`` checks ``arrays``
-        against them before taking their values.
+        Draws no random numbers and fills no weight array: the init
+        functions lay out the parameter names and shapes, and ``load_state``
+        checks ``arrays`` against them before taking them as the
+        parameters, without a copy.
         """
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
         image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
@@ -133,15 +139,16 @@ class ReviewClassifier:
         model = cls.__new__(cls)
         model._configure(cfg["mode"], text_cfg, image_cfg,
                          cfg.get("d_hidden", 32), cfg.get("dropout_p", 0.3))
-        model._init_params(_ZeroDraws(), np.float32)
+        model._init_params(_NoDraws(), np.float32)
         model.load_state(arrays)
         return model
 
 
-class _ZeroDraws:
-    """Generator stand-in for the init functions: every draw is zeros."""
+class _NoDraws:
+    """Generator stand-in for the init functions: every draw is an unfilled
+    float32 array of its shape, whose values nothing reads."""
 
     def normal(self, loc, scale, size):
-        return np.zeros(size)
+        return np.empty(size, dtype=np.float32)
 
     uniform = normal

@@ -50,7 +50,7 @@ def paper_scale_text_config(vocab_size: int) -> TextEncoderConfig:
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype, copy=False)
 
 
 def init_text_encoder(cfg: TextEncoderConfig, rng: np.random.Generator,

@@ -245,7 +245,7 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
                 break
     else:
         report.stop_reason = "max_epochs"
-    model.load_state(best_state)
+    model.load_state({k: v.copy() for k, v in best_state.items()})
     return report, best_state
 
 

@@ -48,7 +48,7 @@ def test_gradient_oracle_all_layers():
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"gradcheck failures: {failed}"
     assert {r.name for r in results} >= {
-        "matmul", "conv2d", "layer_norm", "attention_block",
+        "matmul", "conv2d", "layer_norm", "channel_norm", "attention_block",
         "residual_block", "embedding", "cross_entropy", "fusion_head",
         "full_model_f32",
     }

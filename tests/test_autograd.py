@@ -129,6 +129,27 @@ class TestConv2d:
                          [x, w])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0)])
+    def test_tiles_match_one_tile(self, monkeypatch, k, stride, pad):
+        # five images as one tile, as tiles of two (the last one ragged) and
+        # as one tile each: the output and both gradients must not change
+        rng = np.random.default_rng([6, k, stride, pad])
+        x = t64(rng.normal(size=(2, 5, 7, 7)))
+        w = t64(rng.normal(size=(3, 2, k, k)))
+        g = rng.normal(size=ag.conv2d(x, w, stride, pad).shape)
+        per_image = 2 * k * k * ag.conv2d(x, w, stride, pad).data[0, 0].size * 8
+        results = []
+        for images in (5, 2, 1):
+            monkeypatch.setattr(ag, "CONV_TILE_BYTES", images * per_image)
+            x.zero_grad()
+            w.zero_grad()
+            out = ag.conv2d(x, w, stride, pad)
+            ag.tsum(ag.mul(out, t64(g, False))).backward()
+            results.append((out.data, x.grad, w.grad))
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("k,stride,pad", CONV_GRID + [(3, 2, 2), (5, 3, 1)])
     def test_matches_brute_force(self, k, stride, pad):
         rng = np.random.default_rng([5, k, stride, pad])
@@ -519,6 +540,46 @@ class TestPlumbingOps:
             lambda: ag.tsum(ag.mul(ag.channel_norm(x, gamma, beta), w)),
             [x, gamma, beta])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("residual,relu", [(False, True), (True, False),
+                                               (True, True)])
+    def test_channel_norm_fused_gradcheck(self, residual, relu):
+        rng = np.random.default_rng([22, residual, relu])
+        x = t64(rng.normal(size=(2, 3, 3, 4)))
+        gamma = t64(rng.normal(size=2))
+        beta = t64(rng.normal(size=2))
+        r = t64(rng.normal(size=(2, 3, 3, 4))) if residual else None
+        w = t64(rng.normal(size=(2, 3, 3, 4)), False)
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(ag.channel_norm(x, gamma, beta, residual=r,
+                                                   relu=relu), w)),
+            [x, gamma, beta] + ([r] if residual else []))
+        assert err < 1e-6
+
+    def test_channel_norm_fused_equals_norm_add_relu(self):
+        rng = np.random.default_rng(23)
+        x, r = (t64(rng.normal(size=(3, 2, 4, 5))) for _ in range(2))
+        gamma, beta = t64(rng.normal(size=3)), t64(rng.normal(size=3))
+        w = t64(rng.normal(size=(3, 2, 4, 5)), False)
+        fused = ag.channel_norm(x, gamma, beta, residual=r, relu=True)
+        ag.tsum(ag.mul(fused, w)).backward()
+        grads = [t.grad for t in (x, gamma, beta, r)]
+        for t in (x, gamma, beta, r):
+            t.zero_grad()
+        chain = ag.relu(ag.add(ag.channel_norm(x, gamma, beta), r))
+        ag.tsum(ag.mul(chain, w)).backward()
+        np.testing.assert_allclose(fused.data, chain.data, rtol=0, atol=1e-12)
+        for g, t in zip(grads, (x, gamma, beta, r)):
+            np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12)
+
+    def test_channel_norm_residual_must_match(self):
+        x = t64(np.zeros((2, 1, 3, 3)))
+        g, b = t64(np.ones(2)), t64(np.zeros(2))
+        with pytest.raises(DimensionError):
+            ag.channel_norm(x, g, b, residual=t64(np.zeros((2, 1, 3, 4))))
+        with pytest.raises(ContractError):
+            ag.channel_norm(x, g, b, residual=Tensor(np.zeros((2, 1, 3, 3),
+                                                              dtype=np.float32)))
 
     def test_channel_norm_normalizes_each_channel_and_sample(self):
         rng = np.random.default_rng(21)

@@ -65,6 +65,14 @@ class TestGenData:
         assert code == 1
         assert "--out" in err
 
+    @pytest.mark.parametrize("flag,value", [("--n", "-5"), ("--seed", "-1")])
+    def test_negative_count_or_seed_is_usage_error(self, capsys, tmp_path,
+                                                   flag, value):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                           flag, value)
+        assert code == 1 and flag in err
+        assert not (tmp_path / "d").exists()
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "d"), "n": 24,
@@ -348,7 +356,7 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
         assert "gradcheck passed" in out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
 
     def test_corrupt_hook_fails(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--corrupt")
@@ -357,6 +365,15 @@ class TestGradcheckCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--out", "m.fkit"],
+        ["eval", "--data", "d", "--compare"],
+        ["gradcheck"],
+    ], ids=["train", "eval", "gradcheck"])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1 and "--seed" in err
+
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run(capsys)
         assert code == 1

@@ -13,6 +13,7 @@ from reviewfuse.image_encoder import (
     residual_block,
 )
 from reviewfuse.model import ReviewClassifier
+from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID, TokenizedReview
 from reviewfuse.workflow import desk_model
 
 
@@ -177,27 +178,60 @@ class TestEncodeImage:
         for name, t in p.items():
             assert t.grad is not None and np.any(t.grad != 0), name
 
-    def test_training_step_graph_is_small(self):
-        # one B=32 image_only step of the desk model: the channel-major layout
-        # adds no op, so the graph stays at one node per layer operation, and
-        # the head (with its dropout off) is one node
+    def test_batch_matches_per_sample_encodes(self):
+        # the desk encoder at B=7: the stem (stride 1) and the first stage-1
+        # conv (stride 2) each cut the batch into several tiles of whole
+        # images, the last one ragged, and no sample may see another
         model = desk_model("image_only", vocab_size=40)
-        rng = np.random.default_rng(25)
-        images = ag.Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
-        logits = model.forward_batch(None, images, training=True, rng=rng)
-        seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                nodes += t._backward_fn is not None
-                stack.extend(t._parents)
-        assert nodes == 50
+        for cin, hw, stride in ((3, 32 * 32, 1), (16, 16 * 16, 2)):
+            per_tile = ag.CONV_TILE_BYTES // (cin * 9 * hw * 4)
+            assert 1 < per_tile < 7 and 7 % per_tile, (stride, per_tile)
+        images = np.random.default_rng(28).normal(size=(7, 3, 32, 32)).astype(np.float32)
+        with ag.no_grad():
+            batch = model.encode_batch(None, ag.Tensor(images)).data
+            single = np.concatenate([model.encode_batch(None, ag.Tensor(images[i:i + 1])).data
+                                     for i in range(7)])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-6)
+
+    def test_training_step_graph_is_small(self):
+        # one B=32 image_only step of the desk model: one node per conv and
+        # per norm (each norm carries its block's ReLU and shortcut add),
+        # the pooling, the head (with its dropout off) and the loss
+        assert step_graph_nodes("image_only") == 31
+
+    def test_fused_training_step_graph_is_small(self):
+        # the image graph above plus the text encoder's nodes
+        assert step_graph_nodes("fused") == 68
+
+
+def step_graph_nodes(mode: str) -> int:
+    """Op nodes in the graph of one B=32 training step of the desk model."""
+    model = desk_model(mode, vocab_size=40)
+    rng = np.random.default_rng(25)
+    images = ag.Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
+    reviews = None
+    if mode == "fused":
+        reviews = []
+        for n in rng.integers(2, 17, 32):
+            ids = [CLS_ID] + list(rng.integers(4, 40, n - 2)) + [SEP_ID]
+            reviews.append(TokenizedReview(ids=ids + [PAD_ID] * (16 - n),
+                                           mask=[1] * n + [0] * (16 - n),
+                                           true_length=n))
+    logits = model.forward_batch(reviews, images, training=True, rng=rng)
+    seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward_fn is not None
+            stack.extend(t._parents)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
-# float64 twin: the im2col convolution the implicit GEMM replaced
-# (Chellapilla, Puri & Simard 2006), kept as an independent reference
+# float64 twin: one im2col GEMM over the whole batch (Chellapilla, Puri &
+# Simard 2006) and the unfused norm, add and ReLU chain, kept as independent
+# references for the tiled convolution and the fused norm
 
 
 def im2col_conv2d(x, w, stride=1, pad=0):
@@ -228,6 +262,28 @@ def im2col_conv2d(x, w, stride=1, pad=0):
     return ag._make(np.ascontiguousarray(out), (x, w), backward)
 
 
+def chained_channel_norm(x, gamma, beta, residual=None, relu=False, eps=1e-5):
+    """The norm, shortcut add and ReLU as the three ops the blocks chained."""
+    mean = x.data.mean(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.data.var(axis=(2, 3), keepdims=True) + eps)
+    xhat = (x.data - mean) * inv_std
+    gm = gamma.data[:, None, None, None]
+
+    def backward(g):
+        dxhat = g * gm
+        m1 = dxhat.mean(axis=(2, 3), keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=(2, 3), keepdims=True)
+        ag._accum(x, (dxhat - m1 - xhat * m2) * inv_std)
+        ag._accum(gamma, (g * xhat).sum(axis=(1, 2, 3)))
+        ag._accum(beta, g.sum(axis=(1, 2, 3)))
+
+    out = ag._make(gm * xhat + beta.data[:, None, None, None], (x, gamma, beta),
+                   backward)
+    if residual is not None:
+        out = ag.add(out, residual)
+    return ag.relu(out) if relu else out
+
+
 def test_float64_twin_of_im2col_encoder(monkeypatch):
     # an odd input side, stride-2 stages with 1x1 projections and a stride-1
     # channel change: every tap offset and phase the encoder can use
@@ -250,6 +306,7 @@ def test_float64_twin_of_im2col_encoder(monkeypatch):
 
     feats, grads = run()
     monkeypatch.setattr(ag, "conv2d", im2col_conv2d)
+    monkeypatch.setattr(ag, "channel_norm", chained_channel_norm)
     ref_feats, ref_grads = run()
     np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=1e-10)
     assert len(grads) == 30

@@ -247,6 +247,13 @@ class TestFit:
         assert report.best_epoch == 1
         np.testing.assert_array_equal(best["head.b2"], snaps[1]["head.b2"])
 
+    def test_returned_best_state_is_a_copy(self):
+        # the model holds its own copy of the best epoch, so changing the
+        # model's parameters leaves the returned state as it was
+        model, _, best, snaps = self._scripted([0.9, 0.5], patience=1)
+        model.params["head.b2"].data[:] = -1.0
+        np.testing.assert_array_equal(best["head.b2"], snaps[1]["head.b2"])
+
     def test_restored_accuracy_is_max(self):
         accs = [0.3, 0.7, 0.6, 0.4, 0.2]
         _, report, _, _ = self._scripted(accs, patience=3)
@@ -389,6 +396,15 @@ class TestModelBundleRoundtrip:
             a = model.forward_batch(reviews, images, training=False).data
             b = restored.forward_batch(reviews, images, training=False).data
             np.testing.assert_array_equal(a, b)
+
+    def test_loaded_model_takes_the_decoded_arrays(self, tmp_path):
+        # one copy per tensor on load: the bundle decoder's
+        path = tmp_path / "model.fkit"
+        save_bundle(model_to_bundle(tiny_model(seed=13)), path)
+        bundle = load_bundle(path)
+        restored = model_from_bundle(bundle)
+        for name, t in restored.params.items():
+            assert t.data is bundle.tensors[name], name
 
     def test_extra_config_preserved(self, tmp_path):
         model = tiny_model()
