@@ -16,6 +16,7 @@ multiplication by a python scalar (``scale``) and the explicit row-bias add
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -106,6 +107,32 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+def init_params(layout, rng: np.random.Generator,
+                dtype=np.float32) -> dict[str, Tensor]:
+    """Trainable tensors for the ``(name, shape, init)`` triples of
+    ``layout``, drawn from ``rng`` in layout order.
+
+    ``init`` is "zeros", "ones", "embed" (normal(0, 0.02)), "xavier"
+    (uniform in +-sqrt(6 / (fan_in + fan_out)) over a fan_in x fan_out
+    matrix) or "he" (normal(0, sqrt(2 / fan_in)) over a kernel whose
+    fan-in is the product of all extents but the first).
+    """
+    params = {}
+    for name, shape, init in layout:
+        if init == "xavier":
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            arr = rng.uniform(-bound, bound, size=shape)
+        elif init == "he":
+            arr = rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])),
+                             size=shape)
+        elif init == "embed":
+            arr = rng.normal(0.0, 0.02, size=shape)
+        else:
+            arr = (np.ones if init == "ones" else np.zeros)(shape)
+        params[name] = Tensor(arr, requires_grad=True, dtype=dtype)
+    return params
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -231,15 +258,27 @@ def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, with max-subtraction for stability."""
     if x.data.shape[-1] < 1:
         raise DimensionError("softmax needs a non-empty last axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = softmax_rows(x.data)
 
     def backward(g: np.ndarray) -> None:
         dot = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(x, (g - dot) * out_data)
 
     return _make(out_data, (x,), backward)
+
+
+def _softmax_terms(z: np.ndarray):
+    """Row maxima, ``exp(z - max)`` and its row sums along the last axis."""
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of an array along its last axis (the arithmetic of
+    ``softmax`` and of ``cross_entropy``'s probabilities)."""
+    _, e, total = _softmax_terms(z)
+    return e / total
 
 
 MASK_NEG = -1e9
@@ -362,9 +401,10 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     """``relu(x @ w1 + b1) * keep @ w2 + b2`` as one graph node.
 
     ``keep`` is None (no dropout) or the B x hidden multipliers of
-    ``dropout_mask``. Forward and backward do the arithmetic of the
-    matmul, add_bias, relu, dropout, matmul, add_bias chain in its order, so
-    outputs and gradients are bit-identical to it.
+    ``dropout_mask``. Forward and backward are ``mlp_head_forward`` and
+    ``mlp_head_grads``, which do the arithmetic of the matmul, add_bias,
+    relu, dropout, matmul, add_bias chain in its order, so outputs and
+    gradients are bit-identical to it.
     """
     _check_same_dtype(x, w1, b1, w2, b2)
     xs, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
@@ -374,29 +414,60 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         raise DimensionError(
             f"mlp_head: input {xs}, layers {s1} + {b1.data.shape}, "
             f"{s2} + {b2.data.shape}")
-    pre = x.data @ w1.data + b1.data
-    hidden = np.maximum(pre, 0)
     if keep is not None:
-        if keep.shape != pre.shape:
-            raise DimensionError(f"mlp_head: keep {keep.shape} vs hidden {pre.shape}")
-        if keep.dtype != pre.dtype:
-            raise ContractError(f"dtype mismatch: {pre.dtype} vs keep {keep.dtype}")
-        hidden = hidden * keep
-    out_data = hidden @ w2.data + b2.data
+        if keep.shape != (xs[0], s1[1]):
+            raise DimensionError(
+                f"mlp_head: keep {keep.shape} vs hidden {(xs[0], s1[1])}")
+        if keep.dtype != x.data.dtype:
+            raise ContractError(f"dtype mismatch: {x.data.dtype} vs keep {keep.dtype}")
+    pre, hidden, out_data = mlp_head_forward(x.data, w1.data, b1.data, w2.data,
+                                             b2.data, keep)
 
     def backward(g: np.ndarray) -> None:
-        _accum(b2, g.sum(axis=0))
-        _accum(w2, hidden.T @ g)
-        dh = g @ w2.data.T
-        if keep is not None:
-            dh *= keep
-        dh *= (pre > 0)
-        _accum(b1, dh.sum(axis=0))
-        _accum(w1, x.data.T @ dh)
+        grads = [np.empty_like(t.data) for t in (w1, b1, w2, b2)]
+        dh = mlp_head_grads(g, x.data, pre, hidden, w1.data, w2.data, keep,
+                            grads)
+        for t, gt in zip((w1, b1, w2, b2), grads):
+            _accum(t, gt)
         if x.requires_grad:
             _accum(x, dh @ w1.data.T)
 
     return _make(out_data, (x, w1, b1, w2, b2), backward)
+
+
+def mlp_head_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+                     w2: np.ndarray, b2: np.ndarray,
+                     keep: np.ndarray | None = None):
+    """The arrays of ``mlp_head``'s forward pass, unchecked and unrecorded:
+    the pre-activation ``x @ w1 + b1``, the hidden layer after ReLU and
+    ``keep``, and the logits ``hidden @ w2 + b2``."""
+    pre = x @ w1 + b1
+    hidden = np.maximum(pre, 0)
+    if keep is not None:
+        hidden = hidden * keep
+    return pre, hidden, hidden @ w2 + b2
+
+
+def mlp_head_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray,
+                   hidden: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                   keep: np.ndarray | None, out) -> np.ndarray:
+    """Gradients of the head's parameters from the logits' gradient ``g``.
+
+    Writes the gradients of w1, b1, w2 and b2 into the four arrays of
+    ``out``, in that order, and returns the hidden layer's gradient
+    (pre-activation, after ReLU and ``keep``), from which the input's
+    gradient is ``dh @ w1.T``.
+    """
+    g_w1, g_b1, g_w2, g_b2 = out
+    np.add.reduce(g, axis=0, out=g_b2)
+    np.matmul(hidden.T, g, out=g_w2)
+    dh = g @ w2.T
+    if keep is not None:
+        dh *= keep
+    dh *= (pre > 0)
+    np.add.reduce(dh, axis=0, out=g_b1)
+    np.matmul(x.T, dh, out=g_w1)
+    return dh
 
 
 # scratch of one conv2d tile's stacked taps: a quarter of a 2 MiB L2, so
@@ -735,24 +806,32 @@ def cross_entropy(logits: Tensor, labels: Sequence[int] | np.ndarray) -> Tensor:
     if not valid.all():
         raise LabelError(f"label {y[np.argmin(valid)]} outside {{0, 1}}")
     idx = y.astype(np.int64)
-    rows = np.arange(bsz)
     z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    total = e.sum(axis=1, keepdims=True)
+    m, e, total = _softmax_terms(z)
     lse = m[:, 0] + np.log(total[:, 0])
     # sum / B is bitwise ndarray.mean: mean divides the same sum in float64
     # and rounds to float32, which for a single division gives the correctly
     # rounded float32 quotient
-    out_data = np.asarray((lse - z[rows, idx]).sum() / bsz, dtype=z.dtype)
+    out_data = np.asarray((lse - z[np.arange(bsz), idx]).sum() / bsz,
+                          dtype=z.dtype)
     probs = e / total
 
     def backward(g: np.ndarray) -> None:
-        d = probs.copy()
-        d[rows, idx] -= 1.0
-        _accum(logits, d * (g / bsz))
+        _accum(logits, xent_grad(probs.copy(), idx, g / bsz))
 
     return _make(out_data, (logits,), backward)
+
+
+def xent_grad(probs: np.ndarray, labels: np.ndarray, scale) -> np.ndarray:
+    """``(probs - one_hot(labels)) * scale``, in place in ``probs``.
+
+    With the softmax of B x C logits and ``scale`` = 1/B this is the
+    gradient of the mean cross-entropy with respect to the logits.
+    ``labels`` are B integer classes, not checked here.
+    """
+    probs -= labels[:, None] == np.arange(probs.shape[1])
+    probs *= scale
+    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import FormatError
 
 MAGIC = b"FKIT"
 VERSION = 1
+_F4 = np.dtype("<f4")
 
 
 @dataclass
@@ -108,8 +109,7 @@ def load_bundle(path) -> ModelBundle:
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         try:
-            tensors[name] = np.frombuffer(blob, dtype="<f4", count=count_f4,
-                                          offset=pos).reshape(shape).copy()
+            tensors[name] = np.ndarray(shape, _F4, blob, pos).copy()
         except ValueError as e:  # extents beyond what numpy can index
             raise FormatError(f"{path}: tensor {name!r} shape {shape}: {e}") from None
         pos += 4 * count_f4

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -63,12 +64,37 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and keeps its flags by setting name in ``flags``."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# inclusive ranges of integer settings, checked before anything allocates:
+# [CLS] and [SEP] take two of max_len's positions; the top ends are
+# BERT-base's 512 positions and 30,522-token vocabulary, ResNet-50's
+# 224-pixel input, and the 256-pixel side (8/7 of it) that images are
+# resized to before the crop
+LIMITS = {"seed": (0, math.inf), "n": (0, math.inf), "max_len": (3, 512),
+          "vocab_size": (4, 30522), "crop_side": (1, 224),
+          "image_side": (1, 256)}
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """defaults < JSON config file < explicit flags (rightmost wins)."""
+    """defaults < JSON config file < explicit flags (rightmost wins).
+
+    A file value passes its flag's own rule: the flag's type applied to
+    the value's text, then its choices; a null is the same as no value.
+    """
     merged = dict(parser_defaults)
     path = getattr(args, "config", None)
     if path:
@@ -82,7 +108,9 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
         unknown = set(file_cfg) - set(parser_defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
+        for key, value in file_cfg.items():
+            if value is not None:
+                merged[key] = _config_value(args.flags[key], value, path)
     for key in parser_defaults:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -91,16 +119,36 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     if missing:
         raise UsageError("missing required settings: "
                          + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
-    if merged.get("seed", 0) < 0:  # numpy seeds are non-negative
-        raise UsageError(f"--seed must be >= 0, got {merged['seed']}")
+    for key, (low, high) in LIMITS.items():
+        if key in merged and not low <= merged[key] <= high:
+            raise UsageError(f"--{key.replace('_', '-')} must be in "
+                             f"[{low}, {high}], got {merged[key]}")
     return merged
+
+
+def _config_value(flag: argparse.Action, value, path):
+    """A config file's ``value`` for ``flag``, as the flag would parse it."""
+    try:
+        if flag.const is not None:  # an on/off flag
+            if not isinstance(value, bool):
+                raise ValueError
+        elif flag.type is not None:
+            value = flag.type(value if isinstance(value, str) else json.dumps(value))
+        elif not isinstance(value, str):
+            raise ValueError
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"config {path}: invalid {flag.dest} value {value!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise UsageError(f"config {path}: {flag.dest} must be one of "
+                         f"{list(flag.choices)}, got {value!r}")
+    return value
 
 
 _REQUIRED = object()
 
 
 def _ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
+    parts = text.strip("[]").split(",")  # a JSON list's text parses too
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("ratios must be three comma-separated numbers")
     try:
@@ -122,8 +170,6 @@ GEN_DEFAULTS = {
 
 def cmd_gen_data(args) -> int:
     cfg = _merge_config(args, GEN_DEFAULTS)
-    if cfg["n"] < 0:
-        raise UsageError(f"--n must be >= 0, got {cfg['n']}")
     spec = GeneratorSpec(n=cfg["n"], seed=cfg["seed"],
                          text_flip_rate=cfg["text_flip_rate"],
                          p_match=cfg["p_match"], image_side=cfg["image_side"])
@@ -147,15 +193,15 @@ TRAIN_DEFAULTS = {
 
 def cmd_train(args) -> int:
     cfg = _merge_config(args, TRAIN_DEFAULTS)
+    tc = TrainConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
+                     batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
+                     patience=cfg["patience"], seed=cfg["seed"])
     corpus = load_corpus(cfg["data"], max_len=cfg["max_len"],
                          crop_side=cfg["crop_side"],
                          vocab_size=cfg["vocab_size"])
     model = desk_model(cfg["mode"], vocab_size=len(corpus.vocab),
                        max_len=cfg["max_len"], crop_side=cfg["crop_side"],
                        seed=cfg["seed"])
-    tc = TrainConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                     batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
-                     patience=cfg["patience"], seed=cfg["seed"])
     report, _ = fit(model, corpus.train, corpus.val, tc, log=print)
     print(f"best epoch {report.best_epoch} "
           f"(val_acc={report.val_accuracies[report.best_epoch - 1]:.4f}), "
@@ -309,7 +355,7 @@ def build_parser() -> _Parser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, flags=p.flags)
         p.add_argument("--config", help="JSON config file (flags override it)")
         return p
 

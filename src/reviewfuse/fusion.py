@@ -10,7 +10,6 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import DimensionError, ParameterError
-from .text_encoder import _xavier
 
 
 @dataclass
@@ -22,6 +21,9 @@ class FusionConfig:
     n_classes: int = 2
 
     def __post_init__(self):
+        if any(type(n) is not int for n in (self.d_text, self.d_img, self.d_hidden,
+                                             self.n_classes)):
+            raise ParameterError("head extents must be integers")
         if self.d_text < 0 or self.d_img < 0 or self.d_text + self.d_img < 1:
             raise ParameterError("fused input dimension must be positive")
         if self.d_hidden < 1 or self.n_classes != 2:
@@ -38,17 +40,19 @@ def paper_scale_fusion_config() -> FusionConfig:
     return FusionConfig(d_text=768, d_img=2048, d_hidden=512, dropout_p=0.3)
 
 
+def fusion_layout(cfg: FusionConfig):
+    """``(name, shape, init)`` of the head's parameters in draw order, for
+    ``autograd.init_params``."""
+    yield "head.w1", (cfg.d_in, cfg.d_hidden), "xavier"
+    yield "head.b1", (cfg.d_hidden,), "zeros"
+    yield "head.w2", (cfg.d_hidden, cfg.n_classes), "xavier"
+    yield "head.b2", (cfg.n_classes,), "zeros"
+
+
 def init_fusion(cfg: FusionConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict[str, Tensor]:
     """Scaled-uniform weights, zero biases."""
-    return {
-        "head.w1": Tensor(_xavier(rng, cfg.d_in, cfg.d_hidden, dtype),
-                          requires_grad=True),
-        "head.b1": Tensor(np.zeros(cfg.d_hidden), requires_grad=True, dtype=dtype),
-        "head.w2": Tensor(_xavier(rng, cfg.d_hidden, cfg.n_classes, dtype),
-                          requires_grad=True),
-        "head.b2": Tensor(np.zeros(cfg.n_classes), requires_grad=True, dtype=dtype),
-    }
+    return ag.init_params(fusion_layout(cfg), rng, dtype)
 
 
 def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,

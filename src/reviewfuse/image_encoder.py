@@ -10,7 +10,6 @@ projection shortcut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +30,10 @@ class ImageEncoderConfig:
 
     def __post_init__(self):
         self.stages = [tuple(s) for s in self.stages]
+        extents = (self.input_side, self.stem_channels, self.d_out,
+                   *(n for s in self.stages for n in s))
+        if not self.stages or any(type(n) is not int for n in extents):
+            raise ParameterError("image encoder needs integer extents and a stage")
         for blocks, channels, stride in self.stages:
             if stride not in (1, 2):
                 raise ParameterError(f"stage stride must be 1 or 2, got {stride}")
@@ -50,38 +53,32 @@ def paper_scale_image_config() -> ImageEncoderConfig:
                               d_out=2048)
 
 
-def _he_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int, dtype) -> np.ndarray:
-    std = math.sqrt(2.0 / (c_in * k * k))
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(dtype, copy=False)
+def image_encoder_layout(cfg: ImageEncoderConfig):
+    """``(name, shape, init)`` of every parameter in draw order, for
+    ``autograd.init_params``."""
+    yield "stem.conv", (cfg.stem_channels, 3, 3, 3), "he"
+    yield "stem.norm_g", (cfg.stem_channels,), "ones"
+    yield "stem.norm_b", (cfg.stem_channels,), "zeros"
+    c_in = cfg.stem_channels
+    for si, (blocks, channels, stride) in enumerate(cfg.stages):
+        for bi in range(blocks):
+            pre = f"s{si}.b{bi}."
+            yield pre + "conv1", (channels, c_in, 3, 3), "he"
+            yield pre + "norm1_g", (channels,), "ones"
+            yield pre + "norm1_b", (channels,), "zeros"
+            yield pre + "conv2", (channels, channels, 3, 3), "he"
+            # zero gain: the residual branch starts as a no-op
+            yield pre + "norm2_g", (channels,), "zeros"
+            yield pre + "norm2_b", (channels,), "zeros"
+            if (stride != 1 and bi == 0) or channels != c_in:
+                yield pre + "proj", (channels, c_in, 1, 1), "he"
+            c_in = channels
 
 
 def init_image_encoder(cfg: ImageEncoderConfig, rng: np.random.Generator,
                        dtype=np.float32) -> dict[str, Tensor]:
     """He-normal conv kernels; unit norm gains except zero final branch gains."""
-    p: dict[str, Tensor] = {}
-
-    def param(name, arr):
-        p[name] = Tensor(arr, requires_grad=True, dtype=dtype)
-
-    param("stem.conv", _he_conv(rng, cfg.stem_channels, 3, 3, dtype))
-    param("stem.norm_g", np.ones(cfg.stem_channels))
-    param("stem.norm_b", np.zeros(cfg.stem_channels))
-    c_in = cfg.stem_channels
-    for si, (blocks, channels, stride) in enumerate(cfg.stages):
-        for bi in range(blocks):
-            pre = f"s{si}.b{bi}."
-            blk_stride = stride if bi == 0 else 1
-            param(pre + "conv1", _he_conv(rng, channels, c_in, 3, dtype))
-            param(pre + "norm1_g", np.ones(channels))
-            param(pre + "norm1_b", np.zeros(channels))
-            param(pre + "conv2", _he_conv(rng, channels, channels, 3, dtype))
-            # zero gain: the residual branch starts as a no-op
-            param(pre + "norm2_g", np.zeros(channels))
-            param(pre + "norm2_b", np.zeros(channels))
-            if blk_stride != 1 or channels != c_in:
-                param(pre + "proj", _he_conv(rng, channels, c_in, 1, dtype))
-            c_in = channels
-    return p
+    return ag.init_params(image_encoder_layout(cfg), rng, dtype)
 
 
 def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,

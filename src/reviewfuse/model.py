@@ -13,9 +13,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError
-from .fusion import FusionConfig, classify_batch, init_fusion
-from .image_encoder import ImageEncoderConfig, encode_image, init_image_encoder
-from .text_encoder import TextEncoderConfig, encode_text, init_text_encoder
+from .fusion import FusionConfig, classify_batch, fusion_layout
+from .image_encoder import ImageEncoderConfig, encode_image, image_encoder_layout
+from .text_encoder import TextEncoderConfig, encode_text, text_encoder_layout
 from .textproc import TokenizedReview
 
 MODES = ("text_only", "image_only", "fused")
@@ -30,7 +30,8 @@ class ReviewClassifier:
                  d_hidden: int = 32, dropout_p: float = 0.3,
                  seed: int = 0, dtype=np.float32):
         self._configure(mode, text_cfg, image_cfg, d_hidden, dropout_p)
-        self._init_params(np.random.default_rng(seed), dtype)
+        self.params: dict[str, Tensor] = ag.init_params(
+            self._layout(), np.random.default_rng(seed), dtype)
 
     def _configure(self, mode, text_cfg, image_cfg, d_hidden, dropout_p) -> None:
         if mode not in MODES:
@@ -47,16 +48,14 @@ class ReviewClassifier:
         self.fusion_cfg = FusionConfig(d_text=d_text, d_img=d_img,
                                        d_hidden=d_hidden, dropout_p=dropout_p)
 
-    def _init_params(self, rng, dtype) -> None:
-        self.params: dict[str, Tensor] = {}
-        if self.text_cfg:
-            for k, v in init_text_encoder(self.text_cfg, rng, dtype).items():
-                self.params["text." + k] = v
-        if self.image_cfg:
-            for k, v in init_image_encoder(self.image_cfg, rng, dtype).items():
-                self.params["img." + k] = v
-        for k, v in init_fusion(self.fusion_cfg, rng, dtype).items():
-            self.params[k] = v
+    def _layout(self):
+        """``(name, shape, init)`` of every parameter, in serialization order."""
+        for prefix, cfg, layout in (("text.", self.text_cfg, text_encoder_layout),
+                                    ("img.", self.image_cfg, image_encoder_layout)):
+            if cfg is not None:
+                for name, shape, init in layout(cfg):
+                    yield prefix + name, shape, init
+        yield from fusion_layout(self.fusion_cfg)
 
     def _sub(self, prefix: str) -> dict[str, Tensor]:
         n = len(prefix)
@@ -105,14 +104,8 @@ class ReviewClassifier:
         An array of the model's dtype is used as is, not copied: a caller
         that goes on using its arrays passes copies.
         """
-        if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
-            raise ContractError(f"parameter name mismatch: {sorted(missing)[:5]}")
+        _check_arrays({k: t.data.shape for k, t in self.params.items()}, arrays)
         for k, t in self.params.items():
-            if arrays[k].shape != t.data.shape:
-                raise ContractError(
-                    f"shape mismatch for {k}: {arrays[k].shape} vs {t.data.shape}"
-                )
             t.data = np.asarray(arrays[k], dtype=t.data.dtype)
 
     def config_dict(self) -> dict:
@@ -128,10 +121,9 @@ class ReviewClassifier:
     def from_state(cls, cfg: dict, arrays: dict[str, np.ndarray]) -> "ReviewClassifier":
         """The float32 model a ``config_dict`` describes, holding ``arrays``.
 
-        Draws no random numbers and fills no weight array: the init
-        functions lay out the parameter names and shapes, and ``load_state``
-        checks ``arrays`` against them before taking them as the
-        parameters, without a copy.
+        Draws no random numbers and allocates no weight array: ``arrays``
+        are checked against the parameter layout's names and shapes, and
+        each becomes its parameter's data, without a copy if float32.
         """
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
         image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
@@ -139,16 +131,19 @@ class ReviewClassifier:
         model = cls.__new__(cls)
         model._configure(cfg["mode"], text_cfg, image_cfg,
                          cfg.get("d_hidden", 32), cfg.get("dropout_p", 0.3))
-        model._init_params(_NoDraws(), np.float32)
-        model.load_state(arrays)
+        shapes = {name: shape for name, shape, _ in model._layout()}
+        _check_arrays(shapes, arrays)
+        model.params = {k: Tensor(arrays[k], requires_grad=True, dtype=np.float32)
+                        for k in shapes}
         return model
 
 
-class _NoDraws:
-    """Generator stand-in for the init functions: every draw is an unfilled
-    float32 array of its shape, whose values nothing reads."""
-
-    def normal(self, loc, scale, size):
-        return np.empty(size, dtype=np.float32)
-
-    uniform = normal
+def _check_arrays(shapes: dict[str, tuple], arrays: dict[str, np.ndarray]) -> None:
+    """ContractError unless ``arrays`` has exactly the names of ``shapes``,
+    each with its shape."""
+    if set(arrays) != set(shapes):
+        missing = set(shapes) ^ set(arrays)
+        raise ContractError(f"parameter name mismatch: {sorted(missing)[:5]}")
+    for k, shape in shapes.items():
+        if arrays[k].shape != shape:
+            raise ContractError(f"shape mismatch for {k}: {arrays[k].shape} vs {shape}")

@@ -9,7 +9,6 @@ sequence is its review embedding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,10 @@ class TextEncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        extents = (self.vocab_size, self.d_model, self.n_layers, self.n_heads,
+                   self.d_ff, self.max_len)
+        if any(type(n) is not int for n in extents):
+            raise ParameterError(f"text encoder extents must be integers, got {extents}")
         if self.d_model % self.n_heads != 0:
             raise ParameterError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -48,34 +51,28 @@ def paper_scale_text_config(vocab_size: int) -> TextEncoderConfig:
                              n_heads=12, d_ff=3072, max_len=128, dropout_p=0.1)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype, copy=False)
+def text_encoder_layout(cfg: TextEncoderConfig):
+    """``(name, shape, init)`` of every parameter in draw order, for
+    ``autograd.init_params``."""
+    d, ff = cfg.d_model, cfg.d_ff
+    yield "tok_emb", (cfg.vocab_size, d), "embed"
+    yield "pos_emb", (cfg.max_len, d), "embed"
+    for i in range(cfg.n_layers):
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield f"l{i}.{proj}", (d, d), "xavier"
+        yield f"l{i}.ffn_w1", (d, ff), "xavier"
+        yield f"l{i}.ffn_b1", (ff,), "zeros"
+        yield f"l{i}.ffn_w2", (ff, d), "xavier"
+        yield f"l{i}.ffn_b2", (d,), "zeros"
+        for norm in ("ln1", "ln2"):
+            yield f"l{i}.{norm}_g", (d,), "ones"
+            yield f"l{i}.{norm}_b", (d,), "zeros"
 
 
 def init_text_encoder(cfg: TextEncoderConfig, rng: np.random.Generator,
                       dtype=np.float32) -> dict[str, Tensor]:
     """Scaled-uniform linear weights, normal(0, 0.02) embeddings, unit LN gains."""
-    d, ff = cfg.d_model, cfg.d_ff
-    p: dict[str, Tensor] = {}
-
-    def param(name, arr):
-        p[name] = Tensor(arr, requires_grad=True, dtype=dtype)
-
-    param("tok_emb", rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)))
-    param("pos_emb", rng.normal(0.0, 0.02, size=(cfg.max_len, d)))
-    for i in range(cfg.n_layers):
-        for proj in ("wq", "wk", "wv", "wo"):
-            param(f"l{i}.{proj}", _xavier(rng, d, d, dtype))
-        param(f"l{i}.ffn_w1", _xavier(rng, d, ff, dtype))
-        param(f"l{i}.ffn_b1", np.zeros(ff))
-        param(f"l{i}.ffn_w2", _xavier(rng, ff, d, dtype))
-        param(f"l{i}.ffn_b2", np.zeros(d))
-        param(f"l{i}.ln1_g", np.ones(d))
-        param(f"l{i}.ln1_b", np.zeros(d))
-        param(f"l{i}.ln2_g", np.ones(d))
-        param(f"l{i}.ln2_b", np.zeros(d))
-    return p
+    return ag.init_params(text_encoder_layout(cfg), rng, dtype)
 
 
 def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],

@@ -29,8 +29,11 @@ class TrainConfig:
     eps_adam: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ParameterError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
             raise ParameterError("patience, max_epochs and batch_size must be >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -40,9 +43,9 @@ class TrainConfig:
 class AdamState:
     """Adam's moments and step count over one flat buffer of parameters.
 
-    The first ``adam_step`` binds the state to its parameter dict: each
-    parameter is copied into its slice of one contiguous buffer ``flat`` and
-    its ``Tensor.data`` becomes a view of that slice. ``m`` and ``v`` share
+    ``adopt`` binds the state to its parameter dict: each parameter is
+    copied into its slice of one contiguous buffer ``flat`` and its
+    ``Tensor.data`` becomes a view of that slice. ``m`` and ``v`` share
     that layout, and ``decay`` holds each element's weight-decay factor (1
     for exempt tensors), so a step is one gather of the gradients plus about
     ten whole-buffer numpy ops.
@@ -50,7 +53,7 @@ class AdamState:
 
     def __init__(self):
         self.t = 0
-        self.names: tuple[str, ...] | None = None  # set by the first step
+        self.names: tuple[str, ...] | None = None  # set by the first adopt
         self.decay = None
         self._decay_key = None
 
@@ -62,11 +65,32 @@ class AdamState:
         ends = np.cumsum([p.data.size for p in params.values()]).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))
         self.names = tuple(params)
+        self.shapes = [p.data.shape for p in params.values()]
         self.flat = np.zeros(ends[-1] if ends else 0, dtype=dtypes.pop())
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self.views = [self.flat[lo:hi].reshape(p.data.shape)
-                      for (lo, hi), p in zip(self.bounds, params.values())]
+        self.views = list(self.split(self.flat).values())
+
+    def split(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view of ``buf``, a buffer laid out like ``flat``."""
+        return {name: buf[lo:hi].reshape(shape) for name, (lo, hi), shape
+                in zip(self.names, self.bounds, self.shapes)}
+
+    def adopt(self, params: dict[str, Tensor]) -> None:
+        """Bind to ``params`` on first use, else check they are the bound
+        set, and make every ``Tensor.data`` its view of ``flat`` again,
+        copying in an array that ``load_state`` put in its place."""
+        if self.names is None:
+            self.bind(params)
+        elif self.names != tuple(params):
+            raise ContractError("AdamState is bound to another parameter set")
+        for name, p, view in zip(self.names, params.values(), self.views):
+            if p.data is not view:
+                if p.data.shape != view.shape or p.data.dtype != view.dtype:
+                    raise ContractError(
+                        f"parameter {name} changed to {p.data.shape} {p.data.dtype}")
+                view[...] = p.data
+                p.data = view
 
     def decay_factors(self, cfg: TrainConfig, decay_exempt) -> np.ndarray:
         """Per-element factor of decoupled weight decay, rebuilt when
@@ -84,38 +108,38 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
               decay_exempt=None) -> None:
-    """One optimizer step from the gradients currently stored on ``params``.
-
-    Decoupled weight decay shrinks non-exempt parameters before the Adam
-    update; bias correction makes the very first step ~ -lr * sign(g). A
-    missing gradient counts as zero. Element for element this is the
-    per-tensor update ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
-    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in the same operation
-    order, so results are bit-identical to it.
-    """
-    if state.names is None:
-        state.bind(params)
-    elif state.names != tuple(params):
-        raise ContractError("AdamState is bound to another parameter set")
-    theta, m, v = state.flat, state.m, state.v
+    """One optimizer step from the gradients currently stored on ``params``:
+    ``adam_update`` on their flat gather. A missing gradient counts as
+    zero."""
+    state.adopt(params)
     grads = []
     for name, p, view in zip(state.names, params.values(), state.views):
-        if p.data is not view:  # first step, or load_state replaced the array
-            if p.data.shape != view.shape or p.data.dtype != view.dtype:
-                raise ContractError(
-                    f"parameter {name} changed to {p.data.shape} {p.data.dtype}")
-            view[...] = p.data
-            p.data = view
         g = p.grad
         if g is None:
-            g = np.zeros(view.size, dtype=theta.dtype)
+            g = np.zeros(view.size, dtype=view.dtype)
         elif g.shape != view.shape:
             raise ContractError(
                 f"gradient shape {g.shape} != parameter shape {view.shape} for {name}")
         grads.append(g.reshape(-1))
-    # the gradient and one scratch buffer live for the step only
-    g = np.concatenate(grads, dtype=theta.dtype) if grads else np.zeros_like(theta)
-    tmp = np.empty_like(theta)
+    g = (np.concatenate(grads, dtype=state.flat.dtype) if grads
+         else np.zeros_like(state.flat))
+    adam_update(state, g, cfg, decay_exempt)
+
+
+def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
+                decay_exempt=None) -> None:
+    """One Adam step of ``state.flat`` from ``g``, the gradient laid out
+    like ``flat``; ``g`` is spent as scratch.
+
+    Decoupled weight decay shrinks non-exempt parameters before the Adam
+    update; bias correction makes the very first step ~ -lr * sign(g).
+    Element for element this is the per-tensor update
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in the same operation
+    order, so results are bit-identical to it.
+    """
+    theta, m, v = state.flat, state.m, state.v
+    tmp = np.empty_like(theta)  # lives for the step only
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -129,7 +153,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += cfg.eps_adam
-    step = np.divide(m, bc1, out=g)  # the gradient is spent: reuse its buffer
+    step = np.divide(m, bc1, out=g)
     step *= cfg.lr
     step /= tmp
     theta -= step

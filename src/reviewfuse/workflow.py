@@ -9,16 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, cross_entropy
 from .data import PreparedDataset, align_images, read_manifest
-from .errors import ManifestError
-from .fusion import classify_batch, predict_labels
+from .errors import LabelError, ManifestError
+from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
 from .metrics import PAPER_REFERENCE, MetricsReport, evaluate
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig
 from .textproc import Vocabulary, build_vocab
-from .training import AdamState, TrainConfig, adam_step, eval_outputs, fit
+from .training import AdamState, TrainConfig, adam_update, eval_outputs, fit
 
 DESK_MAX_LEN = 16
 DESK_CROP_SIDE = 32
@@ -84,8 +83,8 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     """Phase one of the two-phase recipe: train the head on frozen features.
 
     Encoder features are cached once in eval mode, then the classification
-    head alone is trained on them (hundreds of epochs cost seconds), keeping
-    the head weights from the epoch with the best validation accuracy.
+    head alone is trained on them for ``WARM_EPOCHS`` epochs, keeping the
+    head weights from the epoch with the best validation accuracy.
 
     Rationale: the fused model's edge comes from a signal visible only in
     the *combination* of the two embeddings, which is gradient-invisible to
@@ -95,6 +94,14 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     head that routes gradient to the cross-modal evidence from epoch one
     (linear-probe-then-fine-tune, adapted to a nonlinear head).
 
+    The steps build no graph: each runs ``mlp_head_forward``, the softmax
+    and ``xent_grad``, writes the head's gradients with ``mlp_head_grads``
+    straight into one flat buffer laid out like ``AdamState.flat``, and
+    applies ``adam_update`` to it. That is the arithmetic of
+    ``classify_batch``, ``cross_entropy``, ``backward`` and ``adam_step``
+    in their order, so the head ends bit-identical to training through the
+    graph.
+
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
     """
@@ -103,30 +110,35 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)
+    if not np.isin(ytr, (0, 1)).all():
+        raise LabelError("warm_start_head needs labels in {0, 1}")
     state = AdamState()
+    state.adopt(head)
+    g = np.empty_like(state.flat)
+    params, grad_views = state.split(state.flat), state.split(g)
+    names = ("head.w1", "head.b1", "head.w2", "head.b2")
+    w1, b1, w2, b2 = (params[k] for k in names)
+    grads = [grad_views[k] for k in names]
+    one = state.flat.dtype.type(1)
     best_acc = -1.0
-    best = {k: v.data.copy() for k, v in head.items()}
+    best = state.flat.copy()
     for epoch in range(1, WARM_EPOCHS + 1):
         rng = np.random.default_rng([cfg.seed, epoch, 0x4EAD])
         order = rng.permutation(len(ytr))
         for i in range(0, len(order), warm_cfg.batch_size):
             idx = order[i:i + warm_cfg.batch_size]
-            logits = classify_batch(model.params, model.fusion_cfg,
-                                    Tensor(Xtr[idx]), False, None)
-            loss = cross_entropy(logits, ytr[idx])
-            for t in head.values():
-                t.zero_grad()
-            loss.backward()
-            adam_step(head, state, warm_cfg, model.decay_exempt)
-        with ag.no_grad():
-            logits = classify_batch(model.params, model.fusion_cfg,
-                                    Tensor(Xva), False, None)
+            x = Xtr[idx]
+            pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
+            dlogits = ag.xent_grad(ag.softmax_rows(logits), ytr[idx],
+                                   one / len(idx))
+            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, None, grads)
+            adam_update(state, g, warm_cfg)
+        logits = ag.mlp_head_forward(Xva, w1, b1, w2, b2)[2]
         acc = float((predict_labels(logits) == yva).mean())
         if acc > best_acc:
             best_acc = acc
-            best = {k: v.data.copy() for k, v in head.items()}
-    for k, t in head.items():
-        t.data[...] = best[k]
+            best = state.flat.copy()
+    state.flat[...] = best
     return best_acc
 
 

@@ -73,6 +73,13 @@ class TestGenData:
         assert code == 1 and flag in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("side", ["0", "1000000"])
+    def test_image_side_out_of_range_is_usage_error(self, capsys, tmp_path, side):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                           "--image-side", side)
+        assert code == 1 and "--image-side must be in" in err
+        assert not (tmp_path / "d").exists()
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "d"), "n": 24,
@@ -136,6 +143,69 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--data", str(corpus_dir),
                          "--out", str(tmp_path / "m.fkit"), "--lr", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_usage_error_before_training(self, capsys,
+                                                          corpus_dir, tmp_path, lr):
+        code, out, err = run(capsys, "train", "--data", str(corpus_dir),
+                             "--out", str(tmp_path / "m.fkit"), "--lr", lr)
+        assert code == 1 and "lr" in err and "epoch" not in out
+
+
+class TestConfigFile:
+    """A config file's values pass the rule of the flag each stands for."""
+
+    def train(self, capsys, corpus_dir, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return run(capsys, "train", "--data", str(corpus_dir), "--out",
+                   str(tmp_path / "m.fkit"), "--config", str(path))
+
+    @pytest.mark.parametrize("cfg", [
+        {"lr": "fast"}, {"lr": [1]}, {"seed": "s"}, {"seed": 1.5},
+        {"seed": True}, {"max_epochs": "x"}, {"weight_decay": "a"},
+        {"max_len": "a"}, {"mode": "bogus"}, {"data": 5},
+    ], ids=["lr-str", "lr-list", "seed-str", "seed-float", "seed-bool",
+            "max-epochs-str", "weight-decay-str", "max-len-str", "mode-choice",
+            "data-number"])
+    def test_mistyped_value_is_usage_error(self, capsys, corpus_dir, tmp_path,
+                                           cfg):
+        code, out, err = self.train(capsys, corpus_dir, tmp_path, json.dumps(cfg))
+        assert code == 1 and next(iter(cfg)) in err and "epoch" not in out
+
+    @pytest.mark.parametrize("cfg", [
+        {"crop_side": 1_000_000}, {"crop_side": 0}, {"max_len": 10 ** 9},
+        {"max_len": 2}, {"vocab_size": 10 ** 9}, {"vocab_size": 3},
+    ])
+    def test_size_out_of_range_is_usage_error(self, capsys, corpus_dir, tmp_path,
+                                              cfg):
+        # rejected before the corpus is read: 1e6-pixel crops of the corpus
+        # would need petabytes
+        (key, _), = cfg.items()
+        code, _, err = self.train(capsys, corpus_dir, tmp_path, json.dumps(cfg))
+        assert code == 1 and f"--{key.replace('_', '-')} must be in" in err
+
+    @pytest.mark.parametrize("text", ['{"lr": NaN}', '{"lr": Infinity}'])
+    def test_non_finite_lr_is_usage_error(self, capsys, corpus_dir, tmp_path,
+                                          text):
+        code, out, err = self.train(capsys, corpus_dir, tmp_path, text)
+        assert code == 1 and "lr" in err and "epoch" not in out
+
+    def test_values_as_json_or_as_flag_text(self, capsys, tmp_path):
+        # a number as JSON or as the flag's text, --ratios as a JSON list,
+        # and a null left to the default
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "d"), "n": "24",
+                                   "seed": 2, "ratios": [0.5, 0.25, 0.25],
+                                   "p_match": None}))
+        code, out, _ = run(capsys, "gen-data", "--config", str(cfg))
+        assert code == 0 and "train: 12 samples" in out
+
+    def test_on_off_flag_takes_a_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"data": "d", "compare": "yes"}))
+        code, _, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 1 and "compare" in err
 
 
 class TestEval:

@@ -17,6 +17,7 @@ from reviewfuse.training import (
     EVAL_BATCH,
     TrainConfig,
     adam_step,
+    adam_update,
     eval_outputs,
     evaluate_accuracy,
     fit,
@@ -58,6 +59,13 @@ class TestTrainConfig:
     def test_bad_beta(self):
         with pytest.raises(ParameterError):
             TrainConfig(beta2=1.0)
+
+    @pytest.mark.parametrize("setting", [dict(lr=float("nan")), dict(lr=float("inf")),
+                                         dict(weight_decay=float("nan")),
+                                         dict(weight_decay=-0.1)])
+    def test_non_finite_or_negative_rates_rejected(self, setting):
+        with pytest.raises(ParameterError):
+            TrainConfig(**setting)
 
 
 class TestAdamStep:
@@ -148,6 +156,30 @@ class TestAdamStep:
         for k in shapes:
             assert flat[k].data.dtype == np.float32
             np.testing.assert_array_equal(flat[k].data, ref[k])
+
+    def test_adam_update_of_a_gathered_gradient_is_adam_step(self):
+        # the update alone, fed the flat gradient gathered by hand in the
+        # state's layout, moves the parameters exactly as adam_step does
+        cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
+        rng = np.random.default_rng(41)
+        shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,)}
+        exempt = lambda n: "norm" in n or n.startswith("b")  # noqa: E731
+        init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        stepped = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        updated = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        by_step, by_update = AdamState(), AdamState()
+        by_update.adopt(updated)
+        for _ in range(10):
+            grads = {k: rng.normal(size=s).astype(np.float32)
+                     for k, s in shapes.items()}
+            for k, p in stepped.items():
+                p.grad = grads[k]
+            adam_step(stepped, by_step, cfg, exempt)
+            adam_update(by_update, np.concatenate([g.ravel() for g in grads.values()]),
+                        cfg, exempt)
+        assert by_step.t == by_update.t == 10
+        for k in shapes:
+            np.testing.assert_array_equal(updated[k].data, stepped[k].data)
 
     def test_state_is_bound_to_one_parameter_set(self):
         cfg = TrainConfig()

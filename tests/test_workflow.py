@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from reviewfuse import autograd as ag
+from reviewfuse import workflow
+from reviewfuse.autograd import Tensor
 from reviewfuse.errors import ManifestError
+from reviewfuse.fusion import classify_batch, predict_labels
 from reviewfuse.synthgen import GeneratorSpec, generate_synthetic
-from reviewfuse.training import TrainConfig, fit
-from reviewfuse.workflow import compare_baselines, desk_model, load_corpus
+from reviewfuse.training import (
+    AdamState,
+    TrainConfig,
+    adam_step,
+    eval_outputs,
+    fit,
+)
+from reviewfuse.workflow import (
+    WARM_LR,
+    compare_baselines,
+    desk_model,
+    load_corpus,
+    warm_start_head,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +76,80 @@ class TestTrainOnCorpus:
         assert len(report.train_losses) == 1
         assert np.isfinite(report.train_losses[0])
         assert 0.0 <= report.val_accuracies[0] <= 1.0
+
+
+def graph_warm_start(model, train_set, val_set, cfg, epochs):
+    """The warm start through the autograd graph: per batch a
+    ``classify_batch`` node, ``cross_entropy``, ``backward`` and
+    ``adam_step``. Returns the best accuracy, its epoch and the head of the
+    last epoch, and leaves the model holding the best epoch's head."""
+    Xtr, ytr = eval_outputs(model.encode_batch, train_set)
+    Xva, yva = eval_outputs(model.encode_batch, val_set)
+    head = {k: v for k, v in model.params.items() if k.startswith("head.")}
+    warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
+                           batch_size=cfg.batch_size, seed=cfg.seed)
+    state = AdamState()
+    best_acc, best_epoch = -1.0, 0
+    best = {k: v.data.copy() for k, v in head.items()}
+    for epoch in range(1, epochs + 1):
+        rng = np.random.default_rng([cfg.seed, epoch, 0x4EAD])
+        order = rng.permutation(len(ytr))
+        for i in range(0, len(order), warm_cfg.batch_size):
+            idx = order[i:i + warm_cfg.batch_size]
+            logits = classify_batch(model.params, model.fusion_cfg,
+                                    Tensor(Xtr[idx]), False, None)
+            loss = ag.cross_entropy(logits, ytr[idx])
+            for t in head.values():
+                t.zero_grad()
+            loss.backward()
+            adam_step(head, state, warm_cfg, model.decay_exempt)
+        with ag.no_grad():
+            logits = classify_batch(model.params, model.fusion_cfg,
+                                    Tensor(Xva), False, None)
+        acc = float((predict_labels(logits) == yva).mean())
+        if acc > best_acc:
+            best_acc, best_epoch = acc, epoch
+            best = {k: v.data.copy() for k, v in head.items()}
+    last = {k: v.data.copy() for k, v in head.items()}
+    for k, t in head.items():
+        t.data[...] = best[k]
+    return best_acc, best_epoch, last
+
+
+class TestWarmStartHead:
+    # 36 training samples at B=16: every epoch ends in a ragged batch of 4
+    CFG = TrainConfig(lr=5e-4, batch_size=16, seed=3)
+
+    @pytest.mark.parametrize("mode", ["text_only", "image_only", "fused"])
+    def test_bit_identical_to_the_graph_loop(self, tiny_corpus, mode):
+        models = [desk_model(mode, vocab_size=len(tiny_corpus.vocab), seed=5)
+                  for _ in range(2)]
+        acc = warm_start_head(models[0], tiny_corpus.train, tiny_corpus.val,
+                              self.CFG)
+        ref_acc, _, _ = graph_warm_start(models[1], tiny_corpus.train,
+                                         tiny_corpus.val, self.CFG,
+                                         workflow.WARM_EPOCHS)
+        assert acc == ref_acc
+        for k, t in models[0].params.items():
+            assert t.data.dtype == np.float32
+            np.testing.assert_array_equal(t.data, models[1].params[k].data,
+                                          err_msg=k)
+
+    def test_restores_the_best_epoch_not_the_last(self, tiny_corpus,
+                                                  monkeypatch):
+        epochs = 40
+        monkeypatch.setattr(workflow, "WARM_EPOCHS", epochs)
+        models = [desk_model("text_only", vocab_size=len(tiny_corpus.vocab),
+                             seed=5) for _ in range(2)]
+        acc = warm_start_head(models[0], tiny_corpus.train, tiny_corpus.val,
+                              self.CFG)
+        ref_acc, best_epoch, last = graph_warm_start(
+            models[1], tiny_corpus.train, tiny_corpus.val, self.CFG, epochs)
+        assert 1 < best_epoch < epochs and acc == ref_acc
+        for k, v in last.items():
+            np.testing.assert_array_equal(models[0].params[k].data,
+                                          models[1].params[k].data)
+            assert not np.array_equal(models[0].params[k].data, v), k
 
 
 class TestCompareBaselines:
