@@ -71,36 +71,40 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Decode a bundle, reading each tensor's payload straight into its
+    array; every extent is checked against the file size first."""
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    size = len(blob)
+        return _read_bundle(fh, os.fstat(fh.fileno()).st_size, path)
 
-    def truncated(what: str, pos: int) -> FormatError:
-        return FormatError(f"{path}: truncated while reading {what} at offset {pos}")
 
-    if blob[:4] != MAGIC:
+def _read_bundle(fh, size: int, path) -> ModelBundle:
+    def truncated(what: str, at: int) -> FormatError:
+        return FormatError(f"{path}: truncated while reading {what} at offset {at}")
+
+    def take(n: int, what: str) -> bytes:
+        # the next n bytes; the bound is checked before anything is read
+        nonlocal pos
+        if pos + n > size:
+            raise truncated(what, pos)
+        raw = fh.read(n)
+        if len(raw) < n:  # the file shrank since fstat
+            raise truncated(what, pos + len(raw))
+        pos += n
+        return raw
+
+    if fh.read(4) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a model bundle")
-    if size < 12:
-        raise truncated("header", 4)
-    version, count = struct.unpack_from("<II", blob, 4)
+    pos = 4  # the offset of the next unread byte
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} (want {VERSION})")
-    pos = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if pos + 4 > size:
-            raise truncated("name length", pos)
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if pos + name_len + 4 > size:
-            raise truncated("name and rank", pos)
-        name = _decode(blob[pos:pos + name_len], f"{path}: tensor name")
-        (rank,) = struct.unpack_from("<I", blob, pos + name_len)
-        pos += name_len + 4
-        if pos + 8 * rank > size:
-            raise truncated(f"extents of {name}", pos)
-        shape = struct.unpack_from(f"<{rank}Q", blob, pos)
-        pos += 8 * rank
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        head = take(name_len + 4, "name and rank")
+        name = _decode(head[:name_len], f"{path}: tensor name")
+        (rank,) = struct.unpack_from("<I", head, name_len)
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank, f"extents of {name}"))
         # exact Python ints, so the bound holds for extents like 2^62
         # (numpy's product wraps to 0)
         count_f4 = math.prod(shape)
@@ -109,18 +113,15 @@ def load_bundle(path) -> ModelBundle:
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         try:
-            tensors[name] = np.ndarray(shape, _F4, blob, pos).copy()
+            arr = np.empty(shape, _F4)
         except ValueError as e:  # extents beyond what numpy can index
             raise FormatError(f"{path}: tensor {name!r} shape {shape}: {e}") from None
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != 4 * count_f4:
+            raise truncated(f"payload of {name}", pos)
+        tensors[name] = arr
         pos += 4 * count_f4
-    if pos + 8 > size:
-        raise truncated("config length", pos)
-    (cfg_len,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    if pos + cfg_len > size:
-        raise truncated("config", pos)
-    text = _decode(blob[pos:pos + cfg_len], f"{path}: config")
-    pos += cfg_len
+    (cfg_len,) = struct.unpack("<Q", take(8, "config length"))
+    text = _decode(take(cfg_len, "config"), f"{path}: config")
     if pos != size:
         raise FormatError(f"{path}: {size - pos} trailing bytes after the config")
     try:
@@ -132,7 +133,7 @@ def load_bundle(path) -> ModelBundle:
     return ModelBundle(tensors=tensors, config=config, version=version)
 
 
-def _decode(raw: memoryview, what: str) -> str:
+def _decode(raw: bytes, what: str) -> str:
     try:
         return str(raw, "utf-8")
     except UnicodeDecodeError as e:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import Tensor
-from .errors import AlignmentError, ManifestError, SplitError
-from .imageproc import preprocess
+from .errors import AlignmentError, ContractError, ManifestError, SplitError
+from .imageproc import decode_crop, normalize_batch
 from .textproc import TokenizedReview, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
@@ -25,37 +27,49 @@ class ReviewSample:
 
 
 def read_manifest(csv_path) -> list[ReviewSample]:
-    """Parse an ``id,text,label`` CSV (RFC-4180 quoting) into samples."""
+    """Parse an ``id,text,label`` CSV (RFC-4180 quoting) into samples.
+
+    The file is UTF-8; a leading byte-order mark, which spreadsheet exports
+    write, is skipped.
+    """
+    with open(csv_path, "rb") as fh:
+        raw = fh.read()
+    try:
+        content = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        at = e.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        line = raw.count(b"\n", 0, at) + 1
+        raise ManifestError(f"{csv_path}:{line}: not valid UTF-8 at byte "
+                            f"offset {at} ({e.reason})") from None
     samples: list[ReviewSample] = []
     seen: set[str] = set()
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(content, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ManifestError(f"{csv_path}: empty file") from None
+    if header != MANIFEST_FIELDS:
+        raise ManifestError(
+            f"{csv_path}:1: header must be {','.join(MANIFEST_FIELDS)}, "
+            f"got {','.join(header)}"
+        )
+    for row in reader:
+        line = reader.line_num
+        if len(row) != 3:
+            raise ManifestError(f"{csv_path}:{line}: expected 3 fields, got {len(row)}")
+        sid, text, label_str = row
+        if sid in seen:
+            raise ManifestError(f"{csv_path}:{line}: duplicate id {sid!r}")
+        seen.add(sid)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{csv_path}: empty file") from None
-        if header != MANIFEST_FIELDS:
+            label = int(label_str)
+        except ValueError:
+            label = -1
+        if label not in (0, 1):
             raise ManifestError(
-                f"{csv_path}:1: header must be {','.join(MANIFEST_FIELDS)}, "
-                f"got {','.join(header)}"
+                f"{csv_path}:{line}: label must be 0 or 1, got {label_str!r}"
             )
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 3:
-                raise ManifestError(f"{csv_path}:{line}: expected 3 fields, got {len(row)}")
-            sid, text, label_str = row
-            if sid in seen:
-                raise ManifestError(f"{csv_path}:{line}: duplicate id {sid!r}")
-            seen.add(sid)
-            try:
-                label = int(label_str)
-            except ValueError:
-                label = -1
-            if label not in (0, 1):
-                raise ManifestError(
-                    f"{csv_path}:{line}: label must be 0 or 1, got {label_str!r}"
-                )
-            samples.append(ReviewSample(id=sid, text=text, label=label))
+        samples.append(ReviewSample(id=sid, text=text, label=label))
     return samples
 
 
@@ -135,11 +149,27 @@ def stratified_split(samples: list[ReviewSample],
 
 @dataclass
 class PreparedDataset:
-    """Pre-tokenized, pre-decoded arrays for one split, batch-iterable."""
+    """Pre-tokenized, pre-decoded arrays for one split, batch-iterable.
+
+    ``images`` holds each sample's center crop as bytes (``decode_crop``),
+    a quarter of the float32 batch it becomes; ``batches`` normalizes the
+    rows it yields (``normalize_batch``).
+    """
     reviews: list[TokenizedReview] | None
-    images: np.ndarray | None  # (N, 3, S, S)
+    images: np.ndarray | None  # (N, 3, S, S) uint8
     labels: np.ndarray  # (N,) int64
     ids: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        im = self.images
+        if im is not None and not (
+                isinstance(im, np.ndarray) and im.dtype == np.uint8
+                and im.ndim == 4 and im.shape[0] == len(self.labels)
+                and im.shape[1] == 3 and im.shape[2] == im.shape[3]):
+            raise ContractError(
+                f"images must be an (N, 3, S, S) uint8 array with "
+                f"N = {len(self.labels)}, got {getattr(im, 'dtype', type(im))} "
+                f"{getattr(im, 'shape', '')}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -158,11 +188,11 @@ class PreparedDataset:
         if need_images:
             # filled in place: stacking a list would hold two copies at the peak
             images = np.empty((len(samples), 3, crop_side, crop_side),
-                              dtype=np.float32)
+                              dtype=np.uint8)
             for i, s in enumerate(samples):
                 if s.image_path is None:
                     raise AlignmentError(f"sample {s.id} has no aligned image")
-                images[i] = preprocess(s.image_path, crop_side).data
+                images[i] = decode_crop(s.image_path, crop_side)
         labels = np.asarray([s.label for s in samples], dtype=np.int64)
         return cls(reviews=reviews, images=images, labels=labels,
                    ids=[s.id for s in samples])
@@ -184,5 +214,6 @@ class PreparedDataset:
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             revs = [self.reviews[i] for i in idx] if self.reviews is not None else None
-            imgs = Tensor(self.images[idx]) if self.images is not None else None
+            imgs = (Tensor(normalize_batch(self.images[idx]))
+                    if self.images is not None else None)
             yield revs, imgs, [int(self.labels[i]) for i in idx]

@@ -1,9 +1,11 @@
 """Image loading and preprocessing: PPM decode, bilinear resize, center crop,
 and ImageNet-style channel normalization.
 
-Images live as 8-bit RGB arrays (H x W x 3) until normalization, which
-produces a channels-first float tensor 3 x S x S; the CNN encoder takes a
-batch of them, B x 3 x S x S.
+Images stay 8-bit until normalization: RGB arrays (H x W x 3) through the
+resize, then the center crop's bytes channels-first (3 x S x S), which is
+what a prepared dataset stores. ``normalize_batch`` maps a B x 3 x S x S
+batch of crops to the float32 batch the CNN encoder takes, through a
+per-channel 256-entry table that ``normalize_channels`` computes.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ def load_ppm(path) -> RawImage:
             f"{path}: short pixel body at offset {pos + len(body)} "
             f"(expected {need} bytes)"
         )
+    if len(blob) > pos + need:
+        raise FormatError(f"{path}: {len(blob) - pos - need} trailing bytes "
+                          f"after the pixel body at offset {pos + need}")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
     return RawImage(width=width, height=height, pixels=pixels)
 
@@ -136,11 +141,40 @@ def normalize_channels(img: RawImage,
     return Tensor(normed.transpose(2, 0, 1), dtype=dtype)
 
 
-def preprocess(path, crop_side: int = 32) -> Tensor:
-    """The one image transform of training, eval and predict: load -> resize
-    to crop_side * 8/7 -> center crop -> ImageNet-normalize to float32."""
+def decode_crop(path, crop_side: int = 32) -> np.ndarray:
+    """Load -> resize to crop_side * 8/7 -> center crop; the crop's bytes,
+    channels-first: a (3, crop_side, crop_side) uint8 array."""
     img = load_ppm(path)
     resize_side = max(crop_side, round(crop_side * 8 / 7))
-    img = resize_bilinear(img, resize_side)
-    img = center_crop(img, crop_side)
-    return normalize_channels(img)
+    img = center_crop(resize_bilinear(img, resize_side), crop_side)
+    return img.pixels.transpose(2, 0, 1)
+
+
+def _norm_table() -> np.ndarray:
+    ramp = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
+    table = normalize_channels(RawImage(256, 1, ramp)).data[:, 0, :].copy()
+    table.flags.writeable = False
+    return table
+
+
+# NORM_TABLE[c, v]: normalize_channels' float32 value of byte v in channel c,
+# which depends on nothing else, so a lookup is bitwise the formula
+NORM_TABLE = _norm_table()
+
+
+def normalize_batch(crops: np.ndarray) -> np.ndarray:
+    """(B, 3, S, S) uint8 crops -> the float32 batch of their
+    ``normalize_channels`` values, one table lookup per channel."""
+    out = np.empty(crops.shape, dtype=np.float32)
+    # a byte is always in range, so "clip" changes no index; it skips the
+    # bounds check
+    for c in range(3):
+        np.take(NORM_TABLE[c], crops[:, c], out=out[:, c], mode="clip")
+    return out
+
+
+def preprocess(path, crop_side: int = 32) -> Tensor:
+    """One file through the transform that every batch of training, eval
+    and predict goes through: ``decode_crop`` then ``normalize_batch``, as
+    a 3 x S x S float32 tensor."""
+    return Tensor(normalize_batch(decode_crop(path, crop_side)[np.newaxis])[0])

@@ -317,12 +317,50 @@ class TestPredict:
             printed = float(out.split("p_genuine: ")[1].split()[0])
             assert abs(printed - p_genuine[i]) <= 1e-4
 
+    def test_image_with_trailing_bytes(self, capsys, tmp_path):
+        model, image = self._zero_model_path(tmp_path), self._ppm(tmp_path)
+        argv = ["predict", "--model", model, "--text", "alpha", "--image", image]
+        assert run(capsys, *argv)[0] == 0
+        with open(image, "ab") as fh:
+            fh.write(b"\x00" * 5)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "5 trailing bytes" in err and "label" not in out
+
     def test_unreadable_image(self, capsys, tmp_path):
         model = self._zero_model_path(tmp_path)
         code, _, _ = run(capsys, "predict", "--model", model,
                          "--text", "alpha", "--image",
                          str(tmp_path / "missing.ppm"))
         assert code == 2
+
+
+class TestManifestEncoding:
+    """A split manifest is UTF-8, with or without a byte-order mark."""
+
+    def eval_split(self, capsys, tmp_path, manifest: bytes):
+        from reviewfuse.imageproc import RawImage, save_ppm
+        data = tmp_path / "data"
+        (data / "images").mkdir(parents=True)
+        for sid in "abcd":
+            save_ppm(RawImage(9, 9, np.full((9, 9, 3), 7, dtype=np.uint8)),
+                     data / "images" / f"{sid}.ppm")
+        (data / "test.csv").write_bytes(manifest)
+        model = TestPredict()._zero_model_path(tmp_path)
+        return run(capsys, "eval", "--data", str(data), "--model", model)
+
+    def test_invalid_utf8_is_a_data_error_naming_the_file(self, capsys, tmp_path):
+        code, _, err = self.eval_split(capsys, tmp_path,
+                                       b"id,text,label\na,caf\xe9,1\n")
+        assert code == 2
+        assert "test.csv:2: not valid UTF-8" in err and "Traceback" not in err
+
+    def test_byte_order_mark_is_accepted(self, capsys, tmp_path):
+        rows = b"id,text,label\na,alpha,0\nb,beta,1\nc,gamma,0\nd,delta,1\n"
+        code, out, _ = self.eval_split(capsys, tmp_path, rows)
+        assert code == 0
+        code_bom, out_bom, _ = self.eval_split(capsys, tmp_path / "bom",
+                                               b"\xef\xbb\xbf" + rows)
+        assert code_bom == 0 and out_bom == out
 
 
 def fkit_blob(tensors, config: bytes) -> bytes:

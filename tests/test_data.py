@@ -12,8 +12,22 @@ from reviewfuse.data import (
     stratified_split,
     write_manifest,
 )
-from reviewfuse.errors import AlignmentError, ManifestError, SplitError
-from reviewfuse.imageproc import RawImage, preprocess, save_ppm
+from reviewfuse.errors import (
+    AlignmentError,
+    ContractError,
+    FormatError,
+    ManifestError,
+    SplitError,
+)
+from reviewfuse.imageproc import (
+    RawImage,
+    center_crop,
+    load_ppm,
+    normalize_channels,
+    preprocess,
+    resize_bilinear,
+    save_ppm,
+)
 from reviewfuse.textproc import build_vocab
 
 
@@ -51,6 +65,20 @@ class TestManifest:
         p.write_text("id,review,label\na,x,0\n")
         with pytest.raises(ManifestError, match="header"):
             read_manifest(p)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_invalid_utf8_names_line_and_offset(self, tmp_path, bom):
+        p = tmp_path / "m.csv"
+        p.write_bytes(bom + b"id,text,label\na,x,0\nb,caf\xe9,1\n")
+        at = len(bom) + 25
+        with pytest.raises(ManifestError, match=f":3: not valid UTF-8 at byte offset {at}"):
+            read_manifest(p)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbfid,text,label\r\na,\"x\r\ny\",0\r\n")
+        (s,) = read_manifest(p)
+        assert (s.id, s.text, s.label) == ("a", "x\r\ny", 0)
 
     def test_roundtrip_random_samples(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -188,19 +216,75 @@ class TestBatchIter:
                 assert revs[j] is not None
 
 
+def float_path(path, crop_side):
+    """The float32 image transform as it ran before crops were stored as
+    bytes: load, resize, crop, then normalize_channels per image."""
+    img = load_ppm(path)
+    img = resize_bilinear(img, max(crop_side, round(crop_side * 8 / 7)))
+    return normalize_channels(center_crop(img, crop_side)).data
+
+
 class TestPrepareImages:
-    def test_rows_are_the_preprocess_transform(self, tmp_path):
-        # training and predict share one transform: each prepared row is
-        # bitwise what preprocess gives for the same file
-        rng = np.random.default_rng(14)
+    def _samples(self, tmp_path, sizes, seed=14):
+        rng = np.random.default_rng(seed)
         samples = []
-        for i, (w, h) in enumerate([(37, 37), (50, 41), (32, 60)]):
+        for i, (w, h) in enumerate(sizes):
             path = os.path.join(tmp_path, f"p{i}.ppm")
             px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
             save_ppm(RawImage(w, h, px), path)
             samples.append(ReviewSample(f"p{i}", "x", i % 2, image_path=path))
+        return samples
+
+    def test_rows_are_the_preprocess_transform(self, tmp_path):
+        # training and predict share one transform: each batch row is
+        # bitwise what preprocess gives for the same file
+        samples = self._samples(tmp_path, [(37, 37), (50, 41), (32, 60)])
         ds = PreparedDataset.prepare(samples, need_text=False, crop_side=32)
-        assert ds.images.dtype == np.float32
+        rows = np.concatenate([imgs.data for _, imgs, _ in
+                               ds.batches(2, shuffle=False)])
+        assert rows.dtype == np.float32
         for i, s in enumerate(samples):
-            np.testing.assert_array_equal(ds.images[i],
+            np.testing.assert_array_equal(rows[i],
                                           preprocess(s.image_path, 32).data)
+
+    def test_batches_are_bitwise_the_float_path(self, tmp_path):
+        # shuffled batches of 3 over 8 samples, the last one ragged
+        sizes = [(37, 37), (50, 41), (32, 60), (40, 40), (33, 47), (64, 35),
+                 (37, 38), (45, 45)]
+        samples = self._samples(tmp_path, sizes, seed=3)
+        ds = PreparedDataset.prepare(samples, need_text=False, crop_side=24)
+        floats = np.stack([float_path(s.image_path, 24) for s in samples])
+        order = np.random.default_rng([5, 2]).permutation(len(samples))
+        got = [(imgs.data, labels) for _, imgs, labels in
+               ds.batches(3, seed=5, epoch=2)]
+        assert [len(labels) for _, labels in got] == [3, 3, 2]
+        for k, (imgs, labels) in enumerate(got):
+            idx = order[3 * k:3 * k + 3]
+            assert imgs.dtype == np.float32
+            assert imgs.tobytes() == floats[idx].tobytes()
+            assert labels == [samples[i].label for i in idx]
+
+    def test_images_are_the_crop_bytes(self, tmp_path):
+        samples = self._samples(tmp_path, [(37, 37), (50, 41), (32, 60)])
+        ds = PreparedDataset.prepare(samples, need_text=False, crop_side=16)
+        assert ds.images.dtype == np.uint8
+        assert ds.images.nbytes == 3 * 3 * 16 * 16
+
+    @pytest.mark.parametrize("images", [
+        np.zeros((2, 3, 4, 4), dtype=np.float32),
+        np.zeros((2, 4, 4, 3), dtype=np.uint8),
+        np.zeros((3, 3, 4, 4), dtype=np.uint8),
+        np.zeros((2, 3, 4, 5), dtype=np.uint8),
+    ], ids=["float32", "channels-last", "wrong-count", "not-square"])
+    def test_image_contract(self, images):
+        with pytest.raises(ContractError,
+                           match=rf"{images.dtype} \({', '.join(map(str, images.shape))}\)"):
+            PreparedDataset(reviews=None, images=images,
+                            labels=np.array([0, 1]))
+
+    def test_ppm_with_trailing_bytes_is_rejected(self, tmp_path):
+        samples = self._samples(tmp_path, [(37, 37), (40, 40)])
+        with open(samples[1].image_path, "ab") as fh:
+            fh.write(b"\n\n")
+        with pytest.raises(FormatError, match="2 trailing bytes"):
+            PreparedDataset.prepare(samples, need_text=False, crop_side=32)

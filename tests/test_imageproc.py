@@ -3,9 +3,12 @@ import pytest
 
 from reviewfuse.errors import DimensionError, FormatError, ParameterError
 from reviewfuse.imageproc import (
+    NORM_TABLE,
     RawImage,
     center_crop,
+    decode_crop,
     load_ppm,
+    normalize_batch,
     normalize_channels,
     preprocess,
     resize_bilinear,
@@ -49,6 +52,12 @@ class TestPpmIO:
             save_ppm(img, p)
             back = load_ppm(p)
             np.testing.assert_array_equal(back.pixels, img.pixels)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03\x00\x00\x00")
+        with pytest.raises(FormatError, match="3 trailing bytes .* offset 14"):
+            load_ppm(p)
 
     def test_comment_in_header(self, tmp_path):
         p = tmp_path / "c.ppm"
@@ -143,7 +152,36 @@ class TestNormalize:
                                    atol=1e-6)
 
 
+class TestNormalizeBatch:
+    def test_table_is_normalize_channels_at_every_byte(self):
+        # each (channel, byte) through a 1x1 image, independently of the
+        # ramp the table is built from
+        for v in range(256):
+            px = np.full((1, 1, 3), v, dtype=np.uint8)
+            want = normalize_channels(RawImage(1, 1, px)).data[:, 0, 0]
+            assert NORM_TABLE.dtype == np.float32
+            np.testing.assert_array_equal(NORM_TABLE[:, v], want)
+
+    def test_batch_is_normalize_channels_per_image(self):
+        rng = np.random.default_rng(11)
+        crops = rng.integers(0, 256, size=(5, 3, 6, 6), dtype=np.uint8)
+        out = normalize_batch(crops)
+        assert out.dtype == np.float32 and out.shape == crops.shape
+        for i in range(5):
+            img = RawImage(6, 6, crops[i].transpose(1, 2, 0).copy())
+            assert out[i].tobytes() == normalize_channels(img).data.tobytes()
+
+
 class TestPreprocess:
+    def test_decode_crop_is_the_crop_channels_first(self, tmp_path):
+        img = make_image(41, 50, 10)
+        p = tmp_path / "x.ppm"
+        save_ppm(img, p)
+        crop = decode_crop(p, crop_side=32)
+        want = center_crop(resize_bilinear(img, 37), 32).pixels
+        assert crop.dtype == np.uint8 and crop.shape == (3, 32, 32)
+        np.testing.assert_array_equal(crop, want.transpose(2, 0, 1))
+
     def test_shape_and_determinism(self, tmp_path):
         img = make_image(37, 37, 8)
         p = tmp_path / "x.ppm"

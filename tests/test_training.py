@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -43,8 +44,9 @@ def tiny_dataset(n=8, seed=0):
     vocab = build_vocab(words, max_size=20)
     ds = PreparedDataset.prepare(samples, vocab=vocab, max_len=8,
                                  need_images=False)
-    ds.images = rng.normal(size=(n, 3, 8, 8)).astype(np.float32)
-    return ds
+    # the bytes of 8x8 crops, as PreparedDataset.prepare stores them
+    return dataclasses.replace(
+        ds, images=rng.integers(0, 256, size=(n, 3, 8, 8), dtype=np.uint8))
 
 
 class TestTrainConfig:
