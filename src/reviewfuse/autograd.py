@@ -74,9 +74,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root; fills ``grad`` on leaves."""
         if self.data.size != 1:

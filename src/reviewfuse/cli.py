@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data / train / eval / predict / gradcheck.
 
-Config precedence is defaults < JSON config file < command-line flags.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 training or
-evaluation failure.
+Config precedence is defaults < JSON config file < command-line flags. A
+flag's default is the library's own: ``TrainConfig``'s, ``GeneratorSpec``'s
+or the desk model's sizes. Exit codes: 0 success, 1 usage error, 2
+data/format error, 3 training or evaluation failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .fusion import predict_labels
 from .gradsuite import run_gradcheck
 from .imageproc import preprocess
 from .metrics import emit_report, evaluate, format_confusion
-from .synthgen import GeneratorSpec, generate_synthetic
+from .model import MODES
+from .synthgen import SPLIT_RATIOS, GeneratorSpec, generate_synthetic
 from .textproc import Vocabulary, tokenize
 from .training import TrainConfig, fit, model_from_bundle, model_to_bundle
 from .workflow import (
@@ -58,21 +60,32 @@ EXIT_RUN = 3
 COMPARE_TRAIN = dict(lr=5e-4, weight_decay=0.01, batch_size=32,
                      max_epochs=10, patience=10)
 
+# TrainConfig's fields that `train` takes as flags and records in the
+# bundle's train_config entry
+TRAIN_SETTINGS = ("lr", "weight_decay", "batch_size", "max_epochs",
+                  "patience", "seed")
+
 
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError, and keeps its flags by setting name in ``flags``."""
+    """Raises UsageError, and keeps each setting's flag in ``flags`` and its
+    default in ``defaults``, both by setting name."""
 
     def __init__(self, *args, **kwargs):
         self.flags: dict[str, argparse.Action] = {}
+        self.defaults: dict[str, object] = {}
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, default=None, **kwargs):
+        # registered with no default: a flag left out parses to None, so a
+        # config file can still fill it
         action = super().add_argument(*args, **kwargs)
-        self.flags[action.dest] = action
+        if action.dest not in ("help", "config"):
+            self.flags[action.dest] = action
+            self.defaults[action.dest] = default
         return action
 
     def error(self, message):
@@ -89,29 +102,30 @@ LIMITS = {"seed": (0, math.inf), "n": (0, math.inf), "max_len": (3, 512),
           "image_side": (1, 256)}
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
+def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < JSON config file < explicit flags (rightmost wins).
 
     A file value passes its flag's own rule: the flag's type applied to
     the value's text, then its choices; a null is the same as no value.
     """
-    merged = dict(parser_defaults)
+    merged = dict(defaults)
     path = getattr(args, "config", None)
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:
             raise FormatError(f"cannot read config {path}: {e}")
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config {path} must be a JSON object")
-        unknown = set(file_cfg) - set(parser_defaults)
+        unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
             if value is not None:
                 merged[key] = _config_value(args.flags[key], value, path)
-    for key in parser_defaults:
+    for key in defaults:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
@@ -161,41 +175,21 @@ def _ratios(text: str) -> tuple[float, float, float]:
 # subcommands
 
 
-GEN_DEFAULTS = {
-    "out": _REQUIRED, "n": 2000, "seed": 7,
-    "ratios": (0.6, 0.2, 0.2), "text_flip_rate": 0.25,
-    "p_match": 0.95, "image_side": 37,
-}
-
-
-def cmd_gen_data(args) -> int:
-    cfg = _merge_config(args, GEN_DEFAULTS)
-    spec = GeneratorSpec(n=cfg["n"], seed=cfg["seed"],
-                         text_flip_rate=cfg["text_flip_rate"],
-                         p_match=cfg["p_match"], image_side=cfg["image_side"])
-    split = generate_synthetic(spec, cfg["out"], ratios=tuple(cfg["ratios"]))
+def cmd_gen_data(cfg) -> int:
+    out, ratios = cfg.pop("out"), cfg.pop("ratios")
+    split = generate_synthetic(GeneratorSpec(**cfg), out, ratios=ratios)
     for name, part in (("train", split.train), ("val", split.val),
                        ("test", split.test)):
         counts = Counter(s.label for s in part)
         print(f"{name}: {len(part)} samples "
               f"(fake={counts[0]}, genuine={counts[1]})")
-    print(f"wrote {cfg['out']}")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {
-    "data": _REQUIRED, "out": _REQUIRED, "mode": "fused", "seed": 0,
-    "lr": 1e-3, "weight_decay": 0.01, "batch_size": 32, "max_epochs": 50,
-    "patience": 5, "max_len": DESK_MAX_LEN, "crop_side": DESK_CROP_SIDE,
-    "vocab_size": DESK_VOCAB_SIZE, "report": None,
-}
-
-
-def cmd_train(args) -> int:
-    cfg = _merge_config(args, TRAIN_DEFAULTS)
-    tc = TrainConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                     batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
-                     patience=cfg["patience"], seed=cfg["seed"])
+def cmd_train(cfg) -> int:
+    train_config = {k: cfg[k] for k in TRAIN_SETTINGS}
+    tc = TrainConfig(**train_config)
     corpus = load_corpus(cfg["data"], max_len=cfg["max_len"],
                          crop_side=cfg["crop_side"],
                          vocab_size=cfg["vocab_size"])
@@ -206,14 +200,8 @@ def cmd_train(args) -> int:
     print(f"best epoch {report.best_epoch} "
           f"(val_acc={report.val_accuracies[report.best_epoch - 1]:.4f}), "
           f"stopped: {report.stop_reason}")
-    extra = {
-        "vocab_tokens": corpus.vocab.id_to_token[4:],
-        "preprocess": {"max_len": cfg["max_len"],
-                       "crop_side": cfg["crop_side"]},
-        "train_config": {k: cfg[k] for k in ("lr", "weight_decay",
-                                             "batch_size", "max_epochs",
-                                             "patience", "seed")},
-    }
+    extra = {"vocab_tokens": corpus.vocab.id_to_token[4:],
+             "train_config": train_config}
     save_bundle(model_to_bundle(model, extra), cfg["out"])
     report_path = cfg["report"] or cfg["out"] + ".report.json"
     with atomic_open(report_path, "w", encoding="utf-8") as fh:
@@ -223,25 +211,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-EVAL_DEFAULTS = {
-    "data": _REQUIRED, "model": None, "split": "test", "format": "plain",
-    "out": None, "compare": False, "seed": 0,
-}
-
-
-def _int_at_least(value, low: int) -> bool:
-    return type(value) is int and value >= low
-
-
 def _load_model_and_vocab(path):
-    """A bundle's model, vocabulary and preprocessing settings, checked
-    against each other; every fault is a FormatError."""
+    """A bundle's model and vocabulary, checked against each other; every
+    fault is a FormatError.
+
+    The model config holds the text length and the crop side; the
+    ``preprocess`` block that older bundles also carry is not read.
+    """
     bundle = load_bundle(path)
-    try:
-        tokens = bundle.config["vocab_tokens"]
-        prep = bundle.config["preprocess"]
-    except KeyError as e:
-        raise FormatError(f"{path}: bundle config missing {e}")
+    tokens = bundle.config.get("vocab_tokens")
     model = model_from_bundle(bundle)
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise FormatError(f"{path}: vocab_tokens must be a list of strings")
@@ -252,20 +230,18 @@ def _load_model_and_vocab(path):
     if model.text_cfg is not None and len(vocab) != model.text_cfg.vocab_size:
         raise FormatError(f"{path}: {len(vocab)} vocabulary entries for a "
                           f"{model.text_cfg.vocab_size}-row token table")
-    if not (isinstance(prep, dict) and _int_at_least(prep.get("max_len"), 3)
-            and _int_at_least(prep.get("crop_side"), 1)):
-        raise FormatError(f"{path}: preprocess must hold integer max_len >= 3 "
-                          f"and crop_side >= 1, got {prep!r}")
-    for key, sub_cfg, field in (("max_len", model.text_cfg, "max_len"),
-                                ("crop_side", model.image_cfg, "input_side")):
-        if sub_cfg is not None and prep[key] != getattr(sub_cfg, field):
-            raise FormatError(f"{path}: preprocess {key} {prep[key]} does not "
-                              f"match the model's {field} {getattr(sub_cfg, field)}")
-    return model, vocab, prep
+    # the bounds that train's flags pass: a crop side past them would ask
+    # for hundreds of GiB in predict's resize
+    for key, value in (("max_len", getattr(model.text_cfg, "max_len", None)),
+                       ("crop_side", getattr(model.image_cfg, "input_side", None))):
+        low, high = LIMITS[key]
+        if value is not None and not low <= value <= high:
+            raise FormatError(f"{path}: model {key} {value} is outside "
+                              f"[{low}, {high}]")
+    return model, vocab
 
 
-def cmd_eval(args) -> int:
-    cfg = _merge_config(args, EVAL_DEFAULTS)
+def cmd_eval(cfg) -> int:
     if cfg["compare"]:
         corpus = load_corpus(cfg["data"])
         tc = TrainConfig(seed=cfg["seed"], **COMPARE_TRAIN)
@@ -277,17 +253,15 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     if not cfg["model"]:
         raise UsageError("eval requires --model (or --compare)")
-    model, vocab, prep = _load_model_and_vocab(cfg["model"])
-    if cfg["split"] not in ("train", "val", "test"):
-        raise UsageError(f"unknown split {cfg['split']!r}")
+    model, vocab = _load_model_and_vocab(cfg["model"])
     manifest = os.path.join(cfg["data"], f"{cfg['split']}.csv")
     if not os.path.isfile(manifest):
         raise ManifestError(f"missing split manifest {manifest}")
     samples = read_manifest(manifest)
     samples, _ = align_images(samples, os.path.join(cfg["data"], "images"))
     dataset = PreparedDataset.prepare(
-        samples, vocab=vocab, max_len=prep["max_len"],
-        crop_side=prep["crop_side"],
+        samples, vocab=vocab, max_len=getattr(model.text_cfg, "max_len", None),
+        crop_side=getattr(model.image_cfg, "input_side", None),
         need_text=model.text_cfg is not None,
         need_images=model.image_cfg is not None)
     report = evaluate(model, dataset, split_tag=cfg["split"])
@@ -296,22 +270,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-PREDICT_DEFAULTS = {"model": _REQUIRED, "text": None, "image": None}
-
-
-def cmd_predict(args) -> int:
-    cfg = _merge_config(args, PREDICT_DEFAULTS)
-    model, vocab, prep = _load_model_and_vocab(cfg["model"])
+def cmd_predict(cfg) -> int:
+    model, vocab = _load_model_and_vocab(cfg["model"])
     reviews = None
     images = None
     if model.text_cfg is not None:
         if cfg["text"] is None:
             raise UsageError(f"mode {model.mode} requires --text")
-        reviews = [tokenize(vocab, cfg["text"], max_len=prep["max_len"])]
+        reviews = [tokenize(vocab, cfg["text"], max_len=model.text_cfg.max_len)]
     if model.image_cfg is not None:
         if cfg["image"] is None:
             raise UsageError(f"mode {model.mode} requires --image")
-        img = preprocess(cfg["image"], crop_side=prep["crop_side"])
+        img = preprocess(cfg["image"], crop_side=model.image_cfg.input_side)
         images = Tensor(img.data[np.newaxis, ...])
     with ag.no_grad():
         logits = model.forward_batch(reviews, images, training=False)
@@ -323,12 +293,8 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-GRADCHECK_DEFAULTS = {"seed": 0, "corrupt": False}
-
-
-def cmd_gradcheck(args) -> int:
-    cfg = _merge_config(args, GRADCHECK_DEFAULTS)
-    results = run_gradcheck(seed=cfg["seed"], corrupt=cfg["corrupt"])
+def cmd_gradcheck(cfg) -> int:
+    results = run_gradcheck(**cfg)
     failing = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -355,52 +321,54 @@ def build_parser() -> _Parser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, flags=p.flags)
+        p.set_defaults(fn=fn, flags=p.flags, defaults=p.defaults)
         p.add_argument("--config", help="JSON config file (flags override it)")
         return p
 
+    def add_fields(p, obj, names):
+        # a flag per field of obj, of its default's type
+        for name in names:
+            value = getattr(obj, name)
+            p.add_argument("--" + name.replace("_", "-"), type=type(value),
+                           default=value)
+
+    train_defaults = TrainConfig()
     g = add("gen-data", cmd_gen_data, "generate a synthetic corpus")
-    g.add_argument("--out", help="output directory")
-    g.add_argument("--n", type=int, help="number of samples")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--ratios", type=_ratios, help="train,val,test e.g. 0.6,0.2,0.2")
-    g.add_argument("--text-flip-rate", dest="text_flip_rate", type=float)
-    g.add_argument("--p-match", dest="p_match", type=float)
-    g.add_argument("--image-side", dest="image_side", type=int)
+    g.add_argument("--out", default=_REQUIRED, help="output directory")
+    spec = GeneratorSpec()
+    g.add_argument("--n", type=int, default=spec.n, help="number of samples")
+    add_fields(g, spec, ("seed", "text_flip_rate", "p_match", "image_side"))
+    g.add_argument("--ratios", type=_ratios, default=SPLIT_RATIOS,
+                   help="train,val,test e.g. 0.6,0.2,0.2")
 
     t = add("train", cmd_train, "train a model on a generated corpus")
-    t.add_argument("--data", help="corpus directory")
-    t.add_argument("--out", help="output model bundle path")
-    t.add_argument("--mode", choices=("text_only", "image_only", "fused"))
-    t.add_argument("--seed", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--max-epochs", dest="max_epochs", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--max-len", dest="max_len", type=int)
-    t.add_argument("--crop-side", dest="crop_side", type=int)
-    t.add_argument("--vocab-size", dest="vocab_size", type=int)
+    t.add_argument("--data", default=_REQUIRED, help="corpus directory")
+    t.add_argument("--out", default=_REQUIRED, help="output model bundle path")
+    t.add_argument("--mode", choices=MODES, default="fused")
+    add_fields(t, train_defaults, TRAIN_SETTINGS)
+    t.add_argument("--max-len", type=int, default=DESK_MAX_LEN)
+    t.add_argument("--crop-side", type=int, default=DESK_CROP_SIDE)
+    t.add_argument("--vocab-size", type=int, default=DESK_VOCAB_SIZE)
     t.add_argument("--report", help="training report JSON path")
 
     e = add("eval", cmd_eval, "evaluate a model or compare baselines")
-    e.add_argument("--data", help="corpus directory")
+    e.add_argument("--data", default=_REQUIRED, help="corpus directory")
     e.add_argument("--model", help="model bundle path")
-    e.add_argument("--split", choices=("train", "val", "test"))
-    e.add_argument("--format", choices=("plain", "csv", "json"))
+    e.add_argument("--split", choices=("train", "val", "test"), default="test")
+    e.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     e.add_argument("--out", help="write the report here as well")
-    e.add_argument("--compare", action="store_const", const=True,
+    e.add_argument("--compare", action="store_const", const=True, default=False,
                    help="train and compare text_only/image_only/fused")
-    e.add_argument("--seed", type=int)
+    e.add_argument("--seed", type=int, default=train_defaults.seed)
 
     p = add("predict", cmd_predict, "classify a single review")
-    p.add_argument("--model", help="model bundle path")
+    p.add_argument("--model", default=_REQUIRED, help="model bundle path")
     p.add_argument("--text", help="review text")
     p.add_argument("--image", help="review image (PPM)")
 
     c = add("gradcheck", cmd_gradcheck, "run the finite-difference oracle suite")
-    c.add_argument("--seed", type=int)
-    c.add_argument("--corrupt", action="store_const", const=True,
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--corrupt", action="store_const", const=True, default=False,
                    help=argparse.SUPPRESS)
     return parser
 
@@ -412,7 +380,7 @@ def main(argv=None) -> int:
         if not getattr(args, "fn", None):
             parser.print_help()
             return EXIT_USAGE
-        return args.fn(args)
+        return args.fn(_merge_config(args, args.defaults))
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

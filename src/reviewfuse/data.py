@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
+from .bundle import atomic_open
 from .errors import AlignmentError, ContractError, ManifestError, SplitError
 from .imageproc import decode_crop, normalize_batch
 from .textproc import TokenizedReview, Vocabulary, tokenize
@@ -44,8 +45,9 @@ def read_manifest(csv_path) -> list[ReviewSample]:
     samples: list[ReviewSample] = []
     seen: set[str] = set()
     reader = csv.reader(io.StringIO(content, newline=""))
+    rows = _rows(reader, csv_path)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ManifestError(f"{csv_path}: empty file") from None
     if header != MANIFEST_FIELDS:
@@ -53,7 +55,7 @@ def read_manifest(csv_path) -> list[ReviewSample]:
             f"{csv_path}:1: header must be {','.join(MANIFEST_FIELDS)}, "
             f"got {','.join(header)}"
         )
-    for row in reader:
+    for row in rows:
         line = reader.line_num
         if len(row) != 3:
             raise ManifestError(f"{csv_path}:{line}: expected 3 fields, got {len(row)}")
@@ -73,8 +75,17 @@ def read_manifest(csv_path) -> list[ReviewSample]:
     return samples
 
 
+def _rows(reader, csv_path):
+    """``reader``'s rows; a row csv cannot parse (a field past its size
+    limit) is a ManifestError at its line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ManifestError(f"{csv_path}:{reader.line_num}: {e}") from None
+
+
 def write_manifest(samples: list[ReviewSample], csv_path) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(MANIFEST_FIELDS)
         for s in samples:

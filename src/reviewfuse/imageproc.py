@@ -1,16 +1,14 @@
 """Image loading and preprocessing: PPM decode, bilinear resize, center crop,
 and ImageNet-style channel normalization.
 
-Images stay 8-bit until normalization: RGB arrays (H x W x 3) through the
-resize, then the center crop's bytes channels-first (3 x S x S), which is
+Images are plain uint8 arrays until normalization: H x W x 3 RGB from
+``load_ppm`` through the resize, then the center crop's bytes channels-first (3 x S x S), which is
 what a prepared dataset stores. ``normalize_batch`` maps a B x 3 x S x S
 batch of crops to the float32 batch the CNN encoder takes, through a
 per-channel 256-entry table that ``normalize_channels`` computes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +19,8 @@ IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
 
 
-@dataclass
-class RawImage:
-    """8-bit RGB image, row-major from top-left."""
-    width: int
-    height: int
-    pixels: np.ndarray  # uint8, shape (height, width, 3)
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise DimensionError(
-                f"pixel buffer {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}x3"
-            )
-
-
-def load_ppm(path) -> RawImage:
-    """Decode a binary PPM (P6, maxval 255)."""
+def load_ppm(path) -> np.ndarray:
+    """Decode a binary PPM (P6, maxval 255) to its H x W x 3 uint8 pixels."""
     with open(path, "rb") as fh:
         blob = fh.read()
     # header: magic, width, height, maxval tokens (comments allowed), then
@@ -80,24 +63,28 @@ def load_ppm(path) -> RawImage:
     if len(blob) > pos + need:
         raise FormatError(f"{path}: {len(blob) - pos - need} trailing bytes "
                           f"after the pixel body at offset {pos + need}")
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
-    return RawImage(width=width, height=height, pixels=pixels)
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
-def save_ppm(img: RawImage, path) -> None:
-    """Write a binary PPM (P6, maxval 255), bit-exact format."""
+def save_ppm(pixels: np.ndarray, path) -> None:
+    """Write H x W x 3 uint8 ``pixels`` as a binary PPM (P6, maxval 255)."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise DimensionError(f"a PPM holds an H x W x 3 uint8 array, got "
+                             f"{pixels.dtype} {pixels.shape}")
+    height, width, _ = pixels.shape
     with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
-        fh.write(img.pixels.astype(np.uint8).tobytes())
+        fh.write(b"P6\n%d %d\n255\n" % (width, height))
+        fh.write(pixels.tobytes())
 
 
-def resize_bilinear(img: RawImage, side: int) -> RawImage:
+def resize_bilinear(pixels: np.ndarray, side: int) -> np.ndarray:
     """Resize to side x side with half-pixel-center bilinear interpolation."""
     if side < 1:
         raise ParameterError(f"resize side must be >= 1, got {side}")
-    if img.width == side and img.height == side:
-        return RawImage(side, side, img.pixels.copy())
-    src = img.pixels.astype(np.float64)
+    height, width, _ = pixels.shape
+    if width == side and height == side:
+        return pixels.copy()
+    src = pixels.astype(np.float64)
 
     def coords(n_src, n_dst):
         # half-pixel alignment: dst center i maps to (i + 0.5) * scale - 0.5
@@ -107,36 +94,34 @@ def resize_bilinear(img: RawImage, side: int) -> RawImage:
         hi = np.minimum(lo + 1, n_src - 1)
         return lo, hi, (c - lo)
 
-    y0, y1, fy = coords(img.height, side)
-    x0, x1, fx = coords(img.width, side)
+    y0, y1, fy = coords(height, side)
+    x0, x1, fx = coords(width, side)
     fy = fy[:, None, None]
     fx = fx[None, :, None]
     top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
     bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
     out = top * (1 - fy) + bot * fy
-    pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return RawImage(side, side, pixels)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def center_crop(img: RawImage, side: int) -> RawImage:
+def center_crop(pixels: np.ndarray, side: int) -> np.ndarray:
     """Crop the centered side x side window."""
-    if side > min(img.width, img.height):
-        raise DimensionError(
-            f"crop side {side} exceeds image {img.width}x{img.height}"
-        )
-    oy = (img.height - side) // 2
-    ox = (img.width - side) // 2
-    return RawImage(side, side, img.pixels[oy:oy + side, ox:ox + side].copy())
+    height, width, _ = pixels.shape
+    if side > min(width, height):
+        raise DimensionError(f"crop side {side} exceeds image {width}x{height}")
+    oy = (height - side) // 2
+    ox = (width - side) // 2
+    return pixels[oy:oy + side, ox:ox + side].copy()
 
 
-def normalize_channels(img: RawImage,
+def normalize_channels(pixels: np.ndarray,
                        mean: tuple[float, float, float] = IMAGENET_MEAN,
                        std: tuple[float, float, float] = IMAGENET_STD,
                        dtype=np.float32) -> Tensor:
     """(pixel/255 - mean) / std per channel; layout becomes 3 x H x W."""
     if any(s <= 0 for s in std):
         raise ParameterError(f"std components must be > 0, got {std}")
-    scaled = img.pixels.astype(np.float64) / 255.0
+    scaled = pixels.astype(np.float64) / 255.0
     normed = (scaled - np.asarray(mean)) / np.asarray(std)
     return Tensor(normed.transpose(2, 0, 1), dtype=dtype)
 
@@ -144,15 +129,14 @@ def normalize_channels(img: RawImage,
 def decode_crop(path, crop_side: int = 32) -> np.ndarray:
     """Load -> resize to crop_side * 8/7 -> center crop; the crop's bytes,
     channels-first: a (3, crop_side, crop_side) uint8 array."""
-    img = load_ppm(path)
     resize_side = max(crop_side, round(crop_side * 8 / 7))
-    img = center_crop(resize_bilinear(img, resize_side), crop_side)
-    return img.pixels.transpose(2, 0, 1)
+    crop = center_crop(resize_bilinear(load_ppm(path), resize_side), crop_side)
+    return crop.transpose(2, 0, 1)
 
 
 def _norm_table() -> np.ndarray:
     ramp = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
-    table = normalize_channels(RawImage(256, 1, ramp)).data[:, 0, :].copy()
+    table = normalize_channels(ramp).data[:, 0, :].copy()
     table.flags.writeable = False
     return table
 

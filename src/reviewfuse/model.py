@@ -130,7 +130,7 @@ class ReviewClassifier:
                      if cfg.get("image_cfg") else None)
         model = cls.__new__(cls)
         model._configure(cfg["mode"], text_cfg, image_cfg,
-                         cfg.get("d_hidden", 32), cfg.get("dropout_p", 0.3))
+                         cfg["d_hidden"], cfg["dropout_p"])
         shapes = {name: shape for name, shape, _ in model._layout()}
         _check_arrays(shapes, arrays)
         model.params = {k: Tensor(arrays[k], requires_grad=True, dtype=np.float32)

@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .bundle import atomic_open
 from .data import DatasetSplit, ReviewSample, stratified_split, write_manifest
 from .errors import ParameterError
-from .imageproc import RawImage, save_ppm
+from .imageproc import save_ppm
 
 # every genuine phrase concedes a flaw with "but" before the concrete
 # detail, and every fake phrase reaches for the stock superlative
@@ -82,6 +83,9 @@ TOPIC_WORDS = {
 FILLERS = ["the", "and", "it", "was", "my", "we", "for", "with", "on", "this",
            "that", "had", "got", "after", "again", "overall", "visit", "time",
            "today", "place"]
+
+# train / val / test shares of a generated corpus
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 # per-bucket channel offsets; each row sums to zero so the channel mean
 # (brightness) is hue-neutral, and the offset is additive so the hue cast
@@ -194,17 +198,17 @@ def render_text(spec: GeneratorSpec, topic_idx: int, text_list: int,
 
 
 def render_image(spec: GeneratorSpec, brightness: float, hue: int,
-                 rng: np.random.Generator) -> RawImage:
+                 rng: np.random.Generator) -> np.ndarray:
+    """The image_side x image_side x 3 uint8 pixels of one sample."""
     side = spec.image_side
     base = 0.12 + 0.65 * brightness + HUE_TINTS[hue]
     noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
     img = np.clip(base + noise, 0.0, 1.0)
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    return RawImage(side, side, pixels)
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
 
 
 def generate_synthetic(spec: GeneratorSpec, out_dir,
-                       ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
+                       ratios: tuple[float, float, float] = SPLIT_RATIOS
                        ) -> DatasetSplit:
     """Write images/, the three split CSVs, and provenance.json."""
     os.makedirs(out_dir, exist_ok=True)
@@ -225,7 +229,8 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
     write_manifest(split.train, os.path.join(out_dir, "train.csv"))
     write_manifest(split.val, os.path.join(out_dir, "val.csv"))
     write_manifest(split.test, os.path.join(out_dir, "test.csv"))
-    with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "provenance.json"), "w",
+                     encoding="utf-8") as fh:
         json.dump({"spec": asdict(spec), "ratios": list(ratios)}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewfuse import cli
-from reviewfuse.bundle import load_bundle, save_bundle
+from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.cli import main
 from reviewfuse.data import PreparedDataset, align_images, read_manifest
 from reviewfuse.fusion import predict_labels
 from reviewfuse.image_encoder import ImageEncoderConfig
+from reviewfuse.imageproc import save_ppm
 from reviewfuse.model import ReviewClassifier
 from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import Vocabulary
@@ -44,6 +49,43 @@ def trained(tmp_path_factory, corpus_dir):
                  "--seed", "1"])
     assert code == 0
     return model_path
+
+
+# each subcommand's settings and defaults as they stood when the CLI kept
+# its own copy of them; a flag's default now comes from the library, and a
+# change there that moves one of these shows here
+REQUIRED = "<required>"
+DEFAULTS = {
+    "gen-data": {"out": REQUIRED, "n": 2000, "seed": 7,
+                 "ratios": (0.6, 0.2, 0.2), "text_flip_rate": 0.25,
+                 "p_match": 0.95, "image_side": 37},
+    "train": {"data": REQUIRED, "out": REQUIRED, "mode": "fused", "seed": 0,
+              "lr": 1e-3, "weight_decay": 0.01, "batch_size": 32,
+              "max_epochs": 50, "patience": 5, "max_len": 16,
+              "crop_side": 32, "vocab_size": 2000, "report": None},
+    "eval": {"data": REQUIRED, "model": None, "split": "test",
+             "format": "plain", "out": None, "compare": False, "seed": 0},
+    "predict": {"model": REQUIRED, "text": None, "image": None},
+    "gradcheck": {"seed": 0, "corrupt": False},
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULTS))
+def test_settings_and_defaults_are_unchanged(command):
+    table = DEFAULTS[command]
+    required = [k for k, v in table.items() if v == REQUIRED]
+    args = cli.build_parser().parse_args([command])
+    if required:
+        with pytest.raises(cli.UsageError) as e:
+            cli._merge_config(args, args.defaults)
+        assert str(e.value).endswith(
+            ", ".join(f"--{k}" for k in required))
+    argv = [command] + [a for k in required for a in (f"--{k}", "v")]
+    args = cli.build_parser().parse_args(argv)
+    merged = cli._merge_config(args, args.defaults)
+    want = {**table, **{k: "v" for k in required}}
+    assert merged == want
+    assert [type(v) for v in merged.values()] == [type(want[k]) for k in merged]
 
 
 class TestGenData:
@@ -100,7 +142,11 @@ class TestGenData:
 
 class TestTrain:
     def test_writes_bundle_and_report(self, trained):
-        assert os.path.isfile(trained)
+        config = load_bundle(trained).config
+        assert "preprocess" not in config  # the model config holds the sizes
+        assert config["train_config"] == {
+            "lr": 1e-3, "weight_decay": 0.01, "batch_size": 32,
+            "max_epochs": 2, "patience": 1, "seed": 1}
         report = json.loads(open(trained + ".report.json").read())
         assert len(report["train_losses"]) >= 1
         assert report["best_epoch"] >= 1
@@ -133,6 +179,14 @@ class TestTrain:
             main(argv)
         assert open(out + ".report.json", "rb").read() == before
         assert sorted(os.listdir(tmp_path)) == ["m.fkit", "m.fkit.report.json"]
+
+    def test_oversized_manifest_field_is_a_data_error(self, capsys, tmp_path):
+        # past csv's 131,072-character field limit
+        (tmp_path / "train.csv").write_text(
+            "id,text,label\na,\"" + "x" * 200_000 + "\",0\n")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path),
+                           "--out", str(tmp_path / "m.fkit"))
+        assert code == 2 and "train.csv:2:" in err and "field" in err
 
     def test_missing_data_dir(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope"),
@@ -201,11 +255,47 @@ class TestConfigFile:
         code, out, _ = run(capsys, "gen-data", "--config", str(cfg))
         assert code == 0 and "train: 12 samples" in out
 
+    @pytest.mark.parametrize("raw", [b'{"seed": "caf\xe9"}', b"[" * 100_000],
+                             ids=["not-utf8", "nested-past-recursion-limit"])
+    def test_unreadable_config_is_a_data_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "gradcheck", "--config", str(path))
+        assert code == 2 and "cannot read config" in err and "PASS" not in out
+
     def test_on_off_flag_takes_a_boolean(self, capsys, tmp_path):
         cfg = tmp_path / "eval.json"
         cfg.write_text(json.dumps({"data": "d", "compare": "yes"}))
         code, _, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 1 and "compare" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("scratch")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(set(DEFAULTS["train"]) - {"data", "out", "report"})),
+    JSON_VALUES, max_size=4))
+def test_any_train_config_is_a_usage_or_data_error(scratch, cfg):
+    # --data names a missing directory, so a config that passes every check
+    # stops at the corpus (exit 2) and nothing trains
+    path = scratch / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--data", str(scratch / "missing"), "--out",
+                     str(scratch / "m.fkit"), "--config", str(path)])
+    assert code in (1, 2), err.getvalue()
 
 
 class TestEval:
@@ -250,14 +340,12 @@ class TestPredict:
         save_bundle(model_to_bundle(model, {
             "vocab_tokens": ["alpha", "beta", "gamma", "delta", "epsilon",
                              "zeta"],
-            "preprocess": {"max_len": 8, "crop_side": 8},
         }), path)
         return path
 
     def _ppm(self, tmp_path):
-        from reviewfuse.imageproc import RawImage, save_ppm
         p = str(tmp_path / "img.ppm")
-        save_ppm(RawImage(9, 9, np.full((9, 9, 3), 120, dtype=np.uint8)), p)
+        save_ppm(np.full((9, 9, 3), 120, dtype=np.uint8), p)
         return p
 
     def test_zero_weights_tie_goes_to_fake(self, capsys, tmp_path):
@@ -298,12 +386,12 @@ class TestPredict:
         # single-sample predict reports the row eval computes for that sample
         bundle = load_bundle(trained)
         model = model_from_bundle(bundle)
-        prep = bundle.config["preprocess"]
         samples, _ = align_images(read_manifest(corpus_dir / "test.csv"),
                                   corpus_dir / "images")
         ds = PreparedDataset.prepare(
             samples, vocab=Vocabulary(bundle.config["vocab_tokens"]),
-            max_len=prep["max_len"], crop_side=prep["crop_side"])
+            max_len=model.text_cfg.max_len,
+            crop_side=model.image_cfg.input_side)
         logits, _ = eval_outputs(model.forward_batch, ds)
         labels = predict_labels(logits)
         z = logits.astype(np.float64)
@@ -316,6 +404,24 @@ class TestPredict:
             assert f"label: {('fake', 'genuine')[labels[i]]}" in out
             printed = float(out.split("p_genuine: ")[1].split()[0])
             assert abs(printed - p_genuine[i]) <= 1e-4
+
+    def test_preprocess_block_of_older_bundles_is_ignored(self, capsys,
+                                                          corpus_dir, trained,
+                                                          tmp_path):
+        # bundles written before the model config alone held the sizes also
+        # carry them in a "preprocess" block; whatever it says, predict
+        # reads the model config
+        argv = ["--text", "absolutely amazing best ever",
+                "--image", str(corpus_dir / "images" / "s000000.ppm")]
+        code, want, _ = run(capsys, "predict", "--model", trained, *argv)
+        bundle = load_bundle(trained)
+        for prep in ({"max_len": 16, "crop_side": 32}, {"max_len": 2},
+                     "junk"):
+            old = str(tmp_path / "old.fkit")
+            save_bundle(ModelBundle(bundle.tensors,
+                                    {**bundle.config, "preprocess": prep}), old)
+            assert run(capsys, "predict", "--model", old, *argv)[:2] == (code, want)
+        assert code == 0
 
     def test_image_with_trailing_bytes(self, capsys, tmp_path):
         model, image = self._zero_model_path(tmp_path), self._ppm(tmp_path)
@@ -338,11 +444,10 @@ class TestManifestEncoding:
     """A split manifest is UTF-8, with or without a byte-order mark."""
 
     def eval_split(self, capsys, tmp_path, manifest: bytes):
-        from reviewfuse.imageproc import RawImage, save_ppm
         data = tmp_path / "data"
         (data / "images").mkdir(parents=True)
         for sid in "abcd":
-            save_ppm(RawImage(9, 9, np.full((9, 9, 3), 7, dtype=np.uint8)),
+            save_ppm(np.full((9, 9, 3), 7, dtype=np.uint8),
                      data / "images" / f"{sid}.ppm")
         (data / "test.csv").write_bytes(manifest)
         model = TestPredict()._zero_model_path(tmp_path)
@@ -370,6 +475,12 @@ def fkit_blob(tensors, config: bytes) -> bytes:
         out += [struct.pack("<I", len(name)), name,
                 struct.pack(f"<I{len(shape)}Q", len(shape), *shape), payload]
     return b"".join(out + [struct.pack("<Q", len(config)), config])
+
+
+def shorten_text(bundle, max_len):
+    """Cut the bundle's text model to ``max_len`` positions."""
+    bundle.config["model"]["text_cfg"]["max_len"] = max_len
+    bundle.tensors["text.pos_emb"] = bundle.tensors["text.pos_emb"][:max_len]
 
 
 class TestMalformedBundle:
@@ -403,38 +514,37 @@ class TestMalformedBundle:
         assert code == 2 and "error:" in err
 
     @pytest.mark.parametrize("mutate", [
-        lambda c: c.update(model=5),
-        lambda c: c["model"]["text_cfg"].update(vocab_size="x"),
-        lambda c: c["model"]["text_cfg"].update(bogus=1),
-        lambda c: c["model"].pop("mode"),
-        lambda c: c["model"].update(mode="bogus"),
-        lambda c: c["model"]["text_cfg"].update(d_model=-1),
-        lambda c: c.update(vocab_tokens=5),
-        lambda c: c.update(vocab_tokens=["alpha", 5]),
-        lambda c: c.update(vocab_tokens=["alpha"] * 6),
+        lambda b: b.config.update(model=5),
+        lambda b: b.config["model"]["text_cfg"].update(vocab_size="x"),
+        lambda b: b.config["model"]["text_cfg"].update(bogus=1),
+        lambda b: b.config["model"].pop("mode"),
+        lambda b: b.config["model"].update(mode="bogus"),
+        lambda b: b.config["model"]["text_cfg"].update(d_model=-1),
+        lambda b: b.config.update(vocab_tokens=5),
+        lambda b: b.config.update(vocab_tokens=["alpha", 5]),
+        lambda b: b.config.update(vocab_tokens=["alpha"] * 6),
         # 50 entries against the 10-row token table
-        lambda c: c.update(vocab_tokens=[f"w{i}" for i in range(46)]),
-        lambda c: c.update(preprocess=[8, 8]),
-        lambda c: c["preprocess"].pop("max_len"),
-        lambda c: c["preprocess"].update(max_len="8"),
-        lambda c: c["preprocess"].update(max_len=2),
-        lambda c: c["preprocess"].update(crop_side=0),
-        lambda c: c["preprocess"].update(max_len=12),
-        lambda c: c["preprocess"].update(crop_side=16),
+        lambda b: b.config.update(vocab_tokens=[f"w{i}" for i in range(46)]),
+        lambda b: b.config["model"]["text_cfg"].update(max_len="8"),
+        # [CLS] and [SEP] would leave no position for a token
+        lambda b: shorten_text(b, 2),
+        lambda b: b.config["model"]["image_cfg"].update(input_side=0),
+        # a 114,286-pixel resize would need 292 GiB
+        lambda b: b.config["model"]["image_cfg"].update(input_side=10 ** 5),
+        lambda b: b.config["model"].pop("d_hidden"),
     ], ids=["model-not-object", "vocab-size-str", "unknown-text-cfg-key",
             "missing-mode", "bogus-mode", "negative-d-model",
             "vocab-tokens-not-list", "vocab-token-not-str",
             "duplicate-vocab-tokens", "vocab-larger-than-table",
-            "preprocess-list", "missing-max-len", "max-len-str",
-            "max-len-too-small", "crop-side-zero", "max-len-not-the-model's",
-            "crop-side-not-the-model's"])
+            "max-len-str", "max-len-too-small", "crop-side-zero",
+            "crop-side-too-large", "missing-d-hidden"])
     def test_malformed_config_entry(self, capsys, tmp_path, mutate):
         path = TestPredict()._zero_model_path(tmp_path)
         image = TestPredict()._ppm(tmp_path)
         argv = ["predict", "--model", path, "--text", "alpha", "--image", image]
         assert run(capsys, *argv)[0] == 0
         bundle = load_bundle(path)
-        mutate(bundle.config)
+        mutate(bundle)
         save_bundle(bundle, path)
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err

@@ -20,7 +20,6 @@ from reviewfuse.errors import (
     SplitError,
 )
 from reviewfuse.imageproc import (
-    RawImage,
     center_crop,
     load_ppm,
     normalize_channels,
@@ -80,6 +79,20 @@ class TestManifest:
         (s,) = read_manifest(p)
         assert (s.id, s.text, s.label) == ("a", "x\r\ny", 0)
 
+    def test_failed_write_leaves_previous_manifest(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot render")
+
+        p = tmp_path / "m.csv"
+        write_manifest(make_samples(4), p)
+        before = p.read_bytes()
+        rows = make_samples(50) + [ReviewSample("bad", Unprintable(), 0)]
+        with pytest.raises(RuntimeError):
+            write_manifest(rows, p)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csv"]
+
     def test_roundtrip_random_samples(self, tmp_path):
         rng = np.random.default_rng(0)
         chars = 'abc ,"\n\'xyz'
@@ -97,8 +110,7 @@ class TestManifest:
 
 class TestAlignImages:
     def _touch_ppm(self, d, name):
-        save_ppm(RawImage(1, 1, np.zeros((1, 1, 3), dtype=np.uint8)),
-                 os.path.join(d, name))
+        save_ppm(np.zeros((1, 1, 3), dtype=np.uint8), os.path.join(d, name))
 
     def test_aligned(self, tmp_path):
         for n in ("a.ppm", "b.ppm"):
@@ -202,7 +214,7 @@ class TestBatchIter:
         for i in range(6):
             path = os.path.join(tmp_path, f"r{i}.ppm")
             val = np.full((37, 37, 3), i * 10, dtype=np.uint8)
-            save_ppm(RawImage(37, 37, val), path)
+            save_ppm(val, path)
             samples.append(ReviewSample(f"r{i}", f"word{i}", i % 2,
                                         image_path=path))
         vocab = build_vocab([s.text for s in samples], max_size=20)
@@ -231,7 +243,7 @@ class TestPrepareImages:
         for i, (w, h) in enumerate(sizes):
             path = os.path.join(tmp_path, f"p{i}.ppm")
             px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            save_ppm(RawImage(w, h, px), path)
+            save_ppm(px, path)
             samples.append(ReviewSample(f"p{i}", "x", i % 2, image_path=path))
         return samples
 

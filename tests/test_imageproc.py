@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reviewfuse.errors import DimensionError, FormatError, ParameterError
 from reviewfuse.imageproc import (
     NORM_TABLE,
-    RawImage,
     center_crop,
     decode_crop,
     load_ppm,
@@ -18,7 +21,7 @@ from reviewfuse.imageproc import (
 
 def make_image(h, w, seed=0):
     rng = np.random.default_rng(seed)
-    return RawImage(w, h, rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+    return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
 
 
 class TestPpmIO:
@@ -26,8 +29,8 @@ class TestPpmIO:
         p = tmp_path / "red.ppm"
         p.write_bytes(b"P6\n1 1\n255\n\xff\x00\x00")
         img = load_ppm(p)
-        assert (img.width, img.height) == (1, 1)
-        np.testing.assert_array_equal(img.pixels[0, 0], [255, 0, 0])
+        assert img.shape == (1, 1, 3) and img.dtype == np.uint8
+        np.testing.assert_array_equal(img[0, 0], [255, 0, 0])
 
     def test_truncated_body(self, tmp_path):
         p = tmp_path / "bad.ppm"
@@ -51,7 +54,7 @@ class TestPpmIO:
             p = tmp_path / f"img{seed}.ppm"
             save_ppm(img, p)
             back = load_ppm(p)
-            np.testing.assert_array_equal(back.pixels, img.pixels)
+            np.testing.assert_array_equal(back, img)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "t.ppm"
@@ -63,29 +66,72 @@ class TestPpmIO:
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
         img = load_ppm(p)
-        np.testing.assert_array_equal(img.pixels[0, 0], [1, 2, 3])
+        np.testing.assert_array_equal(img[0, 0], [1, 2, 3])
+
+
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2, 4), dtype=np.uint8),
+        np.zeros((2, 2, 3), dtype=np.float32)], ids=["2d", "4-channel", "float"])
+    def test_save_rejects_what_is_not_hxwx3_bytes(self, tmp_path, pixels):
+        with pytest.raises(DimensionError):
+            save_ppm(pixels, tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
+
+
+@st.composite
+def ppm_like(draw):
+    """A P6 header and its body, as written or with bytes cut, appended or
+    spliced in."""
+    w, h = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    blob = b"P6\n%d %d\n255\n" % (w, h)
+    blob += draw(st.binary(min_size=max(w * h * 3, 0), max_size=max(w * h * 3, 0)))
+    at = draw(st.integers(0, len(blob)))
+    edit = draw(st.sampled_from(["none", "cut", "append", "splice"]))
+    if edit == "cut":
+        blob = blob[:at]
+    elif edit != "none":
+        extra = draw(st.binary(min_size=1, max_size=4))
+        blob = blob + extra if edit == "append" else blob[:at] + extra + blob[at:]
+    return blob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=40), ppm_like()))
+def test_any_bytes_decode_to_their_header_or_raise_format_error(tmp_path, blob):
+    p = tmp_path / "any.ppm"
+    p.write_bytes(blob)
+    try:
+        img = load_ppm(p)
+    except FormatError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+    body = img.tobytes()
+    assert blob.endswith(body)
+    fields = re.sub(rb"#[^\n]*", b"", blob[:len(blob) - len(body)]).split()
+    assert [int(f) for f in fields[1:]] == [img.shape[1], img.shape[0], 255]
 
 
 class TestResize:
     def test_constant_color(self):
-        img = RawImage(3, 5, np.full((5, 3, 3), 123, dtype=np.uint8))
+        img = np.full((5, 3, 3), 123, dtype=np.uint8)
         out = resize_bilinear(img, 7)
-        assert np.all(out.pixels == 123)
+        assert out.shape == (7, 7, 3) and np.all(out == 123)
 
     def test_identity_same_side(self):
         img = make_image(6, 6, 1)
         out = resize_bilinear(img, 6)
-        np.testing.assert_array_equal(out.pixels, img.pixels)
+        np.testing.assert_array_equal(out, img)
 
     def test_checkerboard_corners(self):
         # 2x2 checkerboard upsampled to 4x4: output corners hit source corners
         board = np.zeros((2, 2, 3), dtype=np.uint8)
         board[0, 0] = board[1, 1] = 255
-        out = resize_bilinear(RawImage(2, 2, board), 4)
-        np.testing.assert_array_equal(out.pixels[0, 0], [255, 255, 255])
-        np.testing.assert_array_equal(out.pixels[0, 3], [0, 0, 0])
-        np.testing.assert_array_equal(out.pixels[3, 0], [0, 0, 0])
-        np.testing.assert_array_equal(out.pixels[3, 3], [255, 255, 255])
+        out = resize_bilinear(board, 4)
+        np.testing.assert_array_equal(out[0, 0], [255, 255, 255])
+        np.testing.assert_array_equal(out[0, 3], [0, 0, 0])
+        np.testing.assert_array_equal(out[3, 0], [0, 0, 0])
+        np.testing.assert_array_equal(out[3, 3], [255, 255, 255])
 
     def test_bad_side(self):
         with pytest.raises(ParameterError):
@@ -95,12 +141,12 @@ class TestResize:
 class TestCenterCrop:
     def test_full_size_identity(self):
         img = make_image(5, 5, 2)
-        np.testing.assert_array_equal(center_crop(img, 5).pixels, img.pixels)
+        np.testing.assert_array_equal(center_crop(img, 5), img)
 
     def test_offset_arithmetic(self):
         img = make_image(4, 4, 3)
         out = center_crop(img, 2)
-        np.testing.assert_array_equal(out.pixels, img.pixels[1:3, 1:3])
+        np.testing.assert_array_equal(out, img[1:3, 1:3])
 
     def test_too_large(self):
         with pytest.raises(DimensionError):
@@ -108,8 +154,8 @@ class TestCenterCrop:
 
     def test_commutes_with_hflip(self):
         img = make_image(6, 6, 4)
-        a = center_crop(RawImage(6, 6, img.pixels[:, ::-1].copy()), 4).pixels
-        b = center_crop(img, 4).pixels[:, ::-1]
+        a = center_crop(img[:, ::-1].copy(), 4)
+        b = center_crop(img, 4)[:, ::-1]
         np.testing.assert_array_equal(a, b)
 
 
@@ -119,14 +165,14 @@ class TestNormalize:
         std = (0.2, 0.2, 0.2)
         px = np.zeros((1, 1, 3), dtype=np.uint8)
         px[0, 0] = np.rint(np.array(mean) * 255)
-        out = normalize_channels(RawImage(1, 1, px), mean, std, dtype=np.float64)
+        out = normalize_channels(px, mean, std, dtype=np.float64)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-2)
 
     def test_plain_scaling(self):
         img = make_image(2, 2, 5)
         out = normalize_channels(img, (0, 0, 0), (1, 1, 1), dtype=np.float64)
         np.testing.assert_allclose(out.data,
-                                   img.pixels.transpose(2, 0, 1) / 255.0)
+                                   img.transpose(2, 0, 1) / 255.0)
 
     def test_zero_std(self):
         with pytest.raises(ParameterError):
@@ -139,7 +185,7 @@ class TestNormalize:
         for c in range(3):
             for y in range(2):
                 for x in range(2):
-                    assert out.data[c, y, x] == img.pixels[y, x, c] / 255.0
+                    assert out.data[c, y, x] == img[y, x, c] / 255.0
 
     def test_invertible(self):
         img = make_image(3, 3, 7)
@@ -148,7 +194,7 @@ class TestNormalize:
         std = np.asarray([0.229, 0.224, 0.225])[:, None, None]
         recovered = out.data * std + mean
         np.testing.assert_allclose(recovered,
-                                   img.pixels.transpose(2, 0, 1) / 255.0,
+                                   img.transpose(2, 0, 1) / 255.0,
                                    atol=1e-6)
 
 
@@ -158,7 +204,7 @@ class TestNormalizeBatch:
         # ramp the table is built from
         for v in range(256):
             px = np.full((1, 1, 3), v, dtype=np.uint8)
-            want = normalize_channels(RawImage(1, 1, px)).data[:, 0, 0]
+            want = normalize_channels(px).data[:, 0, 0]
             assert NORM_TABLE.dtype == np.float32
             np.testing.assert_array_equal(NORM_TABLE[:, v], want)
 
@@ -168,7 +214,7 @@ class TestNormalizeBatch:
         out = normalize_batch(crops)
         assert out.dtype == np.float32 and out.shape == crops.shape
         for i in range(5):
-            img = RawImage(6, 6, crops[i].transpose(1, 2, 0).copy())
+            img = crops[i].transpose(1, 2, 0)
             assert out[i].tobytes() == normalize_channels(img).data.tobytes()
 
 
@@ -178,7 +224,7 @@ class TestPreprocess:
         p = tmp_path / "x.ppm"
         save_ppm(img, p)
         crop = decode_crop(p, crop_side=32)
-        want = center_crop(resize_bilinear(img, 37), 32).pixels
+        want = center_crop(resize_bilinear(img, 37), 32)
         assert crop.dtype == np.uint8 and crop.shape == (3, 32, 32)
         np.testing.assert_array_equal(crop, want.transpose(2, 0, 1))
 
