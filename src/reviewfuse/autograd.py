@@ -33,6 +33,11 @@ from .errors import (
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the graph (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation / inference)."""
@@ -470,6 +475,11 @@ def mlp_head_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray,
 # scratch of one conv2d tile's stacked taps: a quarter of a 2 MiB L2, so
 # the stacked matrix stays in cache while the GEMM reads it
 CONV_TILE_BYTES = 512 * 1024
+
+# widest activation of one group of whole images in a graph-free CNN
+# forward (``image_encoder.encode_image``): 4 desk-size images, 1 at paper
+# scale
+EVAL_GROUP_BYTES = 256 * 1024
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:

@@ -261,9 +261,7 @@ def cmd_eval(cfg) -> int:
     samples, _ = align_images(samples, os.path.join(cfg["data"], "images"))
     dataset = PreparedDataset.prepare(
         samples, vocab=vocab, max_len=getattr(model.text_cfg, "max_len", None),
-        crop_side=getattr(model.image_cfg, "input_side", None),
-        need_text=model.text_cfg is not None,
-        need_images=model.image_cfg is not None)
+        crop_side=getattr(model.image_cfg, "input_side", None), **model.reads)
     report = evaluate(model, dataset, split_tag=cfg["split"])
     print(emit_report(report, fmt=cfg["format"], path=cfg["out"]), end="")
     print(format_confusion(report.cm), end="")
@@ -277,7 +275,8 @@ def cmd_predict(cfg) -> int:
     if model.text_cfg is not None:
         if cfg["text"] is None:
             raise UsageError(f"mode {model.mode} requires --text")
-        reviews = [tokenize(vocab, cfg["text"], max_len=model.text_cfg.max_len)]
+        ids = tokenize(vocab, cfg["text"], max_len=model.text_cfg.max_len)
+        reviews = ids[np.newaxis]
     if model.image_cfg is not None:
         if cfg["image"] is None:
             raise UsageError(f"mode {model.mode} requires --image")

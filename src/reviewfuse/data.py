@@ -13,8 +13,8 @@ import numpy as np
 from .autograd import Tensor
 from .bundle import atomic_open
 from .errors import AlignmentError, ContractError, ManifestError, SplitError
-from .imageproc import decode_crop, normalize_batch
-from .textproc import TokenizedReview, Vocabulary, tokenize
+from .imageproc import DESK_CROP_SIDE, decode_crop, normalize_batch
+from .textproc import DESK_MAX_LEN, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
 
@@ -162,24 +162,34 @@ def stratified_split(samples: list[ReviewSample],
 class PreparedDataset:
     """Pre-tokenized, pre-decoded arrays for one split, batch-iterable.
 
+    ``reviews`` holds each sample's token ids as one row of an (N, L)
+    int32 array (``tokenize``); its attention mask is ``ids != PAD_ID``.
     ``images`` holds each sample's center crop as bytes (``decode_crop``),
     a quarter of the float32 batch it becomes; ``batches`` normalizes the
-    rows it yields (``normalize_batch``).
+    rows it yields (``normalize_batch``). A sequence of rows is taken as
+    ``reviews`` and stacked.
     """
-    reviews: list[TokenizedReview] | None
+    reviews: np.ndarray | None  # (N, L) int32
     images: np.ndarray | None  # (N, 3, S, S) uint8
     labels: np.ndarray  # (N,) int64
     ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        n = len(self.labels)
+        if self.reviews is not None:
+            self.reviews = np.asarray(self.reviews, dtype=np.int32)
+            if self.reviews.ndim != 2 or self.reviews.shape[0] != n:
+                raise ContractError(
+                    f"reviews must be an (N, L) array of token ids with "
+                    f"N = {n}, got shape {self.reviews.shape}")
         im = self.images
         if im is not None and not (
                 isinstance(im, np.ndarray) and im.dtype == np.uint8
-                and im.ndim == 4 and im.shape[0] == len(self.labels)
+                and im.ndim == 4 and im.shape[0] == n
                 and im.shape[1] == 3 and im.shape[2] == im.shape[3]):
             raise ContractError(
                 f"images must be an (N, 3, S, S) uint8 array with "
-                f"N = {len(self.labels)}, got {getattr(im, 'dtype', type(im))} "
+                f"N = {n}, got {getattr(im, 'dtype', type(im))} "
                 f"{getattr(im, 'shape', '')}")
 
     def __len__(self) -> int:
@@ -187,14 +197,16 @@ class PreparedDataset:
 
     @classmethod
     def prepare(cls, samples: list[ReviewSample],
-                vocab: Vocabulary | None = None, max_len: int = 16,
-                crop_side: int = 32, need_text: bool = True,
+                vocab: Vocabulary | None = None, max_len: int = DESK_MAX_LEN,
+                crop_side: int = DESK_CROP_SIDE, need_text: bool = True,
                 need_images: bool = True) -> "PreparedDataset":
         reviews = None
         if need_text:
             if vocab is None:
                 raise ManifestError("text preparation requires a vocabulary")
-            reviews = [tokenize(vocab, s.text, max_len) for s in samples]
+            reviews = np.empty((len(samples), max_len), dtype=np.int32)
+            for i, s in enumerate(samples):
+                reviews[i] = tokenize(vocab, s.text, max_len)
         images = None
         if need_images:
             # filled in place: stacking a list would hold two copies at the peak
@@ -209,11 +221,14 @@ class PreparedDataset:
                    ids=[s.id for s in samples])
 
     def batches(self, batch_size: int, seed: int = 0, epoch: int = 0,
-                shuffle: bool = True):
-        """Yield (reviews, images Tensor, labels) in a deterministic order.
+                shuffle: bool = True, need_text: bool = True,
+                need_images: bool = True):
+        """Yield (token ids, images Tensor, labels) in a deterministic order.
 
-        The permutation is keyed on (seed, epoch); the final partial batch
-        is kept.
+        The ids are a (B, L) int32 slice and the labels a (B,) int64 slice.
+        A modality that is not needed, or that the split does not hold, is
+        None. The permutation is keyed on (seed, epoch); the final partial
+        batch is kept.
         """
         if batch_size < 1:
             raise SplitError(f"batch_size must be >= 1, got {batch_size}")
@@ -222,9 +237,10 @@ class PreparedDataset:
             order = np.random.default_rng([seed, epoch]).permutation(n)
         else:
             order = np.arange(n)
+        text = self.reviews if need_text else None
+        images = self.images if need_images else None
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            revs = [self.reviews[i] for i in idx] if self.reviews is not None else None
-            imgs = (Tensor(normalize_batch(self.images[idx]))
-                    if self.images is not None else None)
-            yield revs, imgs, [int(self.labels[i]) for i in idx]
+            yield (None if text is None else text[idx],
+                   None if images is None else Tensor(normalize_batch(images[idx])),
+                   self.labels[idx])

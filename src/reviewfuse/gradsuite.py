@@ -18,7 +18,6 @@ from .fusion import FusionConfig, init_fusion
 from .image_encoder import ImageEncoderConfig, init_image_encoder, residual_block
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig, encoder_block, init_text_encoder
-from .textproc import TokenizedReview
 
 F64_THRESHOLD = 1e-6
 F32_THRESHOLD = 1e-3
@@ -153,12 +152,7 @@ def _full_model_pair(seed):
 
 def _check_full_model_f32(rng, corrupt=False):
     m32, m64 = _full_model_pair(int(rng.integers(0, 2 ** 31)))
-    reviews = [
-        TokenizedReview(ids=[2, 5, 7, 4, 3, 0], mask=[1, 1, 1, 1, 1, 0],
-                        true_length=3),
-        TokenizedReview(ids=[2, 9, 3, 0, 0, 0], mask=[1, 1, 1, 0, 0, 0],
-                        true_length=1),
-    ]
+    reviews = np.array([[2, 5, 7, 4, 3, 0], [2, 9, 3, 0, 0, 0]], dtype=np.int32)
     imgs = rng.normal(size=(2, 3, 8, 8))
     labels = [1, 0]
 

@@ -17,11 +17,12 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import DimensionError, ParameterError
+from .imageproc import DESK_CROP_SIDE
 
 
 @dataclass
 class ImageEncoderConfig:
-    input_side: int = 32
+    input_side: int = DESK_CROP_SIDE
     stem_channels: int = 16
     # (blocks, channels, stride of the stage's first block)
     stages: list[tuple[int, int, int]] = field(
@@ -100,18 +101,49 @@ def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                            residual=shortcut, relu=True)
 
 
+def eval_group(cfg: ImageEncoderConfig, itemsize: int) -> int:
+    """Images per group of a graph-free forward: as many whole images as
+    keep the widest activation within ``autograd.EVAL_GROUP_BYTES``, at
+    least one."""
+    side = cfg.input_side
+    widest = max(3, cfg.stem_channels) * side * side
+    for _, channels, stride in cfg.stages:
+        side = (side - 1) // stride + 1  # a 3x3 conv, pad 1
+        widest = max(widest, channels * side * side)
+    return max(1, ag.EVAL_GROUP_BYTES // (widest * itemsize))
+
+
 def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
                  img: Tensor) -> Tensor:
     """Normalized images, B x 3 x S x S -> B x d_out pooled features.
 
-    The batch is moved to channel-major order once, as data: no gradient
-    flows back to the pixels.
+    Recording a graph, the batch runs as one pass. Without one
+    (``autograd.no_grad``) it runs in consecutive groups of ``eval_group``
+    whole images, so an eval forward holds one group's activations at a
+    time. Every op works image by image, so the pooled rows are bitwise
+    those of one pass.
     """
-    if img.data.ndim != 4 or img.data.shape[-2:] != (cfg.input_side, cfg.input_side):
+    pixels = img.data
+    if pixels.ndim != 4 or pixels.shape[-2:] != (cfg.input_side, cfg.input_side):
         raise DimensionError(
-            f"input {img.data.shape} is not B x 3 x {cfg.input_side} x {cfg.input_side}"
+            f"input {pixels.shape} is not B x 3 x {cfg.input_side} x {cfg.input_side}"
         )
-    x = Tensor(np.ascontiguousarray(img.data.transpose(1, 0, 2, 3)))
+    bsz = pixels.shape[0]
+    group = bsz if ag.grad_enabled() else eval_group(cfg, pixels.itemsize)
+    if group >= bsz:
+        return _forward(params, cfg, pixels)
+    out = np.empty((bsz, cfg.d_out), dtype=pixels.dtype)
+    for b0 in range(0, bsz, group):
+        out[b0:b0 + group] = _forward(params, cfg, pixels[b0:b0 + group]).data
+    return Tensor(out)
+
+
+def _forward(params: dict[str, Tensor], cfg: ImageEncoderConfig,
+             pixels: np.ndarray) -> Tensor:
+    """The CNN over a B x 3 x S x S batch. The batch is moved to
+    channel-major order once, as data: no gradient flows back to the
+    pixels."""
+    x = Tensor(np.ascontiguousarray(pixels.transpose(1, 0, 2, 3)))
     x = ag.conv2d(x, params["stem.conv"], stride=1, pad=1)
     x = ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"], relu=True)
     for si, (blocks, channels, stride) in enumerate(cfg.stages):

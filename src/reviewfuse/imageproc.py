@@ -18,6 +18,9 @@ from .errors import DimensionError, FormatError, ParameterError
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
 
+# side of the square crop the CNN reads at desk scale
+DESK_CROP_SIDE = 32
+
 
 def load_ppm(path) -> np.ndarray:
     """Decode a binary PPM (P6, maxval 255) to its H x W x 3 uint8 pixels."""
@@ -126,7 +129,7 @@ def normalize_channels(pixels: np.ndarray,
     return Tensor(normed.transpose(2, 0, 1), dtype=dtype)
 
 
-def decode_crop(path, crop_side: int = 32) -> np.ndarray:
+def decode_crop(path, crop_side: int) -> np.ndarray:
     """Load -> resize to crop_side * 8/7 -> center crop; the crop's bytes,
     channels-first: a (3, crop_side, crop_side) uint8 array."""
     resize_side = max(crop_side, round(crop_side * 8 / 7))
@@ -157,7 +160,7 @@ def normalize_batch(crops: np.ndarray) -> np.ndarray:
     return out
 
 
-def preprocess(path, crop_side: int = 32) -> Tensor:
+def preprocess(path, crop_side: int) -> Tensor:
     """One file through the transform that every batch of training, eval
     and predict goes through: ``decode_crop`` then ``normalize_batch``, as
     a 3 x S x S float32 tensor."""

@@ -112,7 +112,7 @@ def compute_metrics(cm: ConfusionMatrix, model_tag: str = "",
 def evaluate(model: ReviewClassifier, dataset, model_tag: str | None = None,
              split_tag: str = "test") -> MetricsReport:
     """Eval-mode predictions over a PreparedDataset -> MetricsReport."""
-    logits, golds = eval_outputs(model.forward_batch, dataset)
+    logits, golds = eval_outputs(model.forward_batch, dataset, **model.reads)
     return compute_metrics(confusion_matrix(predict_labels(logits).tolist(),
                                             golds.tolist()),
                            model_tag=model_tag or model.mode,

@@ -16,7 +16,6 @@ from .errors import ContractError
 from .fusion import FusionConfig, classify_batch, fusion_layout
 from .image_encoder import ImageEncoderConfig, encode_image, image_encoder_layout
 from .text_encoder import TextEncoderConfig, encode_text, text_encoder_layout
-from .textproc import TokenizedReview
 
 MODES = ("text_only", "image_only", "fused")
 
@@ -61,10 +60,19 @@ class ReviewClassifier:
         n = len(prefix)
         return {k[n:]: v for k, v in self.params.items() if k.startswith(prefix)}
 
-    def encode_batch(self, reviews: list[TokenizedReview] | None,
+    @property
+    def reads(self) -> dict[str, bool]:
+        """The ``PreparedDataset.batches`` flags of the modalities this
+        model reads."""
+        return {"need_text": self.text_cfg is not None,
+                "need_images": self.image_cfg is not None}
+
+    def encode_batch(self, reviews: np.ndarray | None,
                      images: Tensor | None, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
-        """Return the B x d_in pre-head representation (encoders only)."""
+        """Return the B x d_in pre-head representation (encoders only).
+
+        ``reviews`` is the (B, L) int32 token-id batch."""
         feats = None
         if self.text_cfg is not None:
             if reviews is None:
@@ -78,7 +86,7 @@ class ReviewClassifier:
             feats = img_feats if feats is None else ag.concat_cols(feats, img_feats)
         return feats
 
-    def forward_batch(self, reviews: list[TokenizedReview] | None,
+    def forward_batch(self, reviews: np.ndarray | None,
                       images: Tensor | None, training: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Return B x 2 logits for a batch of samples."""

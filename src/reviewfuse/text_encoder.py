@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import DimensionError, ParameterError
-from .textproc import TokenizedReview
+from .textproc import DESK_MAX_LEN, PAD_ID
 
 
 @dataclass
@@ -26,7 +26,7 @@ class TextEncoderConfig:
     n_layers: int = 2
     n_heads: int = 2
     d_ff: int = 64
-    max_len: int = 16
+    max_len: int = DESK_MAX_LEN
     dropout_p: float = 0.1
 
     def __post_init__(self):
@@ -107,20 +107,19 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
 
 
 def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
-                reviews: list[TokenizedReview], training: bool = False,
+                ids: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Embed a batch, run all blocks on one (B*L, d_model) activation, and
-    return the B x d_model [CLS]-position rows."""
-    bsz, seq_len, d = len(reviews), cfg.max_len, cfg.d_model
+    """Embed a (B, L) batch of token-id rows, run all blocks on one
+    (B*L, d_model) activation, and return the B x d_model [CLS]-position
+    rows. The attention mask is ``ids != PAD_ID``."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
+        raise DimensionError(
+            f"token ids of shape {ids.shape}, expected (B, {cfg.max_len})")
+    (bsz, seq_len), d = ids.shape, cfg.d_model
     if bsz == 0:
         raise DimensionError("encode_text needs at least one review")
-    for r in reviews:
-        if len(r.ids) != seq_len or len(r.mask) != seq_len:
-            raise DimensionError(
-                f"review length {len(r.ids)} != configured max_len {seq_len}"
-            )
-    ids = np.array([r.ids for r in reviews]).reshape(-1)
-    mask = np.array([r.mask for r in reviews])
+    mask = ids != PAD_ID
     drops = None
     if training and cfg.dropout_p > 0:
         if rng is None:
@@ -129,7 +128,7 @@ def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
         # review gets the masks it would get if encoded on its own
         drops = rng.random((bsz, cfg.n_layers, 2, seq_len, d))
     positions = np.tile(np.arange(seq_len), bsz)
-    x = ag.add(ag.embedding_lookup(params["tok_emb"], ids),
+    x = ag.add(ag.embedding_lookup(params["tok_emb"], ids.reshape(-1)),
                ag.embedding_lookup(params["pos_emb"], positions))
     for i in range(cfg.n_layers):
         u = None if drops is None else \

@@ -3,14 +3,17 @@
 Word-level vocabulary with four reserved ids ([PAD]=0, [UNK]=1, [CLS]=2,
 [SEP]=3). Reviews are normalized (lowercase, punctuation stripped,
 whitespace collapsed), split on whitespace, mapped to ids, and assembled as
-[CLS] tokens... [SEP] with [PAD] fill and a 1/0 attention mask.
+an int32 row [CLS] tokens... [SEP] with [PAD] fill. A normalized word never
+reads ``[PAD]`` (its brackets are punctuation), so the attention mask of a
+row is ``ids != PAD_ID``.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -20,15 +23,29 @@ CLS_ID = 2
 SEP_ID = 3
 RESERVED = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
 
+# tokens per review at desk scale, [CLS] and [SEP] included
+DESK_MAX_LEN = 16
+
+
+class _PunctuationTable(dict):
+    """``str.translate`` table that deletes Unicode punctuation (category
+    P*) and keeps every other code point, filled on first sight. Only code
+    points below U+0800 are stored, so no text can grow it past 2,048
+    entries."""
+
+    def __missing__(self, cp: int):
+        keep = None if unicodedata.category(chr(cp)).startswith("P") else cp
+        if cp < 0x800:
+            self[cp] = keep
+        return keep
+
+
+TABLE = _PunctuationTable()
+
 
 def normalize_text(raw: str) -> str:
     """Lowercase, drop Unicode punctuation, collapse whitespace runs."""
-    out = []
-    for ch in raw.lower():
-        if unicodedata.category(ch).startswith("P"):
-            continue
-        out.append(" " if ch.isspace() else ch)
-    return " ".join("".join(out).split())
+    return " ".join(raw.lower().translate(TABLE).split())
 
 
 class Vocabulary:
@@ -59,21 +76,14 @@ def build_vocab(corpus: list[str], max_size: int = 2000, min_count: int = 1) -> 
     return Vocabulary(admitted)
 
 
-@dataclass
-class TokenizedReview:
-    ids: list[int]
-    mask: list[int]
-    true_length: int
-
-
-def tokenize(vocab: Vocabulary, text: str, max_len: int = 128) -> TokenizedReview:
-    """Normalize, map to ids, wrap in [CLS]/[SEP], truncate tail, pad."""
+def tokenize(vocab: Vocabulary, text: str, max_len: int = 128) -> np.ndarray:
+    """Normalize, map to ids, wrap in [CLS]/[SEP], truncate tail, pad: the
+    review as a (max_len,) int32 row of token ids."""
     if max_len < 3:
         raise ParameterError(f"max_len must be >= 3, got {max_len}")
-    words = normalize_text(text).split()
-    body = [vocab.lookup(w) for w in words][: max_len - 2]
-    ids = [CLS_ID] + body + [SEP_ID]
-    true_length = len(ids)
-    mask = [1] * true_length + [0] * (max_len - true_length)
-    ids = ids + [PAD_ID] * (max_len - true_length)
-    return TokenizedReview(ids=ids, mask=mask, true_length=true_length)
+    words = normalize_text(text).split()[: max_len - 2]
+    ids = np.full(max_len, PAD_ID, dtype=np.int32)
+    ids[0] = CLS_ID
+    ids[1:len(words) + 1] = [vocab.lookup(w) for w in words]
+    ids[len(words) + 1] = SEP_ID
+    return ids

@@ -166,7 +166,7 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
     total_loss = 0.0
     total_n = 0
     for bi, (reviews, images, labels) in enumerate(
-            dataset.batches(cfg.batch_size, cfg.seed, epoch)):
+            dataset.batches(cfg.batch_size, cfg.seed, epoch, **model.reads)):
         logits = model.forward_batch(reviews, images, training=True, rng=rng)
         loss = cross_entropy(logits, labels)
         val = loss.item()
@@ -188,26 +188,29 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
 EVAL_BATCH = 64
 
 
-def eval_outputs(forward, dataset) -> tuple[np.ndarray, np.ndarray]:
+def eval_outputs(forward, dataset, need_text: bool = True,
+                 need_images: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """``forward(reviews, images)`` over a dataset in eval mode.
 
-    Batches of ``EVAL_BATCH`` in dataset order, no graph recording; returns
-    the outputs stacked row per sample, and the labels.
+    Batches of ``EVAL_BATCH`` in dataset order, no graph recording, holding
+    the modalities that ``need_text``/``need_images`` ask for (a model's
+    ``reads``); returns the outputs stacked row per sample, and the labels.
     """
     outputs, labels = [], []
     with ag.no_grad():
         for reviews, images, batch_labels in dataset.batches(
-                EVAL_BATCH, seed=0, epoch=0, shuffle=False):
+                EVAL_BATCH, shuffle=False, need_text=need_text,
+                need_images=need_images):
             outputs.append(forward(reviews, images).data)
-            labels.extend(batch_labels)
+            labels.append(batch_labels)
     if not outputs:
         raise ContractError("eval_outputs got an empty dataset")
-    return np.concatenate(outputs), np.asarray(labels, dtype=np.int64)
+    return np.concatenate(outputs), np.concatenate(labels)
 
 
 def evaluate_accuracy(model: ReviewClassifier, dataset) -> float:
     """Fraction correct in eval mode (dropout off, no graph recording)."""
-    logits, labels = eval_outputs(model.forward_batch, dataset)
+    logits, labels = eval_outputs(model.forward_batch, dataset, **model.reads)
     return int((predict_labels(logits) == labels).sum()) / len(labels)
 
 

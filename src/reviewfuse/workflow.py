@@ -13,14 +13,13 @@ from .data import PreparedDataset, align_images, read_manifest
 from .errors import LabelError, ManifestError
 from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
+from .imageproc import DESK_CROP_SIDE
 from .metrics import PAPER_REFERENCE, MetricsReport, evaluate
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig
-from .textproc import Vocabulary, build_vocab
+from .textproc import DESK_MAX_LEN, Vocabulary, build_vocab
 from .training import AdamState, TrainConfig, adam_update, eval_outputs, fit
 
-DESK_MAX_LEN = 16
-DESK_CROP_SIDE = 32
 DESK_VOCAB_SIZE = 2000
 
 
@@ -105,8 +104,8 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
     """
-    Xtr, ytr = eval_outputs(model.encode_batch, train_set)
-    Xva, yva = eval_outputs(model.encode_batch, val_set)
+    Xtr, ytr = eval_outputs(model.encode_batch, train_set, **model.reads)
+    Xva, yva = eval_outputs(model.encode_batch, val_set, **model.reads)
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)

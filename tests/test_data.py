@@ -1,8 +1,10 @@
+import codecs
 import os
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reviewfuse.data import (
     PreparedDataset,
@@ -197,8 +199,8 @@ class TestBatchIter:
 
     def test_same_seed_epoch_same_order(self):
         ds = self._prepared(10)
-        a = [labels for _, _, labels in ds.batches(4, seed=3, epoch=2)]
-        b = [labels for _, _, labels in ds.batches(4, seed=3, epoch=2)]
+        a = [labels.tolist() for _, _, labels in ds.batches(4, seed=3, epoch=2)]
+        b = [labels.tolist() for _, _, labels in ds.batches(4, seed=3, epoch=2)]
         assert a == b
 
     def test_epochs_differ(self):
@@ -274,7 +276,7 @@ class TestPrepareImages:
             idx = order[3 * k:3 * k + 3]
             assert imgs.dtype == np.float32
             assert imgs.tobytes() == floats[idx].tobytes()
-            assert labels == [samples[i].label for i in idx]
+            assert labels.tolist() == [samples[i].label for i in idx]
 
     def test_images_are_the_crop_bytes(self, tmp_path):
         samples = self._samples(tmp_path, [(37, 37), (50, 41), (32, 60)])
@@ -300,3 +302,45 @@ class TestPrepareImages:
             fh.write(b"\n\n")
         with pytest.raises(FormatError, match="2 trailing bytes"):
             PreparedDataset.prepare(samples, need_text=False, crop_side=32)
+
+
+# ---------------------------------------------------------------------------
+# any bytes through read_manifest: samples or a ManifestError
+
+
+@st.composite
+def manifest_like(draw):
+    """The header and rows of three fields (sometimes two or four), quoted
+    or bare, as written or with bytes cut or spliced in."""
+    text = st.one_of(st.sampled_from(["", "x", '"', "a,b", "\n", "\r",
+                                      "\x00", "\ufeff"]),
+                     st.text(max_size=6))
+    label = st.sampled_from(["0", "1", "2", "", " 1", "\u0661", "x"])
+    rows = [["id", "text", "label"]]
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(text), draw(text), draw(label), draw(text)]
+        rows.append(row[:draw(st.sampled_from([3, 3, 3, 2, 4]))])
+    csv_text = "".join(",".join(f'"{c}"' if draw(st.booleans()) else c
+                                for c in row) + "\n" for row in rows)
+    blob = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + csv_text.encode()
+    at = draw(st.integers(0, len(blob)))
+    edit = draw(st.sampled_from(["none", "none", "cut", "splice"]))
+    if edit == "cut":
+        blob = blob[:at]
+    elif edit == "splice":
+        blob = blob[:at] + draw(st.binary(min_size=1, max_size=3)) + blob[at:]
+    return blob
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=60), manifest_like()))
+def test_any_bytes_parse_to_samples_or_raise_manifest_error(tmp_path, blob):
+    p = tmp_path / "any.csv"
+    p.write_bytes(blob)
+    try:
+        samples = read_manifest(p)
+    except ManifestError:
+        return
+    assert len({s.id for s in samples}) == len(samples)
+    assert all(s.label in (0, 1) for s in samples)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from reviewfuse.fusion import classify_batch
 from reviewfuse.image_encoder import (
     ImageEncoderConfig,
     encode_image,
+    eval_group,
     init_image_encoder,
     paper_scale_image_config,
     residual_block,
 )
 from reviewfuse.model import ReviewClassifier
-from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID, TokenizedReview
+from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
 from reviewfuse.workflow import desk_model
 
 
@@ -211,12 +214,9 @@ def step_graph_nodes(mode: str) -> int:
     images = ag.Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
     reviews = None
     if mode == "fused":
-        reviews = []
-        for n in rng.integers(2, 17, 32):
-            ids = [CLS_ID] + list(rng.integers(4, 40, n - 2)) + [SEP_ID]
-            reviews.append(TokenizedReview(ids=ids + [PAD_ID] * (16 - n),
-                                           mask=[1] * n + [0] * (16 - n),
-                                           true_length=n))
+        reviews = np.full((32, 16), PAD_ID, dtype=np.int32)
+        for row, n in zip(reviews, rng.integers(2, 17, 32)):
+            row[:n] = [CLS_ID, *rng.integers(4, 40, n - 2), SEP_ID]
     logits = model.forward_batch(reviews, images, training=True, rng=rng)
     seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
     while stack:
@@ -313,3 +313,80 @@ def test_float64_twin_of_im2col_encoder(monkeypatch):
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10,
                                    err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# graph-free forwards run the CNN in groups of whole images
+
+
+def streamed_model(mode):
+    """A desk model whose residual branches are live (nonzero norm2_g)."""
+    model = desk_model(mode, vocab_size=40, seed=4)
+    rng = np.random.default_rng(5)
+    for name, t in model.params.items():
+        if name.endswith("norm2_g"):
+            t.data[:] = rng.uniform(0.5, 1.5, t.data.shape)
+    return model
+
+
+def streamed_batch(bsz):
+    rng = np.random.default_rng(6)
+    images = ag.Tensor(rng.normal(size=(bsz, 3, 32, 32)).astype(np.float32))
+    reviews = np.full((bsz, 16), PAD_ID, dtype=np.int32)
+    for row, n in zip(reviews, rng.integers(2, 17, bsz)):
+        row[:n] = [CLS_ID, *rng.integers(4, 40, n - 2), SEP_ID]
+    return reviews, images
+
+
+class TestStreamedEval:
+    def test_group_sizes(self):
+        assert eval_group(ImageEncoderConfig(), 4) == 4
+        assert eval_group(paper_scale_image_config(), 4) == 1
+
+    @pytest.mark.parametrize("mode", ["image_only", "fused"])
+    def test_grouped_rows_are_bitwise_the_single_image_rows(self, mode):
+        # the encoders' rows: the head's matmul takes another BLAS path at
+        # B=1, so whole-model rows at B=1 may differ from B=64 in the last
+        # bit with or without grouping
+        model = streamed_model(mode)
+        reviews, images = streamed_batch(64)
+        with ag.no_grad():
+            rows = np.concatenate([
+                model.encode_batch(reviews[i:i + 1],
+                                   ag.Tensor(images.data[i:i + 1])).data
+                for i in range(64)])
+            for bsz in (64, 37):  # 37: the last group holds one image
+                got = model.encode_batch(reviews[:bsz],
+                                         ag.Tensor(images.data[:bsz])).data
+                np.testing.assert_array_equal(got, rows[:bsz])
+
+    @pytest.mark.parametrize("mode", ["image_only", "fused"])
+    def test_grouped_logits_are_bitwise_the_one_pass(self, mode):
+        # a recorded graph runs the batch as one pass
+        model = streamed_model(mode)
+        for bsz in (64, 37):
+            reviews, images = streamed_batch(bsz)
+            one_pass = model.forward_batch(reviews, images).data
+            with ag.no_grad():
+                grouped = model.forward_batch(reviews, images).data
+            np.testing.assert_array_equal(grouped, one_pass)
+
+    def test_eval_forward_holds_one_group(self, monkeypatch):
+        model = streamed_model("image_only")
+        params = {k[4:]: v for k, v in model.params.items()
+                  if k.startswith("img.")}
+        _, images = streamed_batch(64)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                with ag.no_grad():
+                    encode_image(params, model.image_cfg, images)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes() < 3 * 2 ** 20
+        # one pass over all 64 images holds about four times that
+        monkeypatch.setattr(ag, "EVAL_GROUP_BYTES", 2 ** 40)
+        assert peak_bytes() > 8 * 2 ** 20

@@ -15,7 +15,7 @@ from reviewfuse.text_encoder import (
     init_text_encoder,
     paper_scale_text_config,
 )
-from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID, TokenizedReview
+from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
 from reviewfuse.workflow import desk_model
 
 
@@ -27,10 +27,8 @@ def tiny_cfg(**kw):
 
 
 def make_review(ids, max_len):
-    true_len = len(ids)
-    return TokenizedReview(ids=ids + [PAD_ID] * (max_len - true_len),
-                           mask=[1] * true_len + [0] * (max_len - true_len),
-                           true_length=true_len)
+    """One review's (max_len,) int32 token-id row."""
+    return np.array(ids + [PAD_ID] * (max_len - len(ids)), dtype=np.int32)
 
 
 class TestInit:
@@ -131,9 +129,9 @@ class TestEncodeText:
     def test_output_length(self):
         cfg = tiny_cfg()
         p = init_text_encoder(cfg, np.random.default_rng(12))
-        batch = [make_review([CLS_ID, 5, SEP_ID], cfg.max_len),
-                 make_review([CLS_ID, 5, 6, 7, SEP_ID], cfg.max_len),
-                 make_review([CLS_ID, SEP_ID], cfg.max_len)]
+        batch = np.stack([make_review([CLS_ID, 5, SEP_ID], cfg.max_len),
+                          make_review([CLS_ID, 5, 6, 7, SEP_ID], cfg.max_len),
+                          make_review([CLS_ID, SEP_ID], cfg.max_len)])
         assert encode_text(p, cfg, batch).shape == (3, cfg.d_model)
 
     def test_paper_scale_vector_length(self):
@@ -144,37 +142,40 @@ class TestEncodeText:
                                  n_heads=12, d_ff=3072, max_len=128)
         p = init_text_encoder(cfg1, np.random.default_rng(13))
         r = make_review([CLS_ID, 7, SEP_ID], 128)
-        assert encode_text(p, cfg1, [r]).shape == (1, 768)
+        assert encode_text(p, cfg1, r[np.newaxis]).shape == (1, 768)
 
     def test_wrong_length_raises(self):
         cfg = tiny_cfg()
         p = init_text_encoder(cfg, np.random.default_rng(14))
-        good = make_review([CLS_ID, SEP_ID], cfg.max_len)
+        short = np.stack([make_review([CLS_ID, SEP_ID], 5)] * 2)
         with pytest.raises(DimensionError):
-            encode_text(p, cfg, [good, make_review([CLS_ID, SEP_ID], 5)])
+            encode_text(p, cfg, short)
         with pytest.raises(DimensionError):
-            encode_text(p, cfg, [])
+            encode_text(p, cfg, short.reshape(-1))
+        with pytest.raises(DimensionError):
+            encode_text(p, cfg, np.empty((0, cfg.max_len), dtype=np.int32))
 
     def test_pad_position_isolation(self):
         cfg = tiny_cfg()
         p = init_text_encoder(cfg, np.random.default_rng(15))
         r1 = make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len)
-        r2 = TokenizedReview(ids=list(r1.ids), mask=list(r1.mask),
-                             true_length=r1.true_length)
-        r2.ids[5] = 9  # perturb a masked position
         other = make_review([CLS_ID, 7, 8, 9, 10, SEP_ID], cfg.max_len)
-        a = encode_text(p, cfg, [r1, other]).data
-        b = encode_text(p, cfg, [r2, other]).data
+        batch = np.stack([r1, other])
+        a = encode_text(p, cfg, batch).data
+        # perturb what the masked positions hold: the [PAD] embedding
+        p["tok_emb"].data[PAD_ID] += 1.0
+        b = encode_text(p, cfg, batch).data
+        p["tok_emb"].data[PAD_ID] -= 1.0
         assert np.max(np.abs(a - b)) < 1e-5
         # nor does a sequence see its batch neighbours
-        alone = encode_text(p, cfg, [r1]).data
+        alone = encode_text(p, cfg, r1[np.newaxis]).data
         assert np.max(np.abs(a[0] - alone[0])) < 1e-5
 
     def test_eval_determinism_bitwise(self):
         cfg = tiny_cfg(dropout_p=0.3)
         p = init_text_encoder(cfg, np.random.default_rng(16))
-        batch = [make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len),
-                 make_review([CLS_ID, 6, SEP_ID], cfg.max_len)]
+        batch = np.stack([make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len),
+                          make_review([CLS_ID, 6, SEP_ID], cfg.max_len)])
         a = encode_text(p, cfg, batch, training=False).data
         b = encode_text(p, cfg, batch, training=False).data
         np.testing.assert_array_equal(a, b)
@@ -184,8 +185,8 @@ class TestEncodeText:
     def test_gradient_reaches_every_parameter(self):
         cfg = tiny_cfg(n_layers=2)
         p = init_text_encoder(cfg, np.random.default_rng(17))
-        batch = [make_review([CLS_ID, 4, 5, 6, SEP_ID], cfg.max_len),
-                 make_review([CLS_ID, 7, SEP_ID], cfg.max_len)]
+        batch = np.stack([make_review([CLS_ID, 4, 5, 6, SEP_ID], cfg.max_len),
+                          make_review([CLS_ID, 7, SEP_ID], cfg.max_len)])
         out = encode_text(p, cfg, batch, training=False)
         ag.tsum(ag.mul(out, out)).backward()
         for name, t in p.items():
@@ -200,8 +201,9 @@ class TestEncodeText:
         # head is one node, and the dropout sites cost one node each
         model = desk_model("text_only", vocab_size=40)
         rng = np.random.default_rng(18)
-        batch = [make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
-                 for n in rng.integers(0, 15, 32)]
+        batch = np.stack([
+            make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
+            for n in rng.integers(0, 15, 32)])
         logits = model.forward_batch(batch, None, training=True, rng=rng)
         seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
         while stack:
@@ -254,9 +256,9 @@ def reference_encode(params, cfg, reviews, training=False, rng=None):
     """B x d_model [CLS] rows, one sequence at a time."""
     rows = []
     for r in reviews:
-        x = ag.add(ag.embedding_lookup(params["tok_emb"], r.ids), params["pos_emb"])
+        x = ag.add(ag.embedding_lookup(params["tok_emb"], r), params["pos_emb"])
         for i in range(cfg.n_layers):
-            x = reference_block(x, r.mask, params, i, cfg, training, rng)
+            x = reference_block(x, r != PAD_ID, params, i, cfg, training, rng)
         rows.append(ag.take_row(x, 0))
     return ag.stack_rows(rows)
 
@@ -270,8 +272,9 @@ class TestBatchedMatchesPerSampleTwin:
                                  dropout_p=dropout_p, seed=21, dtype=np.float64)
         rng = np.random.default_rng(22)
         # mixed padding: true lengths 7 (no PAD), 3, 2 and 5
-        batch = [make_review([CLS_ID] + list(rng.integers(4, 15, n - 2)) + [SEP_ID],
-                             cfg.max_len) for n in (7, 3, 2, 5)]
+        batch = np.stack([
+            make_review([CLS_ID] + list(rng.integers(4, 15, n - 2)) + [SEP_ID],
+                        cfg.max_len) for n in (7, 3, 2, 5)])
         rng = np.random.default_rng(23)
         if batched:
             logits = model.forward_batch(batch, None, training, rng)

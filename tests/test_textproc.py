@@ -1,9 +1,11 @@
 import random
 import string
+import unicodedata
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reviewfuse import textproc as tp
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
@@ -34,6 +36,26 @@ class TestNormalize:
     def test_idempotent(self, s):
         once = normalize_text(s)
         assert normalize_text(once) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60))
+    def test_matches_the_character_loop(self, s):
+        assert normalize_text(s) == loop_normalize(s)
+
+    def test_table_keeps_only_low_code_points(self):
+        high = "".join(map(chr, range(0x800, 0x2000)))
+        assert normalize_text(high) == loop_normalize(high)
+        assert all(cp < 0x800 for cp in tp.TABLE)
+
+
+def loop_normalize(raw):
+    """The character loop ``normalize_text`` replaced, as the reference."""
+    out = []
+    for ch in raw.lower():
+        if unicodedata.category(ch).startswith("P"):
+            continue
+        out.append(" " if ch.isspace() else ch)
+    return " ".join("".join(out).split())
 
 
 class TestBuildVocab:
@@ -86,23 +108,21 @@ class TestTokenize:
     def test_direct_assembly(self, vocab):
         r = tokenize(vocab, "great service", max_len=6)
         g, s = vocab.lookup("great"), vocab.lookup("service")
-        assert r.ids == [CLS_ID, g, s, SEP_ID, PAD_ID, PAD_ID]
-        assert r.mask == [1, 1, 1, 1, 0, 0]
-        assert r.true_length == 4
+        assert r.dtype == np.int32
+        assert r.tolist() == [CLS_ID, g, s, SEP_ID, PAD_ID, PAD_ID]
+        assert (r != PAD_ID).tolist() == [True] * 4 + [False] * 2
 
     def test_empty_text(self, vocab):
         r = tokenize(vocab, "", max_len=5)
-        assert r.ids[:2] == [CLS_ID, SEP_ID]
-        assert r.true_length == 2
-        assert all(i == PAD_ID for i in r.ids[2:])
+        assert r[:2].tolist() == [CLS_ID, SEP_ID]
+        assert all(i == PAD_ID for i in r[2:])
 
     def test_long_review_truncated(self, vocab):
         text = " ".join("word%d" % i for i in range(300))
         r = tokenize(vocab, text, max_len=128)
-        assert r.true_length == 128
-        assert r.ids[0] == CLS_ID
-        assert r.ids[127] == SEP_ID
-        assert sum(r.mask) == 128
+        assert r[0] == CLS_ID
+        assert r[127] == SEP_ID
+        assert (r != PAD_ID).all()
 
     def test_min_len(self, vocab):
         with pytest.raises(ParameterError):
@@ -110,20 +130,34 @@ class TestTokenize:
 
     def test_unknown_words_map_to_unk(self, vocab):
         r = tokenize(vocab, "zzz great", max_len=8)
-        assert r.ids[1] == UNK_ID
+        assert r[1] == UNK_ID
 
     @given(st.text(max_size=80), st.integers(min_value=3, max_value=20))
     def test_mask_sums_to_true_length(self, text, max_len):
         v = build_vocab(["some words here"], max_size=10)
         r = tokenize(v, text, max_len=max_len)
-        assert sum(r.mask) == r.true_length
-        assert len(r.ids) == len(r.mask) == max_len
-        assert all(0 <= i < len(v) for i in r.ids)
-        # mask is a prefix of ones
-        assert r.mask == sorted(r.mask, reverse=True)
+        assert r.shape == (max_len,)
+        assert all(0 <= i < len(v) for i in r)
+        # the mask is a prefix of ones: [CLS], the kept words, [SEP]
+        mask = (r != PAD_ID).tolist()
+        assert mask == sorted(mask, reverse=True)
+
+    @given(st.lists(st.sampled_from(["some", "words", "here", "zzz", "[PAD]",
+                                     "[pad]", "pad", "!", "\u3000"]),
+                    max_size=30),
+           st.integers(min_value=3, max_value=20))
+    def test_mask_is_ids_not_pad(self, words, max_len):
+        # the padding fills exactly the tail past [CLS] + kept words + [SEP],
+        # truncation included, so the mask needs no array of its own
+        v = build_vocab(["some words here pad"], max_size=10)
+        text = " ".join(words)
+        r = tokenize(v, text, max_len=max_len)
+        kept = min(len(normalize_text(text).split()), max_len - 2)
+        np.testing.assert_array_equal(r != PAD_ID,
+                                      np.arange(max_len) < kept + 2)
 
     def test_truncation_preserves_prefix(self, vocab):
         text = " ".join("great service food was cold".split() * 10)
         full = [vocab.lookup(w) for w in text.split()]
         r = tokenize(vocab, text, max_len=12)
-        assert r.ids[1:11] == full[:10]
+        assert r[1:11].tolist() == full[:10]

@@ -4,8 +4,11 @@ import pytest
 from reviewfuse import autograd as ag
 from reviewfuse import workflow
 from reviewfuse.autograd import Tensor
+from reviewfuse.data import PreparedDataset, ReviewSample
 from reviewfuse.errors import ManifestError
 from reviewfuse.fusion import classify_batch, predict_labels
+from reviewfuse.imageproc import save_ppm
+from reviewfuse.metrics import evaluate
 from reviewfuse.synthgen import GeneratorSpec, generate_synthetic
 from reviewfuse.training import (
     AdamState,
@@ -38,7 +41,8 @@ class TestLoadCorpus:
         assert len(c.val.labels) == 12
         assert len(c.test.labels) == 12
         assert c.train.images.shape == (36, 3, 32, 32)
-        assert len(c.train.reviews[0].ids) == 16
+        assert c.train.reviews.shape == (36, 16)
+        assert c.train.reviews.dtype == np.int32
 
     def test_vocab_from_train_only(self, tiny_corpus):
         assert len(tiny_corpus.vocab) <= 200
@@ -162,3 +166,65 @@ class TestCompareBaselines:
         assert all(r.split_tag == "test" for r in reports)
         assert meta["benchmark_reference"]["fused"]["accuracy"] == 0.934
         assert meta["seed"] == 2
+
+
+class TestBenchmarkContract:
+    """What ``perfbench`` builds and calls keeps working: a seeded subset
+    rebuilt through the constructor from rows, ``prepare`` with every size
+    and modality spelled out, positional ``batches``, and ``fit`` through a
+    split wrapper that passes every argument on."""
+
+    @staticmethod
+    def subset(ds, k, rng):
+        idx = np.sort(rng.permutation(len(ds))[:k])
+        return PreparedDataset(
+            reviews=[ds.reviews[i] for i in idx] if ds.reviews is not None else None,
+            images=ds.images[idx] if ds.images is not None else None,
+            labels=ds.labels[idx], ids=[ds.ids[i] for i in idx])
+
+    class Passthrough:
+        def __init__(self, ds):
+            self.ds = ds
+
+        def __len__(self):
+            return len(self.ds)
+
+        def batches(self, *args, **kwargs):
+            yield from self.ds.batches(*args, **kwargs)
+
+    def test_subset_step_and_eval(self, tiny_corpus):
+        c = tiny_corpus
+        sub = self.subset(c.train, 20, np.random.default_rng(3))
+        assert sub.reviews.dtype == np.int32 and sub.reviews.shape == (20, 16)
+        model = desk_model("fused", vocab_size=len(c.vocab), max_len=c.max_len,
+                           crop_side=c.crop_side, seed=3)
+        reviews, images, labels = next(sub.batches(8, 3, 1))
+        logits = model.forward_batch(reviews, images, training=True,
+                                     rng=np.random.default_rng(3))
+        ag.cross_entropy(logits, labels).backward()
+        assert all(t.grad is not None for t in model.params.values())
+        reviews, images, labels = next(sub.batches(64, shuffle=False))
+        assert len(labels) == 20
+        with ag.no_grad():
+            logits = model.forward_batch(reviews, images).data
+        assert logits.shape == (20, 2) and np.isfinite(logits).all()
+
+    @pytest.mark.parametrize("mode", ["text_only", "image_only"])
+    def test_prepare_fit_and_evaluate_one_modality(self, tiny_corpus, tmp_path,
+                                                   mode):
+        c = tiny_corpus
+        samples = [ReviewSample(i, "great food", 1, image_path=None)
+                   for i in ("a", "b")]
+        model = desk_model(mode, vocab_size=len(c.vocab), seed=1)
+        if mode == "image_only":
+            for s in samples:
+                s.image_path = str(tmp_path / f"{s.id}.ppm")
+                save_ppm(np.full((37, 37, 3), 90, dtype=np.uint8), s.image_path)
+        ds = PreparedDataset.prepare(
+            samples, vocab=c.vocab, max_len=c.max_len, crop_side=c.crop_side,
+            need_text=model.text_cfg is not None,
+            need_images=model.image_cfg is not None)
+        wrapped = self.Passthrough(self.subset(c.train, 12,
+                                               np.random.default_rng(1)))
+        fit(model, wrapped, wrapped, TrainConfig(max_epochs=1, batch_size=4))
+        assert evaluate(model, ds).n == 2
