@@ -137,7 +137,14 @@ def init_params(layout, rng: np.random.Generator,
     return params
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` to ``t.grad``.
+
+    ``fresh`` says that the op has just allocated ``g`` and keeps no other
+    reference to it, so a first gradient is adopted as it is; any other
+    first gradient (the incoming ``g`` itself, a slice or a broadcast view
+    of it) is copied. Later gradients are added in place.
+    """
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
@@ -145,9 +152,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
             f"gradient shape {g.shape} does not match tensor shape {t.data.shape}"
         )
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g if fresh and g.dtype == t.data.dtype else \
+            g.astype(t.data.dtype, copy=True)
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -183,13 +191,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
         )
-    out_data = a.data @ b.data
+    if a.data.shape[0] == 1:
+        # a one-row product would run as gemv, whose sums need not match a
+        # row of the same product in a batch; a two-row gemm's row 0 does
+        out_data = (np.repeat(a.data, 2, axis=0) @ b.data)[:1]
+    else:
+        out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, fresh=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -214,8 +227,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum(a, g * b.data, fresh=True)
+        _accum(b, g * a.data, fresh=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -225,7 +238,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out_data = a.data * a.data.dtype.type(c)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g * a.data.dtype.type(c))
+        _accum(a, g * a.data.dtype.type(c), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -234,7 +247,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), fresh=True)
 
     return _make(out_data, (a,), backward)
 
@@ -251,7 +264,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accum(x, g)
         axes = tuple(range(g.ndim - 1))
-        _accum(b, g.sum(axis=axes) if axes else g)
+        _accum(b, g.sum(axis=axes) if axes else g, fresh=bool(axes))
 
     return _make(out_data, (x, b), backward)
 
@@ -264,7 +277,7 @@ def softmax(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(x, (g - dot) * out_data)
+        _accum(x, (g - dot) * out_data, fresh=True)
 
     return _make(out_data, (x,), backward)
 
@@ -289,30 +302,38 @@ MASK_NEG = -1e9
 def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a batch of sequences.
 
-    ``q``, ``k``, ``v`` are (B*L, d) with the L positions of each sequence
-    in consecutive rows; ``mask`` is (B, L), 1 for real tokens and 0 for
-    padding. Heads are an axis of a (B, h, L, d/h) view; padded keys get an
-    additive -1e9 bias before the softmax. Returns the (B*L, d) context,
-    heads side by side in their column blocks.
+    ``k`` and ``v`` are (B*L, d) with the L positions of each sequence in
+    consecutive rows; ``mask`` is (B, L), 1 for real tokens and 0 for
+    padding. ``q`` is (B*Lq, d): the Lq query rows of each sequence, in
+    the same sequence order, for any whole Lq (L when every position
+    attends; 1 when only [CLS]'s output is kept). Heads are an axis of a
+    (B, h, ·, d/h) view; padded keys get an additive -1e9 bias before the
+    softmax. Returns the (B*Lq, d) context, heads side by side in their
+    column blocks.
     """
     _check_same_dtype(q, k, v)
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise DimensionError(f"attention mask must be (B, L), got {mask.shape}")
     bsz, seq_len = mask.shape
-    if (q.data.ndim != 2 or q.data.shape[0] != bsz * seq_len
-            or k.data.shape != q.data.shape or v.data.shape != q.data.shape):
+    if (q.data.ndim != 2 or not bsz or not q.data.shape[0]
+            or q.data.shape[0] % bsz
+            or k.data.shape != (bsz * seq_len, q.data.shape[1])
+            or v.data.shape != k.data.shape):
         raise DimensionError(
             f"attention: q/k/v {q.data.shape}/{k.data.shape}/{v.data.shape} "
             f"do not match mask {mask.shape}")
-    n, d = q.data.shape
+    d = q.data.shape[1]
     if n_heads < 1 or d % n_heads:
         raise DimensionError(f"attention: width {d} not divisible into {n_heads} heads")
     dh = d // n_heads
     dt = q.data.dtype
 
-    def heads(a: np.ndarray) -> np.ndarray:  # (B*L, d) -> (B, h, L, dh)
-        return a.reshape(bsz, seq_len, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a: np.ndarray) -> np.ndarray:  # (B*L', d) -> (B, h, L', dh)
+        return a.reshape(bsz, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def rows(a: np.ndarray) -> np.ndarray:  # (B, h, L', dh) -> (B*L', d)
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     c = dt.type(1.0 / np.sqrt(dh))
@@ -320,7 +341,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    out_data = (probs @ vh).transpose(0, 2, 1, 3).reshape(n, d)
+    out_data = rows(probs @ vh)
 
     def backward(g: np.ndarray) -> None:
         gh = heads(g)
@@ -329,7 +350,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
         for t, gt in ((q, dscores @ kh),
                       (k, dscores.transpose(0, 1, 3, 2) @ qh),
                       (v, probs.transpose(0, 1, 3, 2) @ gh)):
-            _accum(t, gt.transpose(0, 2, 1, 3).reshape(n, d))
+            _accum(t, rows(gt), fresh=True)
 
     return _make(out_data, (q, k, v), backward)
 
@@ -343,20 +364,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta must be shape ({d},), got "
             f"{gamma.data.shape}/{beta.data.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centred once: the variance is ndarray.var's own sum of squares of
+    # the centred values over d, so the bits are x.var()'s
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
+    xhat = xc * inv_std
     out_data = gamma.data * xhat + beta.data
 
     def backward(g: np.ndarray) -> None:
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (dxhat - m1 - xhat * m2) * inv_std)
+        _accum(x, (dxhat - m1 - xhat * m2) * inv_std, fresh=True)
         lead = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=lead) if lead else g * xhat)
-        _accum(beta, g.sum(axis=lead) if lead else g)
+        _accum(gamma, (g * xhat).sum(axis=lead) if lead else g * xhat,
+               fresh=True)
+        _accum(beta, g.sum(axis=lead) if lead else g, fresh=bool(lead))
 
     return _make(out_data, (x, gamma, beta), backward)
 
@@ -393,7 +417,7 @@ def dropout(x: Tensor, p: float, training: bool,
     out_data = x.data * mask
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * mask, fresh=True)
 
     return _make(out_data, (x,), backward)
 
@@ -430,9 +454,9 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         dh = mlp_head_grads(g, x.data, pre, hidden, w1.data, w2.data, keep,
                             grads)
         for t, gt in zip((w1, b1, w2, b2), grads):
-            _accum(t, gt)
+            _accum(t, gt, fresh=True)
         if x.requires_grad:
-            _accum(x, dh @ w1.data.T)
+            _accum(x, dh @ w1.data.T, fresh=True)
 
     return _make(out_data, (x, w1, b1, w2, b2), backward)
 
@@ -569,9 +593,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 for j in range(k):
                     dxp[:, :nb, i:i + s * h_out:s, j:j + s * w_out:s] += dst[:, i, j, :nb]
             dx[:, b0:b0 + nb] = dxp[:, :nb, pad:pad + h, pad:pad + wdt]
-        _accum(w, dw2.reshape(w.data.shape))
+        _accum(w, dw2.reshape(w.data.shape), fresh=True)
         if x.requires_grad:
-            _accum(x, dx)
+            _accum(x, dx, fresh=True)
 
     return _make(out_data, (x, w), backward)
 
@@ -629,15 +653,15 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xhat *= inv_std[:, :, None]
         sum_g = np.add.reduce(g, axis=2)
         sum_gx = np.einsum("cbn,cbn->cb", g, xhat)
-        _accum(gamma, sum_gx.sum(axis=1))
-        _accum(beta, sum_g.sum(axis=1))
+        _accum(gamma, sum_gx.sum(axis=1), fresh=True)
+        _accum(beta, sum_g.sum(axis=1), fresh=True)
         if not x.requires_grad:
             return
         # dx = a (g - mean(g) - xhat mean(g xhat)), map by map
         xhat *= (-a * sum_gx / n)[:, :, None]
         xhat += g * a[:, :, None]
         xhat -= (a * sum_g / n)[:, :, None]
-        _accum(x, xhat.reshape(shape))
+        _accum(x, xhat.reshape(shape), fresh=True)
 
     return _make(out.reshape(shape), parents, backward)
 
@@ -672,7 +696,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     def backward(g: np.ndarray) -> None:
         dt = np.zeros_like(table.data)
         np.add.at(dt, idx, g)
-        _accum(table, dt)
+        _accum(table, dt, fresh=True)
 
     return _make(out_data, (table,), backward)
 
@@ -791,7 +815,7 @@ def tsum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, g))
+        _accum(x, np.full_like(x.data, g), fresh=True)
 
     return _make(out_data, (x,), backward)
 
@@ -824,7 +848,7 @@ def cross_entropy(logits: Tensor, labels: Sequence[int] | np.ndarray) -> Tensor:
     probs = e / total
 
     def backward(g: np.ndarray) -> None:
-        _accum(logits, xent_grad(probs.copy(), idx, g / bsz))
+        _accum(logits, xent_grad(probs.copy(), idx, g / bsz), fresh=True)
 
     return _make(out_data, (logits,), backward)
 

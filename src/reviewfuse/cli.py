@@ -93,13 +93,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 # inclusive ranges of integer settings, checked before anything allocates:
-# [CLS] and [SEP] take two of max_len's positions; the top ends are
-# BERT-base's 512 positions and 30,522-token vocabulary, ResNet-50's
-# 224-pixel input, and the 256-pixel side (8/7 of it) that images are
-# resized to before the crop
-LIMITS = {"seed": (0, math.inf), "n": (0, math.inf), "max_len": (3, 512),
+# [CLS] and [SEP] take two of max_len's positions; the top ends are the
+# million samples that six-digit sample ids name, BERT-base's 512 positions
+# and 30,522-token vocabulary, ResNet-50's 224-pixel input, and the
+# 256-pixel side (8/7 of it) that images are resized to before the crop
+LIMITS = {"seed": (0, math.inf), "n": (0, 10 ** 6), "max_len": (3, 512),
           "vocab_size": (4, 30522), "crop_side": (1, 224),
           "image_side": (1, 256)}
+
+
+# settings that name a file or directory
+PATH_SETTINGS = ("out", "data", "model", "image", "report")
+
+
+def _check_path(flag: str, path: str) -> None:
+    """A UsageError unless the OS can take ``path`` as a file name: no NUL
+    character, and encodable in the file system's encoding."""
+    try:
+        if "\0" not in path:
+            os.fsencode(path)
+            return
+    except UnicodeEncodeError:
+        pass
+    raise UsageError(f"{flag}: {path!r} is not a usable file name")
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -111,6 +127,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     merged = dict(defaults)
     path = getattr(args, "config", None)
     if path:
+        _check_path("--config", path)
         try:
             with open(path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -137,6 +154,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if key in merged and not low <= merged[key] <= high:
             raise UsageError(f"--{key.replace('_', '-')} must be in "
                              f"[{low}, {high}], got {merged[key]}")
+    for key in PATH_SETTINGS:
+        if isinstance(merged.get(key), str):
+            _check_path("--" + key, merged[key])
     return merged
 
 

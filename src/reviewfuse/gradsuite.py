@@ -77,17 +77,18 @@ def _check_channel_norm(rng):
         [x, g, b, r])
 
 
-def _check_attention_block(rng):
+def _check_attention_block(rng, rows=None):
     cfg = TextEncoderConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2,
                             d_ff=12, max_len=5, dropout_p=0.0)
     p = init_text_encoder(cfg, rng, dtype=np.float64)
     # two sequences of five positions, with one and three PAD positions
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
     x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
-    w = rng.normal(size=(10, 8))
+    w = rng.normal(size=(10 if rows is None else len(rows), 8))
     block_params = [v for k, v in p.items() if k.startswith("l0.")]
     return grad_check(
-        lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg), Tensor(w))),
+        lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg, rows=rows),
+                               Tensor(w))),
         block_params + [x])
 
 
@@ -177,6 +178,8 @@ _F64_CHECKS = [
     ("layer_norm", _check_layer_norm),
     ("channel_norm", _check_channel_norm),
     ("attention_block", _check_attention_block),
+    # the last block's form: [CLS] queries, keys and values from every row
+    ("cls_block", lambda rng: _check_attention_block(rng, rows=np.array([0, 5]))),
     ("residual_block", _check_residual_block),
     ("embedding", _check_embedding),
     ("cross_entropy", _check_cross_entropy),

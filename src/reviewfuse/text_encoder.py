@@ -5,6 +5,13 @@ learned positional embeddings, additive -1e9 attention mask on padded
 positions. A batch runs as one (B*L, d_model) activation, with heads as an
 axis inside ``autograd.attention``. The row at position 0 ([CLS]) of each
 sequence is its review embedding.
+
+Only the [CLS] rows leave the encoder, so the last block computes no other
+row: its keys and values still come from all B*L rows, but its queries,
+output projection, residual adds, layer norms and FFN run on the B [CLS]
+rows alone (the last-layer case of PoWER-BERT's word-vector elimination,
+Goyal et al. 2020, arXiv:2001.08950). This is exact in real arithmetic;
+in float32 the smaller products may round differently.
 """
 
 from __future__ import annotations
@@ -77,26 +84,46 @@ def init_text_encoder(cfg: TextEncoderConfig, rng: np.random.Generator,
 
 def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                   layer: int, cfg: TextEncoderConfig, training: bool = False,
-                  uniforms: np.ndarray | None = None) -> Tensor:
+                  uniforms: np.ndarray | None = None,
+                  rows: np.ndarray | None = None) -> Tensor:
     """One post-LN transformer block over a (B*L, d_model) batch of sequences.
 
     ``mask`` is the (B, L) attention mask; row ``b*L + t`` of ``x`` is
     position ``t`` of sequence ``b``. Training with dropout on needs
     ``uniforms``: the (2, B*L, d_model) U[0, 1) draws of the block's two
     dropout sites.
+
+    ``rows`` (None for all) are the rows of ``x`` whose outputs are kept,
+    the same number for each sequence and in sequence order. They are
+    gathered once; queries, the output projection, both residual adds and
+    layer norms and the FFN run on them alone, while keys and values come
+    from every row. The output then has one row per entry of ``rows``, and
+    the dropout sites use the ``uniforms`` of those rows.
     """
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
         raise DimensionError(
             f"block input shape {x.data.shape}, expected (B*L, {cfg.d_model})")
     pre = f"l{layer}."
+    xq = x
+    if rows is not None:
+        rows = np.asarray(rows)
+        bsz, seq_len = np.shape(mask)
+        if not np.array_equal(rows // seq_len,
+                              np.repeat(np.arange(bsz), rows.size // bsz)):
+            raise DimensionError(
+                "block rows must hold the same number of positions of each "
+                f"of the {bsz} sequences, in sequence order")
+        xq = ag.embedding_lookup(x, rows)
+        if uniforms is not None:
+            uniforms = uniforms[:, rows]
     u_attn, u_ffn = (None, None) if uniforms is None else uniforms
 
-    ctx = ag.attention(ag.matmul(x, params[pre + "wq"]),
+    ctx = ag.attention(ag.matmul(xq, params[pre + "wq"]),
                        ag.matmul(x, params[pre + "wk"]),
                        ag.matmul(x, params[pre + "wv"]), mask, cfg.n_heads)
     attn_out = ag.dropout(ag.matmul(ctx, params[pre + "wo"]), cfg.dropout_p,
                           training, uniforms=u_attn)
-    y = ag.layer_norm(ag.add(x, attn_out), params[pre + "ln1_g"], params[pre + "ln1_b"])
+    y = ag.layer_norm(ag.add(xq, attn_out), params[pre + "ln1_g"], params[pre + "ln1_b"])
 
     hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
                                  params[pre + "ffn_b1"]))
@@ -109,9 +136,10 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
 def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
                 ids: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Embed a (B, L) batch of token-id rows, run all blocks on one
+    """Embed a (B, L) batch of token-id rows, run the blocks on one
     (B*L, d_model) activation, and return the B x d_model [CLS]-position
-    rows. The attention mask is ``ids != PAD_ID``."""
+    rows, which the last block computes alone. The attention mask is
+    ``ids != PAD_ID``."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
         raise DimensionError(
@@ -130,8 +158,10 @@ def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
     positions = np.tile(np.arange(seq_len), bsz)
     x = ag.add(ag.embedding_lookup(params["tok_emb"], ids.reshape(-1)),
                ag.embedding_lookup(params["pos_emb"], positions))
+    cls_rows = np.arange(bsz) * seq_len
     for i in range(cfg.n_layers):
         u = None if drops is None else \
             drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
-        x = encoder_block(x, mask, params, i, cfg, training, u)
-    return ag.embedding_lookup(x, np.arange(bsz) * seq_len)
+        x = encoder_block(x, mask, params, i, cfg, training, u,
+                          rows=cls_rows if i == cfg.n_layers - 1 else None)
+    return x

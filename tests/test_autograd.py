@@ -39,6 +39,19 @@ class TestMatmul:
                          [a, b])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("inner", [32, 64, 96])
+    def test_one_row_is_bitwise_a_row_of_the_batch(self, inner):
+        # a (1, k) left operand would take BLAS's gemv path, which may sum
+        # in another order than a batched product's rows
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(64, inner)).astype(np.float32))
+        b = Tensor(rng.normal(size=(inner, 32)).astype(np.float32))
+        batched = ag.matmul(a, b).data
+        for i in range(64):
+            one = ag.matmul(Tensor(a.data[i:i + 1]), b).data
+            assert one.shape == (1, 32)
+            np.testing.assert_array_equal(one[0], batched[i])
+
 
 def brute_force_conv(x, w, stride, pad):
     """Nested-loop cross-correlation of a C x B x H x W map, zero padded."""
@@ -234,6 +247,21 @@ class TestLayerNorm:
             [x, gamma, beta])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [32, 768])
+    def test_bitwise_the_var_formula(self, dtype, d):
+        # the forward centres x once; ndarray.var centres it again itself
+        rng = np.random.default_rng(9)
+        x = (rng.normal(size=(64, d)) * 3.0 + 1.5).astype(dtype)
+        gamma = rng.normal(size=d).astype(dtype)
+        beta = rng.normal(size=d).astype(dtype)
+        mean = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = gamma * ((x - mean) * inv_std) + beta
+        got = ag.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
 
 class TestDropout:
     def test_p_zero_identity(self):
@@ -345,6 +373,34 @@ class TestAttention:
             lambda: ag.tsum(ag.mul(ag.attention(q, k, v, self.MASK, 3), w)),
             [q, k, v])
         assert err < 1e-6
+
+    # two query rows of each sequence: positions 0 and 2
+    ROWS = np.array([0, 2, 4, 6])
+
+    def test_query_rows_are_the_full_rows(self):
+        q, k, v = self.qkv(45)
+        full = ag.attention(q, k, v, self.MASK, 2).data
+        got = ag.attention(Tensor(q.data[self.ROWS]), k, v, self.MASK, 2).data
+        assert got.shape == (4, 6)
+        np.testing.assert_allclose(got, full[self.ROWS], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [ROWS, np.array([0, 4])],
+                             ids=["two_per_sequence", "one_per_sequence"])
+    def test_query_rows_gradcheck(self, rows):
+        q, k, v = self.qkv(46)
+        q = t64(q.data[rows])
+        w = t64(np.random.default_rng(47).normal(size=q.shape), False)
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(ag.attention(q, k, v, self.MASK, 3), w)),
+            [q, k, v])
+        assert err < 1e-6
+
+    def test_query_rows_not_whole_per_sequence_raise(self):
+        q, k, v = self.qkv(48)
+        with pytest.raises(DimensionError):
+            ag.attention(Tensor(q.data[:3]), k, v, self.MASK, 2)
+        with pytest.raises(DimensionError):
+            ag.attention(Tensor(q.data[:2]), k, Tensor(v.data[:6]), self.MASK, 2)
 
     def test_padded_keys_and_other_sequences_do_not_leak(self):
         q, k, v = self.qkv(42)
@@ -464,6 +520,34 @@ class TestBackward:
         # y = x + x -> dy/dx = 2
         ag.tsum(ag.add(x, x)).backward()
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_parents_handed_one_gradient_do_not_alias(self):
+        # add and add_bias hand their incoming gradient to both parents;
+        # a later gradient is added to a's in place, which must not reach
+        # b's or the bias's
+        a, b = t64(np.ones((2, 3))), t64(np.ones((2, 3)))
+        bias = t64(np.zeros(3))
+        s = ag.add_bias(ag.add(a, b), bias)
+        out = ag.add(ag.matmul(s, t64(np.ones((3, 1)), False)),
+                     ag.matmul(a, t64(np.full((3, 1), 2.0), False)))
+        ag.tsum(out).backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(bias.grad, np.full(3, 2.0))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(s.grad, a.grad)
+        assert not np.shares_memory(s.grad, b.grad)
+
+    def test_reused_input_sums_its_gradients_and_views_are_copied(self):
+        a = t64(np.ones((2, 3)))
+        w = t64(np.ones((3, 2)), False)
+        ag.tsum(ag.add(ag.matmul(a, w), ag.matmul(a, w))).backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        # the broadcast view of global_avg_pool's backward is copied
+        x = t64(np.ones((2, 1, 2, 2)))
+        ag.tsum(ag.global_avg_pool(x)).backward()
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+        np.testing.assert_array_equal(x.grad, np.full((2, 1, 2, 2), 0.25))
 
 
 class TestGradCheckOracle:

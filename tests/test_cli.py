@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -113,6 +115,14 @@ class TestGenData:
         code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
                            flag, value)
         assert code == 1 and flag in err
+        assert not (tmp_path / "d").exists()
+
+    def test_count_past_six_digit_ids_is_usage_error(self, capsys, tmp_path):
+        # a count past the sample ids' six digits used to reach numpy as a
+        # MemoryError or ValueError traceback
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                           "--n", str(10 ** 15))
+        assert code == 1 and "--n must be in" in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("side", ["0", "1000000"])
@@ -574,7 +584,7 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
         assert "gradcheck passed" in out
-        assert out.count("PASS") == 10
+        assert out.count("PASS") == 11
 
     def test_corrupt_hook_fails(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--corrupt")
@@ -615,6 +625,22 @@ class TestUsage:
         assert (third["command"], third["model"], third["image"]) == ("predict", "m.fkit", None)
         assert "data" not in third and "seed" not in third
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "a\x00b"],
+        ["train", "--data", "d", "--out", "m.fkit", "--report", "r\x00"],
+        ["eval", "--data", "\ud800", "--compare"],
+        ["predict", "--model", "m\x00.fkit", "--text", "t"],
+        ["predict", "--model", "m.fkit", "--image", "\x00"],
+        ["gradcheck", "--config", "c\x00.json"],
+    ], ids=["gen-data", "train", "eval", "predict", "image", "config"])
+    def test_unusable_file_name_is_usage_error(self, capsys, tmp_path,
+                                               monkeypatch, argv):
+        # a NUL or an unencodable surrogate used to escape as a ValueError
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "not a usable file name" in err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_flag_fatal(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--wat")
         assert code == 1
@@ -626,3 +652,74 @@ class TestUsage:
         out = capsys.readouterr().out
         for flag in ("--data", "--out", "--mode", "--lr", "--patience"):
             assert flag in out
+
+
+# ---------------------------------------------------------------------------
+# arbitrary argv: every token list exits 0-3 and writes only below the
+# working directory
+
+COMMANDS = list(DEFAULTS)
+FLAGS = {command: sorted({opt for action in cli.build_parser().parse_args(
+                              [command]).flags.values()
+                          for opt in action.option_strings} | {"--config"})
+         for command in COMMANDS}
+VALUES = ["0", "1", "3", "-1", "0.5", "1e-3", "1e400", "nan", "-inf",
+          str(2 ** 64), "", " ", "x", "-", "--", ".", "d", "m.fkit", "cfg.json",
+          "0,0,1", "0.6,0.2,0.2", "nan,1,1", "[1,1,1]", "text_only", "fused",
+          "json", "val", "a\x00b", "\ud800"]
+# relative names only: no separator and no "..", so nothing can name a
+# place outside the working directory
+TEXT = st.text(max_size=6).filter(lambda t: "/" not in t and t != "..")
+ANY = st.sampled_from(COMMANDS + VALUES + ["--help"]
+                      + sorted({f for fs in FLAGS.values() for f in fs})) | TEXT
+
+
+def _argv(command):
+    # the command's required flags and some of its others, each with a
+    # value, so that most lists get past the parser to the files and the
+    # library's own checks
+    value = st.sampled_from(VALUES) | TEXT
+    required = st.tuples(*[st.tuples(st.just("--" + k), value)
+                           for k, v in DEFAULTS[command].items() if v == REQUIRED])
+    extra = st.lists(st.tuples(st.sampled_from(FLAGS[command]), value)
+                     | st.tuples(ANY), max_size=4)
+    return st.tuples(required, extra).map(
+        lambda parts: [command] + [t for p in (*parts[0], *parts[1]) for t in p])
+
+
+COMMAND_ARGV = st.sampled_from(COMMANDS).flatmap(_argv)
+ARGV = COMMAND_ARGV | COMMAND_ARGV | COMMAND_ARGV | st.lists(ANY, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+def test_any_argv_exits_with_a_documented_code(argv_root, argv):
+    # gen-data writes at most 24 samples and gradcheck runs no checks, so
+    # an example costs milliseconds; everything else runs as it is
+    real_generate = cli.generate_synthetic
+    before = set(os.listdir(os.getcwd()))
+    out, err = io.StringIO(), io.StringIO()
+    work = argv_root / "work"
+    work.mkdir()
+    try:
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            mp.chdir(work)
+            mp.setattr(cli, "generate_synthetic", lambda spec, path, ratios:
+                       real_generate(dataclasses.replace(spec, n=min(spec.n, 24)),
+                                     path, ratios=ratios))
+            mp.setattr(cli, "run_gradcheck", lambda seed, corrupt: [])
+            try:
+                code = main(argv)
+            except SystemExit as e:  # --help
+                code = e.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert os.listdir(argv_root) == ["work"]
+        assert set(os.listdir(os.getcwd())) == before
+    finally:
+        shutil.rmtree(work)

@@ -343,7 +343,7 @@ class TestStreamedEval:
         assert eval_group(ImageEncoderConfig(), 4) == 4
         assert eval_group(paper_scale_image_config(), 4) == 1
 
-    @pytest.mark.parametrize("mode", ["image_only", "fused"])
+    @pytest.mark.parametrize("mode", ["image_only", "fused", "text_only"])
     def test_grouped_rows_are_bitwise_the_single_image_rows(self, mode):
         # the encoders' rows: the head's matmul takes another BLAS path at
         # B=1, so whole-model rows at B=1 may differ from B=64 in the last

@@ -124,6 +124,45 @@ class TestEncoderBlock:
             [v for k, v in p.items() if k.startswith("l0.")] + [x])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("rows", [[0, 3], [0, 2, 3, 5]],
+                             ids=["cls", "two_per_sequence"])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
+    def test_rows_are_the_full_block_rows(self, rows, dropout_p):
+        cfg = tiny_cfg(max_len=3, dropout_p=dropout_p)
+        p = init_text_encoder(cfg, np.random.default_rng(12), dtype=np.float64)
+        x = ag.Tensor(np.random.default_rng(13).normal(size=(6, 8)))
+        u = np.random.default_rng(14).random((2, 6, 8))
+        mask = np.array([[1, 1, 1], [1, 1, 0]])
+        full = encoder_block(x, mask, p, 0, cfg, True, u).data
+        got = encoder_block(x, mask, p, 0, cfg, True, u, rows=np.array(rows))
+        assert got.shape == (len(rows), 8)
+        np.testing.assert_allclose(got.data, full[rows], rtol=0, atol=1e-12)
+
+    def test_rows_gradcheck_f64(self):
+        # [CLS] queries over padded sequences: keys and values still come
+        # from every row, so every row of x gets a gradient
+        cfg = tiny_cfg(max_len=4)
+        p = init_text_encoder(cfg, np.random.default_rng(16), dtype=np.float64)
+        x = ag.Tensor(np.random.default_rng(17).normal(size=(8, 8)),
+                      requires_grad=True)
+        w = ag.Tensor(np.random.default_rng(18).normal(size=(2, 8)))
+        mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
+        rows = np.array([0, 4])
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg,
+                                                 rows=rows), w)),
+            [v for k, v in p.items() if k.startswith("l0.")] + [x])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("rows", [[3, 0], [0, 1, 3], [0, 1], [], [[0], [3]]])
+    def test_rows_not_whole_per_sequence_raise(self, rows):
+        cfg = tiny_cfg(max_len=3)
+        p = init_text_encoder(cfg, np.random.default_rng(18))
+        x = ag.Tensor(np.zeros((6, 8), dtype=np.float32))
+        with pytest.raises(DimensionError):
+            encoder_block(x, np.ones((2, 3)), p, 0, cfg,
+                          rows=np.array(rows, dtype=np.int64))
+
 
 class TestEncodeText:
     def test_output_length(self):
@@ -213,6 +252,32 @@ class TestEncodeText:
                 nodes += t._backward_fn is not None
                 stack.extend(t._parents)
         assert nodes == 38
+
+    def test_last_block_runs_on_the_cls_rows(self):
+        # the last block's layer norms hold one row per review; the blocks
+        # before it hold every position
+        model = desk_model("text_only", vocab_size=40)
+        rng = np.random.default_rng(19)
+        batch = np.stack([
+            make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
+            for n in rng.integers(0, 15, 32)])
+        logits = model.forward_batch(batch, None, training=True, rng=rng)
+        gains = {id(t): name for name, t in model.params.items()
+                 if name.endswith(("ln1_g", "ln2_g"))}
+        shapes, seen = {}, set()
+        stack = [ag.cross_entropy(logits, [0, 1] * 16)]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                for parent in t._parents:
+                    if id(parent) in gains:
+                        shapes[gains[id(parent)]] = t.data.shape
+                stack.extend(t._parents)
+        assert shapes == {"text.l0.ln1_g": (32 * 16, 32),
+                          "text.l0.ln2_g": (32 * 16, 32),
+                          "text.l1.ln1_g": (32, 32),
+                          "text.l1.ln2_g": (32, 32)}
 
 # ---------------------------------------------------------------------------
 # float64 twin: the per-sample, per-head encoder the batched one replaced,
