@@ -185,18 +185,22 @@ def _check_same_dtype(*ts: Tensor) -> None:
 # core ops
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a``. A one-row product would run as gemv,
+    whose sums need not match a row of the same product in a batch; it
+    runs as a two-row gemm instead, keeping row 0."""
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
         )
-    if a.data.shape[0] == 1:
-        # a one-row product would run as gemv, whose sums need not match a
-        # row of the same product in a batch; a two-row gemm's row 0 does
-        out_data = (np.repeat(a.data, 2, axis=0) @ b.data)[:1]
-    else:
-        out_data = a.data @ b.data
+    out_data = _gemm(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -291,7 +295,8 @@ def _softmax_terms(z: np.ndarray):
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax of an array along its last axis (the arithmetic of
-    ``softmax`` and of ``cross_entropy``'s probabilities)."""
+    ``softmax`` and of ``attention``'s and ``cross_entropy``'s
+    probabilities)."""
     _, e, total = _softmax_terms(z)
     return e / total
 
@@ -338,9 +343,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     c = dt.type(1.0 / np.sqrt(dh))
     bias = ((1.0 - mask) * MASK_NEG).astype(dt)[:, None, None, :]
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = softmax_rows((qh @ kh.transpose(0, 1, 3, 2)) * c + bias)
     out_data = rows(probs @ vh)
 
     def backward(g: np.ndarray) -> None:
@@ -429,8 +432,8 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     ``keep`` is None (no dropout) or the B x hidden multipliers of
     ``dropout_mask``. Forward and backward are ``mlp_head_forward`` and
     ``mlp_head_grads``, which do the arithmetic of the matmul, add_bias,
-    relu, dropout, matmul, add_bias chain in its order, so outputs and
-    gradients are bit-identical to it.
+    relu, dropout, matmul, add_bias chain in its order, one-row products
+    included (``_gemm``), so outputs and gradients are bit-identical to it.
     """
     _check_same_dtype(x, w1, b1, w2, b2)
     xs, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
@@ -467,11 +470,11 @@ def mlp_head_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     """The arrays of ``mlp_head``'s forward pass, unchecked and unrecorded:
     the pre-activation ``x @ w1 + b1``, the hidden layer after ReLU and
     ``keep``, and the logits ``hidden @ w2 + b2``."""
-    pre = x @ w1 + b1
+    pre = _gemm(x, w1) + b1
     hidden = np.maximum(pre, 0)
     if keep is not None:
         hidden = hidden * keep
-    return pre, hidden, hidden @ w2 + b2
+    return pre, hidden, _gemm(hidden, w2) + b2
 
 
 def mlp_head_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray,

@@ -304,7 +304,7 @@ def cmd_predict(cfg) -> int:
         images = Tensor(img.data[np.newaxis, ...])
     with ag.no_grad():
         logits = model.forward_batch(reviews, images, training=False)
-    probs = ag.softmax(logits).data[0]
+    probs = ag.softmax_rows(logits.data)[0]
     label = predict_labels(logits)[0]
     print(f"label: {'genuine' if label == 1 else 'fake'}")
     print(f"p_fake: {probs[0]:.4f}")

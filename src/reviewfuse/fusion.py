@@ -18,16 +18,14 @@ class FusionConfig:
     d_img: int
     d_hidden: int = 32
     dropout_p: float = 0.3
-    n_classes: int = 2
 
     def __post_init__(self):
-        if any(type(n) is not int for n in (self.d_text, self.d_img, self.d_hidden,
-                                             self.n_classes)):
+        if any(type(n) is not int for n in (self.d_text, self.d_img, self.d_hidden)):
             raise ParameterError("head extents must be integers")
         if self.d_text < 0 or self.d_img < 0 or self.d_text + self.d_img < 1:
             raise ParameterError("fused input dimension must be positive")
-        if self.d_hidden < 1 or self.n_classes != 2:
-            raise ParameterError("d_hidden must be positive and n_classes 2")
+        if self.d_hidden < 1:
+            raise ParameterError("d_hidden must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ParameterError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
@@ -45,14 +43,8 @@ def fusion_layout(cfg: FusionConfig):
     ``autograd.init_params``."""
     yield "head.w1", (cfg.d_in, cfg.d_hidden), "xavier"
     yield "head.b1", (cfg.d_hidden,), "zeros"
-    yield "head.w2", (cfg.d_hidden, cfg.n_classes), "xavier"
-    yield "head.b2", (cfg.n_classes,), "zeros"
-
-
-def init_fusion(cfg: FusionConfig, rng: np.random.Generator,
-                dtype=np.float32) -> dict[str, Tensor]:
-    """Scaled-uniform weights, zero biases."""
-    return ag.init_params(fusion_layout(cfg), rng, dtype)
+    yield "head.w2", (cfg.d_hidden, 2), "xavier"
+    yield "head.b2", (2,), "zeros"
 
 
 def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,

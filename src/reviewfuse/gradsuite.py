@@ -14,10 +14,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, grad_check
-from .fusion import FusionConfig, init_fusion
-from .image_encoder import ImageEncoderConfig, init_image_encoder, residual_block
+from .fusion import FusionConfig, fusion_layout
+from .image_encoder import ImageEncoderConfig, image_encoder_layout, residual_block
 from .model import ReviewClassifier
-from .text_encoder import TextEncoderConfig, encoder_block, init_text_encoder
+from .text_encoder import TextEncoderConfig, encoder_block, text_encoder_layout
 
 F64_THRESHOLD = 1e-6
 F32_THRESHOLD = 1e-3
@@ -80,7 +80,7 @@ def _check_channel_norm(rng):
 def _check_attention_block(rng, rows=None):
     cfg = TextEncoderConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2,
                             d_ff=12, max_len=5, dropout_p=0.0)
-    p = init_text_encoder(cfg, rng, dtype=np.float64)
+    p = ag.init_params(text_encoder_layout(cfg), rng, np.float64)
     # two sequences of five positions, with one and three PAD positions
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
     x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
@@ -95,7 +95,7 @@ def _check_attention_block(rng, rows=None):
 def _check_residual_block(rng):
     cfg = ImageEncoderConfig(input_side=5, stem_channels=2,
                              stages=[(1, 3, 2)], d_out=3)
-    p = init_image_encoder(cfg, rng, dtype=np.float64)
+    p = ag.init_params(image_encoder_layout(cfg), rng, np.float64)
     p["s0.b0.norm2_g"].data[:] = 0.6  # off zero so both convs participate
     x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
     w = rng.normal(size=(3, 2, 3, 3))
@@ -123,7 +123,7 @@ def _check_cross_entropy(rng):
 def _check_fusion_head(rng):
     # the head op with one fixed dropout draw, so every call sees one mask
     cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.3)
-    p = init_fusion(cfg, rng, dtype=np.float64)
+    p = ag.init_params(fusion_layout(cfg), rng, np.float64)
     x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
     keep = ag.dropout_mask((3, cfg.d_hidden), cfg.dropout_p, np.float64, rng)
     return grad_check(

@@ -76,12 +76,6 @@ def image_encoder_layout(cfg: ImageEncoderConfig):
             c_in = channels
 
 
-def init_image_encoder(cfg: ImageEncoderConfig, rng: np.random.Generator,
-                       dtype=np.float32) -> dict[str, Tensor]:
-    """He-normal conv kernels; unit norm gains except zero final branch gains."""
-    return ag.init_params(image_encoder_layout(cfg), rng, dtype)
-
-
 def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                    stride: int = 1) -> Tensor:
     """conv3x3 -> norm -> relu -> conv3x3 -> norm, plus (projected) shortcut, relu.

@@ -211,21 +211,21 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
                        ratios: tuple[float, float, float] = SPLIT_RATIOS
                        ) -> DatasetSplit:
     """Write images/, the three split CSVs, and provenance.json."""
-    os.makedirs(out_dir, exist_ok=True)
     image_dir = os.path.join(out_dir, "images")
-    os.makedirs(image_dir, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     lat = simulate_latents(spec, spec.n, rng)
-    samples: list[ReviewSample] = []
-    for i in range(spec.n):
-        sid = f"s{i:06d}"
-        text = render_text(spec, int(lat.topic[i]), int(lat.text_list[i]), rng)
-        img = render_image(spec, float(lat.brightness[i]), int(lat.hue[i]), rng)
-        path = os.path.join(image_dir, f"{sid}.ppm")
-        save_ppm(img, path)
-        samples.append(ReviewSample(id=sid, text=text, label=int(lat.label[i]),
-                                    image_path=path))
+    samples = [ReviewSample(id=f"s{i:06d}", text="", label=int(lat.label[i]),
+                            image_path=os.path.join(image_dir, f"s{i:06d}.ppm"))
+               for i in range(spec.n)]
+    # the split reads only labels, so a corpus that cannot be split fails
+    # before anything is written; it keeps these objects, whose text is
+    # filled in as each sample renders
     split = stratified_split(samples, ratios=ratios, seed=spec.seed)
+    os.makedirs(image_dir, exist_ok=True)
+    for i, s in enumerate(samples):
+        s.text = render_text(spec, int(lat.topic[i]), int(lat.text_list[i]), rng)
+        save_ppm(render_image(spec, float(lat.brightness[i]), int(lat.hue[i]), rng),
+                 s.image_path)
     write_manifest(split.train, os.path.join(out_dir, "train.csv"))
     write_manifest(split.val, os.path.join(out_dir, "val.csv"))
     write_manifest(split.test, os.path.join(out_dir, "test.csv"))

@@ -1,10 +1,10 @@
 """Small transformer encoder with [CLS] pooling.
 
-Post-layer-norm blocks (attention + residual + LN, then FFN + residual + LN),
-learned positional embeddings, additive -1e9 attention mask on padded
-positions. A batch runs as one (B*L, d_model) activation, with heads as an
-axis inside ``autograd.attention``. The row at position 0 ([CLS]) of each
-sequence is its review embedding.
+Post-layer-norm blocks (attention + residual + LN, then FFN + residual + LN,
+the FFN one ``autograd.mlp_head`` node), learned positional embeddings,
+additive -1e9 attention mask on padded positions. A batch runs as one
+(B*L, d_model) activation, with heads as an axis inside ``autograd.attention``.
+The row at position 0 ([CLS]) of each sequence is its review embedding.
 
 Only the [CLS] rows leave the encoder, so the last block computes no other
 row: its keys and values still come from all B*L rows, but its queries,
@@ -76,12 +76,6 @@ def text_encoder_layout(cfg: TextEncoderConfig):
             yield f"l{i}.{norm}_b", (d,), "zeros"
 
 
-def init_text_encoder(cfg: TextEncoderConfig, rng: np.random.Generator,
-                      dtype=np.float32) -> dict[str, Tensor]:
-    """Scaled-uniform linear weights, normal(0, 0.02) embeddings, unit LN gains."""
-    return ag.init_params(text_encoder_layout(cfg), rng, dtype)
-
-
 def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                   layer: int, cfg: TextEncoderConfig, training: bool = False,
                   uniforms: np.ndarray | None = None,
@@ -125,10 +119,8 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                           training, uniforms=u_attn)
     y = ag.layer_norm(ag.add(xq, attn_out), params[pre + "ln1_g"], params[pre + "ln1_b"])
 
-    hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
-                                 params[pre + "ffn_b1"]))
-    ffn_out = ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
-                          params[pre + "ffn_b2"])
+    ffn_out = ag.mlp_head(y, params[pre + "ffn_w1"], params[pre + "ffn_b1"],
+                          params[pre + "ffn_w2"], params[pre + "ffn_b2"])
     ffn_out = ag.dropout(ffn_out, cfg.dropout_p, training, uniforms=u_ffn)
     return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"], params[pre + "ln2_b"])
 

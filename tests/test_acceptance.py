@@ -17,9 +17,10 @@ import time
 import numpy as np
 import pytest
 
+from reviewfuse import autograd as ag
 from reviewfuse.cli import COMPARE_TRAIN, main
 from reviewfuse.data import ReviewSample, stratified_split
-from reviewfuse.fusion import init_fusion, paper_scale_fusion_config
+from reviewfuse.fusion import fusion_layout, paper_scale_fusion_config
 from reviewfuse.gradsuite import run_gradcheck
 from reviewfuse.image_encoder import paper_scale_image_config
 from reviewfuse.metrics import ConfusionMatrix, compute_metrics
@@ -131,7 +132,7 @@ def test_paper_scale_shapes_by_construction():
     assert image_cfg.d_out == 2048
     assert fusion_cfg.d_text + fusion_cfg.d_img == 2816
     assert fusion_cfg.d_hidden == 512
-    params = init_fusion(fusion_cfg, np.random.default_rng(0))
+    params = ag.init_params(fusion_layout(fusion_cfg), np.random.default_rng(0))
     assert params["head.w1"].data.shape == (2816, 512)
     assert params["head.w2"].data.shape == (512, 2)
 

@@ -703,27 +703,29 @@ class TestMlpHead:
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("x_needs_grad", [False, True])
     def test_bit_identical_to_six_op_chain(self, dropout, x_needs_grad):
-        rng = np.random.default_rng(32)
-        x_data = rng.normal(size=(32, 7)).astype(np.float32)
-        params = head_params(rng, np.float32)
-        u = rng.random((32, 5))
-        keep = None if dropout == 0.0 else \
-            ag.dropout_mask((32, 5), dropout, np.float32, uniforms=u)
-        labels = rng.integers(0, 2, 32)
-        results = []
-        for head, extra in ((ag.mlp_head, (keep,)), (six_op_head, (dropout, u))):
-            x = Tensor(x_data.copy(), requires_grad=x_needs_grad)
-            ps = [Tensor(p.data.copy(), requires_grad=True) for p in params]
-            logits = head(x, *ps, *extra)
-            ag.cross_entropy(logits, labels).backward()
-            results.append([logits.data, x.grad] + [p.grad for p in ps])
-        new, old = results
-        assert new[0].dtype == np.float32
-        for a, b in zip(new, old):
-            if b is None:
-                assert a is None
-            else:
-                np.testing.assert_array_equal(a, b)
+        # at B=1 both take the one-row products as two-row gemms
+        for bsz, d_in, d_hidden in ((32, 7, 5), (1, 64, 32)):
+            rng = np.random.default_rng(32)
+            x_data = rng.normal(size=(bsz, d_in)).astype(np.float32)
+            params = head_params(rng, np.float32, d_in, d_hidden)
+            u = rng.random((bsz, d_hidden))
+            keep = None if dropout == 0.0 else \
+                ag.dropout_mask((bsz, d_hidden), dropout, np.float32, uniforms=u)
+            labels = rng.integers(0, 2, bsz)
+            results = []
+            for head, extra in ((ag.mlp_head, (keep,)), (six_op_head, (dropout, u))):
+                x = Tensor(x_data.copy(), requires_grad=x_needs_grad)
+                ps = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+                logits = head(x, *ps, *extra)
+                ag.cross_entropy(logits, labels).backward()
+                results.append([logits.data, x.grad] + [p.grad for p in ps])
+            new, old = results
+            assert new[0].dtype == np.float32
+            for a, b in zip(new, old):
+                if b is None:
+                    assert a is None
+                else:
+                    np.testing.assert_array_equal(a, b)
 
     def test_one_graph_node(self):
         rng = np.random.default_rng(33)

@@ -132,6 +132,13 @@ class TestGenData:
         assert code == 1 and "--image-side must be in" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("args", [["--n", "5"], ["--ratios", "0.5,0.5,0.5"]])
+    def test_unsplittable_corpus_writes_nothing(self, capsys, tmp_path, args):
+        # the split is checked before any directory or image is written
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), *args)
+        assert code == 2 and "error:" in err
+        assert not (tmp_path / "d").exists()
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "d"), "n": 24,

@@ -7,7 +7,7 @@ from reviewfuse.errors import DimensionError
 from reviewfuse.fusion import (
     FusionConfig,
     classify_batch,
-    init_fusion,
+    fusion_layout,
     paper_scale_fusion_config,
     predict_labels,
 )
@@ -75,7 +75,7 @@ class TestFuse:
 class TestClassify:
     def test_zero_weights_give_even_logits(self):
         cfg = desk_cfg()
-        p = init_fusion(cfg, np.random.default_rng(0))
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(0))
         for t in p.values():
             t.data[:] = 0.0
         for n in BATCH_SIZES:
@@ -85,7 +85,7 @@ class TestClassify:
 
     def test_eval_deterministic_bitwise(self):
         cfg = desk_cfg()
-        p = init_fusion(cfg, np.random.default_rng(1))
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(1))
         for n in BATCH_SIZES:
             x = Tensor(np.random.default_rng(2).normal(size=(n, 96)).astype(np.float32))
             a = classify_batch(p, cfg, x, training=False).data
@@ -94,7 +94,7 @@ class TestClassify:
 
     def test_gradcheck_f32_against_f64_oracle(self):
         cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
-        p64 = init_fusion(cfg, np.random.default_rng(3), dtype=np.float64)
+        p64 = ag.init_params(fusion_layout(cfg), np.random.default_rng(3), np.float64)
         p32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True)
                for k, v in p64.items()}
         x = np.random.default_rng(4).normal(size=(2, 7))
@@ -110,7 +110,7 @@ class TestClassify:
 
     def test_gradcheck_f64(self):
         cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
-        p = init_fusion(cfg, np.random.default_rng(5), dtype=np.float64)
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(5), np.float64)
         x = Tensor(np.random.default_rng(6).normal(size=(3, 7)),
                    requires_grad=True)
         err = grad_check(
@@ -120,7 +120,7 @@ class TestClassify:
 
     def test_dimension_mismatch(self):
         cfg = desk_cfg()
-        p = init_fusion(cfg, np.random.default_rng(7))
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(7))
         for shape in [(n, 95) for n in BATCH_SIZES] + [(96,)]:
             with pytest.raises(DimensionError):
                 classify_batch(p, cfg, Tensor(np.zeros(shape, dtype=np.float32)))
@@ -129,7 +129,7 @@ class TestClassify:
         # with dropout off and all hidden pre-activations positive the head
         # is linear in its input
         cfg = FusionConfig(d_text=2, d_img=2, d_hidden=3, dropout_p=0.0)
-        p = init_fusion(cfg, np.random.default_rng(8))
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(8))
         p["head.b1"].data[:] = 10.0  # push hidden units into the linear region
         f = lambda arr: classify_batch(p, cfg, Tensor(arr)).data
         for n in BATCH_SIZES:
@@ -141,7 +141,7 @@ class TestClassify:
 
     def test_softmax_of_logits_sums_to_one(self):
         cfg = desk_cfg()
-        p = init_fusion(cfg, np.random.default_rng(11))
+        p = ag.init_params(fusion_layout(cfg), np.random.default_rng(11))
         for n in BATCH_SIZES:
             x = Tensor(np.random.default_rng(12).normal(size=(n, 96)).astype(np.float32))
             probs = ag.softmax(classify_batch(p, cfg, x)).data

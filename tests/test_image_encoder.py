@@ -11,7 +11,7 @@ from reviewfuse.image_encoder import (
     ImageEncoderConfig,
     encode_image,
     eval_group,
-    init_image_encoder,
+    image_encoder_layout,
     paper_scale_image_config,
     residual_block,
 )
@@ -30,19 +30,19 @@ def tiny_cfg(**kw):
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         cfg = tiny_cfg()
-        a = init_image_encoder(cfg, np.random.default_rng(1))
-        b = init_image_encoder(cfg, np.random.default_rng(1))
+        a = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(1))
+        b = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(1))
         for k in a:
             np.testing.assert_array_equal(a[k].data, b[k].data)
 
     def test_zero_branch_gain(self):
-        p = init_image_encoder(tiny_cfg(), np.random.default_rng(2))
+        p = ag.init_params(image_encoder_layout(tiny_cfg()), np.random.default_rng(2))
         np.testing.assert_array_equal(p["s0.b0.norm2_g"].data, np.zeros(4))
         np.testing.assert_array_equal(p["s0.b0.norm1_g"].data, np.ones(4))
 
     def test_he_variance(self):
         cfg = tiny_cfg(stem_channels=8, stages=[(1, 64, 1), (1, 8, 2)])
-        p = init_image_encoder(cfg, np.random.default_rng(3))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(3))
         k = p["s0.b0.conv1"].data  # 64 x 8 x 3 x 3 = 4608 samples
         fan_in = 8 * 9
         assert abs(k.var() - 2.0 / fan_in) < 0.1 * (2.0 / fan_in)
@@ -59,7 +59,7 @@ class TestInit:
 class TestResidualBlock:
     def test_identity_at_init_for_nonnegative_input(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(4))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(4))
         sub = {k[len("s0.b0."):]: v for k, v in p.items() if k.startswith("s0.b0.")}
         sub = {"s0.b0." + k: v for k, v in sub.items()}
         x = ag.Tensor(np.abs(np.random.default_rng(5).normal(size=(4, 1, 8, 8))).astype(np.float32))
@@ -69,7 +69,7 @@ class TestResidualBlock:
     def test_stride2_shape(self):
         cfg = ImageEncoderConfig(input_side=8, stem_channels=3,
                                  stages=[(1, 6, 2)], d_out=6)
-        p = init_image_encoder(cfg, np.random.default_rng(6))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(6))
         x = ag.Tensor(np.random.default_rng(7).normal(size=(3, 1, 8, 8)).astype(np.float32))
         out = residual_block(x, p, "s0.b0.", stride=2)
         assert out.shape == (6, 1, 4, 4)
@@ -77,7 +77,7 @@ class TestResidualBlock:
     def test_block_gradcheck_f64(self):
         cfg = ImageEncoderConfig(input_side=5, stem_channels=2,
                                  stages=[(1, 3, 2)], d_out=3)
-        p = init_image_encoder(cfg, np.random.default_rng(8), dtype=np.float64)
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(8), np.float64)
         # nonzero branch gain so the second conv participates in the check
         p["s0.b0.norm2_g"].data[:] = 0.7
         x = ag.Tensor(np.random.default_rng(9).normal(size=(2, 1, 5, 5)),
@@ -93,13 +93,13 @@ class TestResidualBlock:
 class TestEncodeImage:
     def test_output_length(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(11))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(11))
         img = ag.Tensor(np.random.default_rng(12).normal(size=(1, 3, 8, 8)).astype(np.float32))
         assert encode_image(p, cfg, img).shape == (1, cfg.d_out)
 
     def test_batched_output(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(13))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(13))
         imgs = ag.Tensor(np.random.default_rng(14).normal(size=(5, 3, 8, 8)).astype(np.float32))
         assert encode_image(p, cfg, imgs).shape == (5, cfg.d_out)
 
@@ -109,19 +109,19 @@ class TestEncodeImage:
         # shape contract by construction: pooled output = final stage channels
         small = ImageEncoderConfig(input_side=16, stem_channels=4,
                                    stages=[(1, 2048, 2)], d_out=2048)
-        p = init_image_encoder(small, np.random.default_rng(15))
+        p = ag.init_params(image_encoder_layout(small), np.random.default_rng(15))
         img = ag.Tensor(np.random.default_rng(16).normal(size=(1, 3, 16, 16)).astype(np.float32))
         assert encode_image(p, small, img).shape == (1, 2048)
 
     def test_wrong_side_raises(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(17))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(17))
         with pytest.raises(DimensionError):
             encode_image(p, cfg, ag.Tensor(np.zeros((1, 3, 7, 7), dtype=np.float32)))
 
     def test_unbatched_image_raises(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(17))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(17))
         with pytest.raises(DimensionError):
             encode_image(p, cfg, ag.Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
 
@@ -130,7 +130,7 @@ class TestEncodeImage:
         # from the stem alone (stage transitions only apply projections)
         cfg = ImageEncoderConfig(input_side=4, stem_channels=2,
                                  stages=[(1, 2, 1)], d_out=2)
-        p = init_image_encoder(cfg, np.random.default_rng(18))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(18))
         img = ag.Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         out = encode_image(p, cfg, img)
         # stem conv of zeros -> zeros; channel_norm of constant map -> beta
@@ -139,7 +139,7 @@ class TestEncodeImage:
 
     def test_eval_determinism_bitwise(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(19))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(19))
         img = ag.Tensor(np.random.default_rng(20).normal(size=(1, 3, 8, 8)).astype(np.float32))
         with ag.no_grad():
             a = encode_image(p, cfg, img).data
@@ -148,7 +148,7 @@ class TestEncodeImage:
 
     def test_shift_stability_smoke(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(21))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(21))
         base = np.random.default_rng(22).normal(size=(1, 3, 8, 8)).astype(np.float32)
         shifted = np.roll(base, 1, axis=3)
         a = encode_image(p, cfg, ag.Tensor(base)).data
@@ -159,7 +159,7 @@ class TestEncodeImage:
 
     def test_zero_init_gains_receive_gradient(self):
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(23))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(23))
         img = ag.Tensor(np.random.default_rng(24).normal(size=(1, 3, 8, 8)).astype(np.float32))
         out = encode_image(p, cfg, img)
         ag.tsum(ag.mul(out, out)).backward()
@@ -171,7 +171,7 @@ class TestEncodeImage:
         # at exact init the zero branch gains block the conv gradients; once
         # the gains move off zero every parameter must receive gradient
         cfg = tiny_cfg()
-        p = init_image_encoder(cfg, np.random.default_rng(23))
+        p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(23))
         for name, t in p.items():
             if name.endswith("norm2_g"):
                 t.data[:] = 0.5
@@ -204,7 +204,7 @@ class TestEncodeImage:
 
     def test_fused_training_step_graph_is_small(self):
         # the image graph above plus the text encoder's nodes
-        assert step_graph_nodes("fused") == 68
+        assert step_graph_nodes("fused") == 60
 
 
 def step_graph_nodes(mode: str) -> int:

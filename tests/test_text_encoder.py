@@ -12,7 +12,7 @@ from reviewfuse.text_encoder import (
     TextEncoderConfig,
     encode_text,
     encoder_block,
-    init_text_encoder,
+    text_encoder_layout,
     paper_scale_text_config,
 )
 from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
@@ -34,20 +34,20 @@ def make_review(ids, max_len):
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         cfg = tiny_cfg()
-        a = init_text_encoder(cfg, np.random.default_rng(3))
-        b = init_text_encoder(cfg, np.random.default_rng(3))
+        a = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(3))
+        b = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(3))
         assert a.keys() == b.keys()
         for k in a:
             np.testing.assert_array_equal(a[k].data, b[k].data)
 
     def test_gains_ones_at_init(self):
-        p = init_text_encoder(tiny_cfg(), np.random.default_rng(0))
+        p = ag.init_params(text_encoder_layout(tiny_cfg()), np.random.default_rng(0))
         np.testing.assert_array_equal(p["l0.ln1_g"].data, np.ones(8))
         np.testing.assert_array_equal(p["l0.ln2_b"].data, np.zeros(8))
 
     def test_weight_sample_mean_near_zero(self):
         cfg = tiny_cfg(vocab_size=1000, d_model=16)
-        p = init_text_encoder(cfg, np.random.default_rng(1))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(1))
         emb = p["tok_emb"].data
         n = emb.size
         assert abs(emb.mean()) < 3 * 0.02 / np.sqrt(n)
@@ -63,7 +63,7 @@ class TestEncoderBlock:
         # so attention output equals the value projection of the token;
         # two such sequences in one batch must not see each other
         cfg = tiny_cfg(n_heads=1, max_len=1)
-        p = init_text_encoder(cfg, np.random.default_rng(2))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(2))
         x = ag.Tensor(np.random.default_rng(3).normal(size=(2, 8)).astype(np.float32))
         out = encoder_block(x, np.ones((2, 1)), p, 0, cfg)
         assert out.shape == (2, 8)
@@ -83,7 +83,7 @@ class TestEncoderBlock:
 
     def test_identical_tokens_identical_rows(self):
         cfg = tiny_cfg(max_len=2)
-        p = init_text_encoder(cfg, np.random.default_rng(4))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(4))
         row = np.random.default_rng(5).normal(size=8).astype(np.float32)
         x = ag.Tensor(np.stack([row, row, row, row]))
         out = encoder_block(x, np.ones((2, 2)), p, 0, cfg)
@@ -92,7 +92,7 @@ class TestEncoderBlock:
 
     def test_block_gradcheck_f32_against_f64_oracle(self):
         cfg = tiny_cfg(max_len=4)
-        p64 = init_text_encoder(cfg, np.random.default_rng(6), dtype=np.float64)
+        p64 = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(6), np.float64)
         p32 = {k: ag.Tensor(v.data.astype(np.float32), requires_grad=True)
                for k, v in p64.items()}
         x64 = np.random.default_rng(7).normal(size=(8, 8))
@@ -114,7 +114,7 @@ class TestEncoderBlock:
 
     def test_block_gradcheck_f64(self):
         cfg = tiny_cfg(max_len=3)
-        p = init_text_encoder(cfg, np.random.default_rng(9), dtype=np.float64)
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(9), np.float64)
         x = ag.Tensor(np.random.default_rng(10).normal(size=(6, 8)),
                       requires_grad=True)
         w = ag.Tensor(np.random.default_rng(11).normal(size=(6, 8)))
@@ -129,7 +129,7 @@ class TestEncoderBlock:
     @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
     def test_rows_are_the_full_block_rows(self, rows, dropout_p):
         cfg = tiny_cfg(max_len=3, dropout_p=dropout_p)
-        p = init_text_encoder(cfg, np.random.default_rng(12), dtype=np.float64)
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(12), np.float64)
         x = ag.Tensor(np.random.default_rng(13).normal(size=(6, 8)))
         u = np.random.default_rng(14).random((2, 6, 8))
         mask = np.array([[1, 1, 1], [1, 1, 0]])
@@ -142,7 +142,7 @@ class TestEncoderBlock:
         # [CLS] queries over padded sequences: keys and values still come
         # from every row, so every row of x gets a gradient
         cfg = tiny_cfg(max_len=4)
-        p = init_text_encoder(cfg, np.random.default_rng(16), dtype=np.float64)
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(16), np.float64)
         x = ag.Tensor(np.random.default_rng(17).normal(size=(8, 8)),
                       requires_grad=True)
         w = ag.Tensor(np.random.default_rng(18).normal(size=(2, 8)))
@@ -157,7 +157,7 @@ class TestEncoderBlock:
     @pytest.mark.parametrize("rows", [[3, 0], [0, 1, 3], [0, 1], [], [[0], [3]]])
     def test_rows_not_whole_per_sequence_raise(self, rows):
         cfg = tiny_cfg(max_len=3)
-        p = init_text_encoder(cfg, np.random.default_rng(18))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(18))
         x = ag.Tensor(np.zeros((6, 8), dtype=np.float32))
         with pytest.raises(DimensionError):
             encoder_block(x, np.ones((2, 3)), p, 0, cfg,
@@ -167,7 +167,7 @@ class TestEncoderBlock:
 class TestEncodeText:
     def test_output_length(self):
         cfg = tiny_cfg()
-        p = init_text_encoder(cfg, np.random.default_rng(12))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(12))
         batch = np.stack([make_review([CLS_ID, 5, SEP_ID], cfg.max_len),
                           make_review([CLS_ID, 5, 6, 7, SEP_ID], cfg.max_len),
                           make_review([CLS_ID, SEP_ID], cfg.max_len)])
@@ -179,13 +179,13 @@ class TestEncodeText:
         # one layer is enough to assert the shape contract cheaply
         cfg1 = TextEncoderConfig(vocab_size=30, d_model=768, n_layers=1,
                                  n_heads=12, d_ff=3072, max_len=128)
-        p = init_text_encoder(cfg1, np.random.default_rng(13))
+        p = ag.init_params(text_encoder_layout(cfg1), np.random.default_rng(13))
         r = make_review([CLS_ID, 7, SEP_ID], 128)
         assert encode_text(p, cfg1, r[np.newaxis]).shape == (1, 768)
 
     def test_wrong_length_raises(self):
         cfg = tiny_cfg()
-        p = init_text_encoder(cfg, np.random.default_rng(14))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(14))
         short = np.stack([make_review([CLS_ID, SEP_ID], 5)] * 2)
         with pytest.raises(DimensionError):
             encode_text(p, cfg, short)
@@ -196,7 +196,7 @@ class TestEncodeText:
 
     def test_pad_position_isolation(self):
         cfg = tiny_cfg()
-        p = init_text_encoder(cfg, np.random.default_rng(15))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(15))
         r1 = make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len)
         other = make_review([CLS_ID, 7, 8, 9, 10, SEP_ID], cfg.max_len)
         batch = np.stack([r1, other])
@@ -212,7 +212,7 @@ class TestEncodeText:
 
     def test_eval_determinism_bitwise(self):
         cfg = tiny_cfg(dropout_p=0.3)
-        p = init_text_encoder(cfg, np.random.default_rng(16))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(16))
         batch = np.stack([make_review([CLS_ID, 4, 5, SEP_ID], cfg.max_len),
                           make_review([CLS_ID, 6, SEP_ID], cfg.max_len)])
         a = encode_text(p, cfg, batch, training=False).data
@@ -223,7 +223,7 @@ class TestEncodeText:
 
     def test_gradient_reaches_every_parameter(self):
         cfg = tiny_cfg(n_layers=2)
-        p = init_text_encoder(cfg, np.random.default_rng(17))
+        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(17))
         batch = np.stack([make_review([CLS_ID, 4, 5, 6, SEP_ID], cfg.max_len),
                           make_review([CLS_ID, 7, SEP_ID], cfg.max_len)])
         out = encode_text(p, cfg, batch, training=False)
@@ -237,7 +237,8 @@ class TestEncodeText:
     def test_training_step_graph_is_small(self):
         # one B=32 text_only step of the desk model: the graph grows with
         # the layer count, not with the batch or the number of heads; the
-        # head is one node, and the dropout sites cost one node each
+        # head and each block's FFN are one mlp_head node, and the dropout
+        # sites cost one node each
         model = desk_model("text_only", vocab_size=40)
         rng = np.random.default_rng(18)
         batch = np.stack([
@@ -251,7 +252,7 @@ class TestEncodeText:
                 seen.add(id(t))
                 nodes += t._backward_fn is not None
                 stack.extend(t._parents)
-        assert nodes == 38
+        assert nodes == 30
 
     def test_last_block_runs_on_the_cls_rows(self):
         # the last block's layer norms hold one row per review; the blocks
