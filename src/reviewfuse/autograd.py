@@ -186,11 +186,16 @@ def _check_same_dtype(*ts: Tensor) -> None:
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a 2-D ``a``. A one-row product would run as gemv,
-    whose sums need not match a row of the same product in a batch; it
-    runs as a two-row gemm instead, keeping row 0."""
-    if a.shape[0] == 1:
-        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    """``a @ b`` for a 2-D ``a``, each row the bits it has in any taller
+    product. OpenBLAS runs a one-row product as gemv and blocks the rows of
+    a gemm by 4, so a row's sums can depend on the row count; a left
+    operand whose row count is not a multiple of 4 runs padded with zero
+    rows up to the next multiple, which are dropped."""
+    m = a.shape[0]
+    if m % 4:
+        padded = np.zeros((m + (-m) % 4, a.shape[1]), dtype=a.dtype)
+        padded[:m] = a
+        return (padded @ b)[:m]
     return a @ b
 
 
@@ -682,26 +687,79 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def _row_ids(ids, n: int) -> np.ndarray:
+    """``ids`` flattened to int64 row indices, each checked to be in [0, n)."""
+    idx = np.asarray(ids).reshape(-1)  # ints beyond int64 stay object dtype
+    bad = ~((idx >= 0) & (idx < n))
+    if bad.any():
+        raise TokenIndexError(
+            f"token id {idx[np.argmax(bad)]} out of range [0, {n})")
+    return idx.astype(np.int64)
+
+
+def _scatter_rows(like: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros like ``like`` with row ``g[i]`` added to row ``idx[i]``, for each
+    i in order (repeated ids accumulate).
+
+    One 1-D ``np.add.at`` over the flat view: the same additions in the same
+    order as the 2-D call, so the same bits, without its per-row overhead.
+    """
+    out = np.zeros_like(like)
+    d = math.prod(like.shape[1:])
+    flat_idx = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(out.reshape(-1), flat_idx, g.reshape(-1))
+    return out
+
+
 def embedding_lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     """Gather rows of ``table``; backward scatter-adds (repeated ids accumulate).
 
     Also serves as the row gather of batched activations (``[CLS]`` pooling).
     """
-    v = table.data.shape[0]
-    idx = np.asarray(ids).reshape(-1)  # ints beyond int64 stay object dtype
-    bad = ~((idx >= 0) & (idx < v))
-    if bad.any():
-        raise TokenIndexError(
-            f"token id {idx[np.argmax(bad)]} out of range [0, {v})")
-    idx = idx.astype(np.int64)
+    idx = _row_ids(ids, table.data.shape[0])
     out_data = table.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        _accum(table, dt, fresh=True)
+        _accum(table, _scatter_rows(table.data, idx, g), fresh=True)
 
     return _make(out_data, (table,), backward)
+
+
+def embed_tokens(tok_emb: Tensor, pos_emb: Tensor, ids) -> Tensor:
+    """Token plus position embeddings of a (B, L) batch of ids as one node.
+
+    Row ``b*L + t`` of the (B*L, d) output is ``tok_emb[ids[b, t]] +
+    pos_emb[t]``: the bits of ``add`` over two ``embedding_lookup``s, the
+    second at positions ``tile(arange(L), B)``. Backward scatters the token
+    rows as ``embedding_lookup`` does and sums the position rows over the
+    batch in batch order from +0.0, the sums ``np.add.at`` makes.
+    """
+    _check_same_dtype(tok_emb, pos_emb)
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise DimensionError(f"embed_tokens: ids must be (B, L), got {ids.shape}")
+    bsz, seq_len = ids.shape
+    d = tok_emb.data.shape[-1]
+    if (tok_emb.data.ndim != 2 or pos_emb.data.ndim != 2
+            or pos_emb.data.shape[1] != d or seq_len > pos_emb.data.shape[0]):
+        raise DimensionError(
+            f"embed_tokens: tables {tok_emb.data.shape} and {pos_emb.data.shape} "
+            f"for ids {ids.shape}")
+    idx = _row_ids(ids, tok_emb.data.shape[0])
+    out_data = tok_emb.data[idx]
+    rows = out_data.reshape(bsz, seq_len, d)
+    rows += pos_emb.data[:seq_len]
+
+    def backward(g: np.ndarray) -> None:
+        if tok_emb.requires_grad:
+            _accum(tok_emb, _scatter_rows(tok_emb.data, idx, g), fresh=True)
+        if pos_emb.requires_grad:
+            dpos = np.zeros_like(pos_emb.data)
+            np.add.reduce(g.reshape(bsz, seq_len, d), axis=0,
+                          out=dpos[:seq_len], initial=0.0)
+            _accum(pos_emb, dpos, fresh=True)
+
+    return _make(out_data, (tok_emb, pos_emb), backward)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

@@ -71,8 +71,10 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    """Decode a bundle, reading each tensor's payload straight into its
-    array; every extent is checked against the file size first."""
+    """Decode a bundle, reading the tensor payloads straight into
+    consecutive slices of one float32 buffer; every extent is checked
+    against the file size first. A tensor holding NaN or Inf is a
+    ``FormatError``."""
     with open(path, "rb") as fh:
         return _read_bundle(fh, os.fstat(fh.fileno()).st_size, path)
 
@@ -99,6 +101,10 @@ def _read_bundle(fh, size: int, path) -> ModelBundle:
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} (want {VERSION})")
     tensors: dict[str, np.ndarray] = {}
+    # every payload goes into the next slice of one buffer, which the file
+    # size bounds; pages past the last payload are never touched
+    payloads = np.empty(size // 4, _F4)
+    used = 0
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         head = take(name_len + 4, "name and rank")
@@ -112,13 +118,14 @@ def _read_bundle(fh, size: int, path) -> ModelBundle:
             raise truncated(f"payload of {name}", pos)
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
+        flat = payloads[used:used + count_f4]
         try:
-            arr = np.empty(shape, _F4)
+            tensors[name] = flat.reshape(shape)
         except ValueError as e:  # extents beyond what numpy can index
             raise FormatError(f"{path}: tensor {name!r} shape {shape}: {e}") from None
-        if fh.readinto(arr.reshape(-1).view(np.uint8)) != 4 * count_f4:
+        if fh.readinto(flat.view(np.uint8)) != 4 * count_f4:
             raise truncated(f"payload of {name}", pos)
-        tensors[name] = arr
+        used += count_f4
         pos += 4 * count_f4
     (cfg_len,) = struct.unpack("<Q", take(8, "config length"))
     text = _decode(take(cfg_len, "config"), f"{path}: config")
@@ -130,6 +137,9 @@ def _read_bundle(fh, size: int, path) -> ModelBundle:
         raise FormatError(f"{path}: config is not valid JSON: {e}") from None
     if not isinstance(config, dict):
         raise FormatError(f"{path}: config must be a JSON object")
+    if not np.isfinite(payloads[:used]).all():
+        name = next(k for k, a in tensors.items() if not np.isfinite(a).all())
+        raise FormatError(f"bundle tensor {name} holds NaN or Inf")
     return ModelBundle(tensors=tensors, config=config, version=version)
 
 

@@ -115,6 +115,19 @@ def _check_embedding(rng):
         [table])
 
 
+def _check_embed_tokens(rng):
+    tok = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    pos = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    # repeated ids and [PAD] (id 0) positions, at B=2 and at B=1
+    batches = [np.array([[2, 3, 3, 0, 0], [2, 6, 0, 0, 0]]),
+               np.array([[2, 4, 0, 0, 0]])]
+    ws = [Tensor(rng.normal(size=(ids.size, 4))) for ids in batches]
+    return grad_check(
+        lambda: ag.add(*(ag.tsum(ag.mul(ag.embed_tokens(tok, pos, ids), w))
+                         for ids, w in zip(batches, ws))),
+        [tok, pos])
+
+
 def _check_cross_entropy(rng):
     logits = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     return grad_check(lambda: ag.cross_entropy(logits, [0, 1, 1, 0]), [logits])
@@ -182,6 +195,7 @@ _F64_CHECKS = [
     ("cls_block", lambda rng: _check_attention_block(rng, rows=np.array([0, 5]))),
     ("residual_block", _check_residual_block),
     ("embedding", _check_embedding),
+    ("embed_tokens", _check_embed_tokens),
     ("cross_entropy", _check_cross_entropy),
     ("fusion_head", _check_fusion_head),
 ]

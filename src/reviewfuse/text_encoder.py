@@ -84,15 +84,14 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
 
     ``mask`` is the (B, L) attention mask; row ``b*L + t`` of ``x`` is
     position ``t`` of sequence ``b``. Training with dropout on needs
-    ``uniforms``: the (2, B*L, d_model) U[0, 1) draws of the block's two
-    dropout sites.
+    ``uniforms``: the (2, R, d_model) U[0, 1) draws of the block's two
+    dropout sites for its R output rows.
 
     ``rows`` (None for all) are the rows of ``x`` whose outputs are kept,
     the same number for each sequence and in sequence order. They are
     gathered once; queries, the output projection, both residual adds and
     layer norms and the FFN run on them alone, while keys and values come
-    from every row. The output then has one row per entry of ``rows``, and
-    the dropout sites use the ``uniforms`` of those rows.
+    from every row. The output then has one row per entry of ``rows``.
     """
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
         raise DimensionError(
@@ -108,8 +107,6 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                 "block rows must hold the same number of positions of each "
                 f"of the {bsz} sequences, in sequence order")
         xq = ag.embedding_lookup(x, rows)
-        if uniforms is not None:
-            uniforms = uniforms[:, rows]
     u_attn, u_ffn = (None, None) if uniforms is None else uniforms
 
     ctx = ag.attention(ag.matmul(xq, params[pre + "wq"]),
@@ -147,13 +144,14 @@ def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
         # every dropout draw of the step at once, review-major, so each
         # review gets the masks it would get if encoded on its own
         drops = rng.random((bsz, cfg.n_layers, 2, seq_len, d))
-    positions = np.tile(np.arange(seq_len), bsz)
-    x = ag.add(ag.embedding_lookup(params["tok_emb"], ids.reshape(-1)),
-               ag.embedding_lookup(params["pos_emb"], positions))
-    cls_rows = np.arange(bsz) * seq_len
+    x = ag.embed_tokens(params["tok_emb"], params["pos_emb"], ids)
     for i in range(cfg.n_layers):
-        u = None if drops is None else \
-            drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
+        last = i == cfg.n_layers - 1
+        u = None
+        if drops is not None:
+            # (2, rows, d): the last block keeps only the [CLS] rows
+            u = drops[:, i, :, 0].transpose(1, 0, 2) if last else \
+                drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
         x = encoder_block(x, mask, params, i, cfg, training, u,
-                          rows=cls_rows if i == cfg.n_layers - 1 else None)
+                          rows=np.arange(bsz) * seq_len if last else None)
     return x

@@ -69,6 +69,7 @@ class AdamState:
         self.flat = np.zeros(ends[-1] if ends else 0, dtype=dtypes.pop())
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self.scratch = np.empty_like(self.flat)  # adam_update's temporary
         self.views = list(self.split(self.flat).values())
 
     def split(self, buf: np.ndarray) -> dict[str, np.ndarray]:
@@ -136,10 +137,15 @@ def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
     Element for element this is the per-tensor update
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
     ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in the same operation
-    order, so results are bit-identical to it.
+    order, so results are bit-identical to it, with one exception: a first
+    moment below the dtype's smallest normal number is flushed to zero.
+    Such moments belong to units whose gradient has been zero for hundreds
+    of steps (``m`` decays by ``b1`` a step); arithmetic on subnormals runs
+    many times slower, and the step they give, at most
+    ``tiny / (bc1 * eps) * lr`` (about 1.2e-29 lr in float32), rounds away
+    against any parameter that is not itself almost zero.
     """
-    theta, m, v = state.flat, state.m, state.v
-    tmp = np.empty_like(theta)  # lives for the step only
+    theta, m, v, tmp = state.flat, state.m, state.v, state.scratch
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -147,6 +153,7 @@ def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
         theta *= state.decay_factors(cfg, decay_exempt)
     m *= cfg.beta1
     m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    m[np.abs(m, out=tmp) < np.finfo(m.dtype).tiny] = 0
     v *= cfg.beta2
     np.multiply(g, 1.0 - cfg.beta2, out=tmp)
     v += np.multiply(tmp, g, out=tmp)
@@ -286,13 +293,10 @@ def model_to_bundle(model: ReviewClassifier, extra_config: dict | None = None) -
 
 
 def model_from_bundle(bundle: ModelBundle) -> ReviewClassifier:
-    """The bundle's model; a malformed model config, a tensor set that does not
-    match it, or a non-finite tensor is a FormatError."""
+    """The bundle's model; a malformed model config or a tensor set that does
+    not match it is a FormatError (``load_bundle`` has already rejected
+    non-finite tensors)."""
     try:
-        model = ReviewClassifier.from_state(bundle.config["model"], bundle.tensors)
+        return ReviewClassifier.from_state(bundle.config["model"], bundle.tensors)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed model in bundle: {e!r}") from None
-    for name, t in model.params.items():
-        if not np.isfinite(t.data).all():
-            raise FormatError(f"bundle tensor {name} holds NaN or Inf")
-    return model

@@ -93,13 +93,14 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     head that routes gradient to the cross-modal evidence from epoch one
     (linear-probe-then-fine-tune, adapted to a nonlinear head).
 
-    The steps build no graph: each runs ``mlp_head_forward``, the softmax
-    and ``xent_grad``, writes the head's gradients with ``mlp_head_grads``
-    straight into one flat buffer laid out like ``AdamState.flat``, and
-    applies ``adam_update`` to it. That is the arithmetic of
-    ``classify_batch``, ``cross_entropy``, ``backward`` and ``adam_step``
-    in their order, so the head ends bit-identical to training through the
-    graph.
+    The steps build no graph: each epoch gathers its shuffled features and
+    labels once, and each step takes views of them, runs
+    ``mlp_head_forward``, the softmax and ``xent_grad``, writes the head's
+    gradients with ``mlp_head_grads`` straight into one flat buffer laid
+    out like ``AdamState.flat``, and applies ``adam_update`` to it. That is
+    the arithmetic of ``classify_batch``, ``cross_entropy``, ``backward``
+    and ``adam_step`` in their order, so the head ends bit-identical to
+    training through the graph.
 
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
@@ -124,12 +125,12 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     for epoch in range(1, WARM_EPOCHS + 1):
         rng = np.random.default_rng([cfg.seed, epoch, 0x4EAD])
         order = rng.permutation(len(ytr))
+        x_epoch, y_epoch = Xtr[order], ytr[order]
         for i in range(0, len(order), warm_cfg.batch_size):
-            idx = order[i:i + warm_cfg.batch_size]
-            x = Xtr[idx]
+            x = x_epoch[i:i + warm_cfg.batch_size]
+            y = y_epoch[i:i + warm_cfg.batch_size]
             pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
-            dlogits = ag.xent_grad(ag.softmax_rows(logits), ytr[idx],
-                                   one / len(idx))
+            dlogits = ag.xent_grad(ag.softmax_rows(logits), y, one / len(y))
             ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, None, grads)
             adam_update(state, g, warm_cfg)
         logits = ag.mlp_head_forward(Xva, w1, b1, w2, b2)[2]

@@ -52,6 +52,19 @@ class TestMatmul:
             assert one.shape == (1, 32)
             np.testing.assert_array_equal(one[0], batched[i])
 
+    @pytest.mark.parametrize("inner,cols", [(32, 32), (32, 2), (64, 2)])
+    def test_rows_are_bitwise_rows_of_any_taller_product(self, inner, cols):
+        # OpenBLAS blocks rows by 4, so the rows of a product with few
+        # columns may depend on the row count unless it is padded
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(64, inner)).astype(np.float32))
+        b = Tensor(rng.normal(size=(inner, cols)).astype(np.float32))
+        batched = ag.matmul(a, b).data
+        for m in range(1, 64):
+            got = ag.matmul(Tensor(a.data[:m]), b).data
+            assert got.shape == (m, cols)
+            assert got.tobytes() == batched[:m].tobytes(), m
+
 
 def brute_force_conv(x, w, stride, pad):
     """Nested-loop cross-correlation of a C x B x H x W map, zero padded."""
@@ -349,6 +362,20 @@ class TestEmbeddingLookup:
         with pytest.raises(TokenIndexError, match=str(2 ** 70)):
             ag.embedding_lookup(table, [0, 2 ** 70])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_bit_identical_to_2d_add_at(self, dtype):
+        rng = np.random.default_rng(44)
+        ids = np.array([3, 0, 3, 3, 1, 0, 0])
+        w = Tensor(embedding_grad_probe(rng, len(ids), 4, ids).astype(dtype))
+        table_data = rng.normal(size=(5, 4)).astype(dtype)
+        grads = []
+        for lookup in (ag.embedding_lookup, lookup_2d):
+            table = Tensor(table_data.copy(), requires_grad=True)
+            ag.tsum(ag.mul(lookup(table, ids), w)).backward()
+            grads.append(table.grad)
+        assert grads[0].dtype == dtype
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_gradcheck(self):
         rng = np.random.default_rng(11)
         table = t64(rng.normal(size=(5, 3)))
@@ -357,6 +384,100 @@ class TestEmbeddingLookup:
             lambda: ag.tsum(ag.mul(ag.embedding_lookup(table, [0, 2, 2, 4]), w)),
             [table])
         assert err < 1e-6
+
+
+def lookup_2d(table, ids):
+    """``embedding_lookup`` as it was: its backward one 2-D ``np.add.at``."""
+    idx = np.asarray(ids).reshape(-1).astype(np.int64)
+
+    def backward(g):
+        dt = np.zeros_like(table.data)
+        np.add.at(dt, idx, g)
+        ag._accum(table, dt, fresh=True)
+
+    return ag._make(table.data[idx], (table,), backward)
+
+
+def lookup_lookup_add(tok, pos, ids):
+    """Token plus position embeddings as three nodes."""
+    bsz, seq_len = ids.shape
+    return ag.add(lookup_2d(tok, ids.reshape(-1)),
+                  lookup_2d(pos, np.tile(np.arange(seq_len), bsz)))
+
+
+def embedding_grad_probe(rng, rows, d, ids):
+    """Upstream gradient rows with signed zeros: a column of -0.0, a
+    column of +0.0, and -0.0 at every [PAD] row in one more column."""
+    w = rng.normal(size=(rows, d))
+    w[:, 1] = -0.0
+    w[:, 2] = 0.0
+    w[np.asarray(ids).reshape(-1) == 0, 3] = -0.0
+    return w
+
+
+class TestEmbedTokens:
+    @pytest.mark.parametrize("bsz", [1, 5, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_lookup_lookup_add(self, bsz, dtype):
+        rng = np.random.default_rng(40)
+        vocab, seq_len, d = 12, 8, 6
+        # repeated ids; the last three positions are [PAD] (id 0) in every
+        # row, and the position table has two rows no sequence reaches
+        ids = rng.integers(0, 5, (bsz, seq_len))
+        ids[:, -3:] = 0
+        tok_data = rng.normal(size=(vocab, d)).astype(dtype)
+        pos_data = rng.normal(size=(seq_len + 2, d)).astype(dtype)
+        w = Tensor(embedding_grad_probe(rng, bsz * seq_len, d, ids).astype(dtype))
+        results = []
+        for embed in (ag.embed_tokens, lookup_lookup_add):
+            tok = Tensor(tok_data.copy(), requires_grad=True)
+            pos = Tensor(pos_data.copy(), requires_grad=True)
+            out = embed(tok, pos, ids)
+            ag.tsum(ag.mul(out, w)).backward()
+            results.append([out.data, tok.grad, pos.grad])
+        new, old = results
+        assert new[0].dtype == dtype and new[0].shape == (bsz * seq_len, d)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(41)
+        tok, pos = t64(rng.normal(size=(5, 3))), t64(rng.normal(size=(4, 3)))
+        out = ag.embed_tokens(tok, pos, np.array([[2, 3, 0, 0]]))
+        assert out._parents == (tok, pos)
+        np.testing.assert_array_equal(out.data, tok.data[[2, 3, 0, 0]] + pos.data)
+
+    def test_frozen_table_gets_no_gradient(self):
+        rng = np.random.default_rng(42)
+        tok = t64(rng.normal(size=(5, 3)))
+        pos = t64(rng.normal(size=(4, 3)), False)
+        ag.tsum(ag.embed_tokens(tok, pos, np.array([[1, 1, 4, 0]]))).backward()
+        assert pos.grad is None
+        np.testing.assert_array_equal(tok.grad[1], [2.0, 2.0, 2.0])
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(43)
+        tok, pos = t64(rng.normal(size=(6, 3))), t64(rng.normal(size=(5, 3)))
+        ids = np.array([[2, 4, 4, 0], [2, 0, 0, 0]])
+        w = t64(rng.normal(size=(8, 3)), False)
+        err = grad_check(
+            lambda: ag.tsum(ag.mul(ag.embed_tokens(tok, pos, ids), w)),
+            [tok, pos])
+        assert err < 1e-6
+
+    def test_checks(self):
+        tok, pos = t64(np.zeros((5, 3))), t64(np.zeros((4, 3)))
+        with pytest.raises(TokenIndexError, match="id 5 out"):
+            ag.embed_tokens(tok, pos, np.array([[0, 5]]))
+        with pytest.raises(DimensionError):
+            ag.embed_tokens(tok, pos, np.array([0, 1]))
+        with pytest.raises(DimensionError):  # more positions than rows
+            ag.embed_tokens(tok, pos, np.zeros((1, 5), dtype=np.int64))
+        with pytest.raises(DimensionError):
+            ag.embed_tokens(tok, t64(np.zeros((4, 2))), np.zeros((1, 4), dtype=np.int64))
+        with pytest.raises(ContractError):
+            ag.embed_tokens(tok, Tensor(np.zeros((4, 3), dtype=np.float32)),
+                            np.zeros((1, 4), dtype=np.int64))
 
 
 class TestAttention:
@@ -703,7 +824,7 @@ class TestMlpHead:
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("x_needs_grad", [False, True])
     def test_bit_identical_to_six_op_chain(self, dropout, x_needs_grad):
-        # at B=1 both take the one-row products as two-row gemms
+        # at B=1 both take the one-row products padded to four rows
         for bsz, d_in, d_hidden in ((32, 7, 5), (1, 64, 32)):
             rng = np.random.default_rng(32)
             x_data = rng.normal(size=(bsz, d_in)).astype(np.float32)

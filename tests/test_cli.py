@@ -591,7 +591,7 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
         assert "gradcheck passed" in out
-        assert out.count("PASS") == 11
+        assert out.count("PASS") == 12
 
     def test_corrupt_hook_fails(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--corrupt")

@@ -204,7 +204,7 @@ class TestEncodeImage:
 
     def test_fused_training_step_graph_is_small(self):
         # the image graph above plus the text encoder's nodes
-        assert step_graph_nodes("fused") == 60
+        assert step_graph_nodes("fused") == 58
 
 
 def step_graph_nodes(mode: str) -> int:
@@ -345,9 +345,7 @@ class TestStreamedEval:
 
     @pytest.mark.parametrize("mode", ["image_only", "fused", "text_only"])
     def test_grouped_rows_are_bitwise_the_single_image_rows(self, mode):
-        # the encoders' rows: the head's matmul takes another BLAS path at
-        # B=1, so whole-model rows at B=1 may differ from B=64 in the last
-        # bit with or without grouping
+        # the encoders' rows, with and without grouping
         model = streamed_model(mode)
         reviews, images = streamed_batch(64)
         with ag.no_grad():
@@ -359,6 +357,18 @@ class TestStreamedEval:
                 got = model.encode_batch(reviews[:bsz],
                                          ag.Tensor(images.data[:bsz])).data
                 np.testing.assert_array_equal(got, rows[:bsz])
+
+    @pytest.mark.parametrize("mode", ["image_only", "fused", "text_only"])
+    def test_single_sample_logits_are_bitwise_rows_of_the_batch(self, mode):
+        # what predict computes for one sample is its row of a B=64 eval
+        model = streamed_model(mode)
+        reviews, images = streamed_batch(64)
+        with ag.no_grad():
+            batched = model.forward_batch(reviews, images).data
+            for i in range(64):
+                one = model.forward_batch(reviews[i:i + 1],
+                                          ag.Tensor(images.data[i:i + 1])).data
+                assert one.tobytes() == batched[i:i + 1].tobytes(), i
 
     @pytest.mark.parametrize("mode", ["image_only", "fused"])
     def test_grouped_logits_are_bitwise_the_one_pass(self, mode):
