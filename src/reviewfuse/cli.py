@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .bundle import atomic_open, load_bundle, save_bundle
-from .data import PreparedDataset, align_images, read_manifest
+from .data import PreparedDataset
 from .errors import (
     AlignmentError,
     ContractError,
@@ -41,14 +41,15 @@ from .metrics import emit_report, evaluate, format_confusion
 from .model import MODES
 from .synthgen import SPLIT_RATIOS, GeneratorSpec, generate_synthetic
 from .textproc import Vocabulary, tokenize
-from .training import TrainConfig, fit, model_from_bundle, model_to_bundle
+from .training import TrainConfig, model_from_bundle, model_to_bundle
 from .workflow import (
     DESK_CROP_SIDE,
     DESK_MAX_LEN,
     DESK_VOCAB_SIZE,
     compare_baselines,
-    desk_model,
     load_corpus,
+    read_split,
+    train_model,
 )
 
 EXIT_OK = 0
@@ -213,10 +214,7 @@ def cmd_train(cfg) -> int:
     corpus = load_corpus(cfg["data"], max_len=cfg["max_len"],
                          crop_side=cfg["crop_side"],
                          vocab_size=cfg["vocab_size"])
-    model = desk_model(cfg["mode"], vocab_size=len(corpus.vocab),
-                       max_len=cfg["max_len"], crop_side=cfg["crop_side"],
-                       seed=cfg["seed"])
-    report, _ = fit(model, corpus.train, corpus.val, tc, log=print)
+    model, report = train_model(cfg["mode"], corpus, tc, log=print)
     print(f"best epoch {report.best_epoch} "
           f"(val_acc={report.val_accuracies[report.best_epoch - 1]:.4f}), "
           f"stopped: {report.stop_reason}")
@@ -274,13 +272,9 @@ def cmd_eval(cfg) -> int:
     if not cfg["model"]:
         raise UsageError("eval requires --model (or --compare)")
     model, vocab = _load_model_and_vocab(cfg["model"])
-    manifest = os.path.join(cfg["data"], f"{cfg['split']}.csv")
-    if not os.path.isfile(manifest):
-        raise ManifestError(f"missing split manifest {manifest}")
-    samples = read_manifest(manifest)
-    samples, _ = align_images(samples, os.path.join(cfg["data"], "images"))
     dataset = PreparedDataset.prepare(
-        samples, vocab=vocab, max_len=getattr(model.text_cfg, "max_len", None),
+        read_split(cfg["data"], cfg["split"]), vocab=vocab,
+        max_len=getattr(model.text_cfg, "max_len", None),
         crop_side=getattr(model.image_cfg, "input_side", None), **model.reads)
     report = evaluate(model, dataset, split_tag=cfg["split"])
     print(emit_report(report, fmt=cfg["format"], path=cfg["out"]), end="")

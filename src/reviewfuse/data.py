@@ -92,9 +92,9 @@ def write_manifest(samples: list[ReviewSample], csv_path) -> None:
             writer.writerow([s.id, s.text, s.label])
 
 
-def align_images(samples: list[ReviewSample], image_dir, extension: str = "ppm",
+def align_images(samples: list[ReviewSample], image_dir,
                  strict: bool = True) -> tuple[list[ReviewSample], int]:
-    """Set each sample's image path to ``image_dir/<id>.<ext>``.
+    """Set each sample's image path to ``image_dir/<id>.ppm``.
 
     Missing files raise in strict mode, otherwise the affected samples are
     dropped. Returns (aligned samples, number dropped). Surplus image files
@@ -105,7 +105,7 @@ def align_images(samples: list[ReviewSample], image_dir, extension: str = "ppm",
     aligned: list[ReviewSample] = []
     missing: list[str] = []
     for s in samples:
-        path = os.path.join(image_dir, f"{s.id}.{extension}")
+        path = os.path.join(image_dir, f"{s.id}.ppm")
         if os.path.isfile(path):
             aligned.append(ReviewSample(s.id, s.text, s.label, image_path=path))
         else:
@@ -127,7 +127,7 @@ class DatasetSplit:
 
 
 def stratified_split(samples: list[ReviewSample],
-                     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
+                     ratios: tuple[float, float, float],
                      seed: int = 0) -> DatasetSplit:
     """Per-class deterministic shuffle, then contiguous cuts at rounded ratios."""
     r_train, r_val, r_test = ratios

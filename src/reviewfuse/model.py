@@ -103,19 +103,6 @@ class ReviewClassifier:
         return ("norm" in leaf or leaf.startswith(("ln", "b1", "b2"))
                 or leaf.startswith("ffn_b"))
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take ``arrays`` as the parameters after checking names and shapes.
-
-        An array of the model's dtype is used as is, not copied: a caller
-        that goes on using its arrays passes copies.
-        """
-        _check_arrays({k: t.data.shape for k, t in self.params.items()}, arrays)
-        for k, t in self.params.items():
-            t.data = np.asarray(arrays[k], dtype=t.data.dtype)
-
     def config_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -140,18 +127,14 @@ class ReviewClassifier:
         model._configure(cfg["mode"], text_cfg, image_cfg,
                          cfg["d_hidden"], cfg["dropout_p"])
         shapes = {name: shape for name, shape, _ in model._layout()}
-        _check_arrays(shapes, arrays)
+        if set(arrays) != set(shapes):
+            missing = set(shapes) ^ set(arrays)
+            raise ContractError(f"parameter name mismatch: {sorted(missing)[:5]}")
+        for k, shape in shapes.items():
+            if arrays[k].shape != shape:
+                raise ContractError(
+                    f"shape mismatch for {k}: {arrays[k].shape} vs {shape}")
         model.params = {k: Tensor(arrays[k], requires_grad=True, dtype=np.float32)
                         for k in shapes}
         return model
 
-
-def _check_arrays(shapes: dict[str, tuple], arrays: dict[str, np.ndarray]) -> None:
-    """ContractError unless ``arrays`` has exactly the names of ``shapes``,
-    each with its shape."""
-    if set(arrays) != set(shapes):
-        missing = set(shapes) ^ set(arrays)
-        raise ContractError(f"parameter name mismatch: {sorted(missing)[:5]}")
-    for k, shape in shapes.items():
-        if arrays[k].shape != shape:
-            raise ContractError(f"shape mismatch for {k}: {arrays[k].shape} vs {shape}")

@@ -15,6 +15,11 @@ from .errors import ContractError, FormatError, ParameterError, \
 from .fusion import predict_labels
 from .model import ReviewClassifier
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_ADAM = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -24,9 +29,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -36,8 +38,6 @@ class TrainConfig:
                 f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
             raise ParameterError("patience, max_epochs and batch_size must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("beta1/beta2 must be in [0, 1)")
 
 
 class AdamState:
@@ -80,7 +80,7 @@ class AdamState:
     def adopt(self, params: dict[str, Tensor]) -> None:
         """Bind to ``params`` on first use, else check they are the bound
         set, and make every ``Tensor.data`` its view of ``flat`` again,
-        copying in an array that ``load_state`` put in its place."""
+        copying in an array that was put in its place."""
         if self.names is None:
             self.bind(params)
         elif self.names != tuple(params):
@@ -147,19 +147,19 @@ def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
     """
     theta, m, v, tmp = state.flat, state.m, state.v, state.scratch
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     if cfg.weight_decay:
         theta *= state.decay_factors(cfg, decay_exempt)
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=tmp)
     m[np.abs(m, out=tmp) < np.finfo(m.dtype).tiny] = 0
-    v *= cfg.beta2
-    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=tmp)
     v += np.multiply(tmp, g, out=tmp)
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps_adam
+    tmp += EPS_ADAM
     step = np.divide(m, bc1, out=g)
     step *= cfg.lr
     step /= tmp
@@ -244,9 +244,12 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
 
     Keeps a copy of the best-so-far parameters; stops after ``patience``
     consecutive epochs without strict improvement, or at max_epochs. The
-    model is left holding (and the second return value is) the best-epoch
-    parameters, not the last ones. ``epoch_fn``/``val_fn`` exist so tests
-    can script the loop.
+    best epoch's parameters are copied back into the model's arrays in
+    place, not the last ones, and the copies are the second return value.
+    ``epoch_fn(epoch)`` returns the epoch's mean training loss and
+    ``val_fn()`` its validation accuracy; by default they are
+    ``train_epoch`` and ``evaluate_accuracy``, and a caller with its own
+    step loop (``workflow.warm_start_head``) or a test passes its own.
     """
     state = AdamState()
     if epoch_fn is None:
@@ -256,9 +259,7 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
 
     report = TrainReport()
     best_acc = -1.0
-    best_state: dict[str, np.ndarray] = {
-        k: v.copy() for k, v in model.state_arrays().items()
-    }
+    best = {k: t.data.copy() for k, t in model.params.items()}
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         loss = epoch_fn(epoch)
@@ -270,7 +271,7 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
         if acc > best_acc:
             best_acc = acc
             report.best_epoch = epoch
-            best_state = {k: v.copy() for k, v in model.state_arrays().items()}
+            best = {k: t.data.copy() for k, t in model.params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -279,8 +280,9 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
                 break
     else:
         report.stop_reason = "max_epochs"
-    model.load_state({k: v.copy() for k, v in best_state.items()})
-    return report, best_state
+    for k, t in model.params.items():
+        t.data[...] = best[k]
+    return report, best
 
 
 def model_to_bundle(model: ReviewClassifier, extra_config: dict | None = None) -> ModelBundle:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .data import PreparedDataset, align_images, read_manifest
+from .data import PreparedDataset, ReviewSample, align_images, read_manifest
 from .errors import LabelError, ManifestError
 from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
@@ -18,7 +18,8 @@ from .metrics import PAPER_REFERENCE, MetricsReport, evaluate
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig
 from .textproc import DESK_MAX_LEN, Vocabulary, build_vocab
-from .training import AdamState, TrainConfig, adam_update, eval_outputs, fit
+from .training import AdamState, TrainConfig, TrainReport, adam_update, \
+    eval_outputs, fit
 
 DESK_VOCAB_SIZE = 2000
 
@@ -34,6 +35,16 @@ class Corpus:
     crop_side: int
 
 
+def read_split(data_dir, name: str) -> list[ReviewSample]:
+    """The samples of split ``name``'s manifest with their images aligned."""
+    path = os.path.join(data_dir, f"{name}.csv")
+    if not os.path.isfile(path):
+        raise ManifestError(f"missing split manifest {path}")
+    samples, _ = align_images(read_manifest(path),
+                              os.path.join(data_dir, "images"))
+    return samples
+
+
 def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
                 crop_side: int = DESK_CROP_SIDE,
                 vocab_size: int = DESK_VOCAB_SIZE,
@@ -42,14 +53,7 @@ def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
 
     The vocabulary comes from the training split only unless one is passed in.
     """
-    splits = {}
-    for name in ("train", "val", "test"):
-        path = os.path.join(data_dir, f"{name}.csv")
-        if not os.path.isfile(path):
-            raise ManifestError(f"missing split manifest {path}")
-        samples = read_manifest(path)
-        samples, _ = align_images(samples, os.path.join(data_dir, "images"))
-        splits[name] = samples
+    splits = {name: read_split(data_dir, name) for name in ("train", "val", "test")}
     if vocab is None:
         vocab = build_vocab([s.text for s in splits["train"]], max_size=vocab_size)
     prepared = {
@@ -82,8 +86,9 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     """Phase one of the two-phase recipe: train the head on frozen features.
 
     Encoder features are cached once in eval mode, then the classification
-    head alone is trained on them for ``WARM_EPOCHS`` epochs, keeping the
-    head weights from the epoch with the best validation accuracy.
+    head alone is trained on them for ``WARM_EPOCHS`` epochs of ``fit``,
+    which keeps the head weights from the epoch with the best validation
+    accuracy.
 
     Rationale: the fused model's edge comes from a signal visible only in
     the *combination* of the two embeddings, which is gradient-invisible to
@@ -100,7 +105,8 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     out like ``AdamState.flat``, and applies ``adam_update`` to it. That is
     the arithmetic of ``classify_batch``, ``cross_entropy``, ``backward``
     and ``adam_step`` in their order, so the head ends bit-identical to
-    training through the graph.
+    training through the graph. An epoch's loss is the mean cross-entropy
+    of the logits its steps computed.
 
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
@@ -109,7 +115,8 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     Xva, yva = eval_outputs(model.encode_batch, val_set, **model.reads)
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
-                           batch_size=cfg.batch_size, seed=cfg.seed)
+                           batch_size=cfg.batch_size, max_epochs=WARM_EPOCHS,
+                           patience=WARM_EPOCHS, seed=cfg.seed)
     if not np.isin(ytr, (0, 1)).all():
         raise LabelError("warm_start_head needs labels in {0, 1}")
     state = AdamState()
@@ -120,26 +127,45 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     w1, b1, w2, b2 = (params[k] for k in names)
     grads = [grad_views[k] for k in names]
     one = state.flat.dtype.type(1)
-    best_acc = -1.0
-    best = state.flat.copy()
-    for epoch in range(1, WARM_EPOCHS + 1):
-        rng = np.random.default_rng([cfg.seed, epoch, 0x4EAD])
-        order = rng.permutation(len(ytr))
+    n, bsz = len(ytr), warm_cfg.batch_size
+    epoch_logits = np.empty((n, 2), dtype=state.flat.dtype)
+
+    def epoch_fn(epoch: int) -> float:
+        order = np.random.default_rng([cfg.seed, epoch, 0x4EAD]).permutation(n)
         x_epoch, y_epoch = Xtr[order], ytr[order]
-        for i in range(0, len(order), warm_cfg.batch_size):
-            x = x_epoch[i:i + warm_cfg.batch_size]
-            y = y_epoch[i:i + warm_cfg.batch_size]
+        for i in range(0, n, bsz):
+            x, y = x_epoch[i:i + bsz], y_epoch[i:i + bsz]
             pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
+            epoch_logits[i:i + bsz] = logits
             dlogits = ag.xent_grad(ag.softmax_rows(logits), y, one / len(y))
             ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, None, grads)
             adam_update(state, g, warm_cfg)
+        top = epoch_logits.max(axis=1)
+        lse = top + np.log(np.exp(epoch_logits - top[:, None]).sum(axis=1))
+        return float((lse - epoch_logits[np.arange(n), y_epoch]).mean())
+
+    def val_fn() -> float:
         logits = ag.mlp_head_forward(Xva, w1, b1, w2, b2)[2]
-        acc = float((predict_labels(logits) == yva).mean())
-        if acc > best_acc:
-            best_acc = acc
-            best = state.flat.copy()
-    state.flat[...] = best
-    return best_acc
+        return float((predict_labels(logits) == yva).mean())
+
+    report, _ = fit(model, None, None, warm_cfg, epoch_fn=epoch_fn, val_fn=val_fn)
+    return report.val_accuracies[report.best_epoch - 1]
+
+
+def train_model(mode: str, corpus: Corpus, cfg: TrainConfig,
+                log=None) -> tuple[ReviewClassifier, TrainReport]:
+    """The two-phase recipe: a seeded desk model for ``mode``, its head
+    warm-started on frozen features (``warm_start_head``), then end-to-end
+    fine-tuning under ``cfg`` with early stopping (``fit``). Returns the
+    model, holding its best epoch, and ``fit``'s report."""
+    model = desk_model(mode, vocab_size=len(corpus.vocab),
+                       max_len=corpus.max_len, crop_side=corpus.crop_side,
+                       seed=cfg.seed)
+    warm_acc = warm_start_head(model, corpus.train, corpus.val, cfg)
+    if log:
+        log(f"head warmup val_acc={warm_acc:.4f}")
+    report, _ = fit(model, corpus.train, corpus.val, cfg, log=log)
+    return model, report
 
 
 def compare_baselines(corpus: Corpus, cfg: TrainConfig,
@@ -147,9 +173,7 @@ def compare_baselines(corpus: Corpus, cfg: TrainConfig,
     """Train text-only, image-only, and fused models with identical seeds and
     configs, evaluate each on the test split, and return Table-1-shaped rows.
 
-    Each arm uses the same two-phase recipe: head warmup on frozen encoder
-    features (see ``warm_start_head``), then end-to-end fine-tuning under
-    ``cfg``.
+    Each arm is trained by ``train_model``, the recipe ``train`` uses.
 
     The metadata dict carries the reference benchmark rows (from the paper-
     scale experiment) alongside each desk-scale result; they are context, not
@@ -159,13 +183,7 @@ def compare_baselines(corpus: Corpus, cfg: TrainConfig,
     for mode in ("text_only", "image_only", "fused"):
         if log:
             log(f"training {mode} baseline")
-        model = desk_model(mode, vocab_size=len(corpus.vocab),
-                           max_len=corpus.max_len, crop_side=corpus.crop_side,
-                           seed=cfg.seed)
-        warm_acc = warm_start_head(model, corpus.train, corpus.val, cfg)
-        if log:
-            log(f"head warmup val_acc={warm_acc:.4f}")
-        fit(model, corpus.train, corpus.val, cfg, log=log)
+        model, _ = train_model(mode, corpus, cfg, log)
         reports.append(evaluate(model, corpus.test, model_tag=mode,
                                 split_tag="test"))
     metadata = {

@@ -22,11 +22,13 @@ from reviewfuse.model import ReviewClassifier
 from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import Vocabulary
 from reviewfuse.training import (
+    TrainConfig,
     TrainReport,
     eval_outputs,
     model_from_bundle,
     model_to_bundle,
 )
+from reviewfuse.workflow import load_corpus, train_model
 
 
 def run(capsys, *argv):
@@ -179,6 +181,22 @@ class TestTrain:
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
         assert open(outs[0] + ".report.json").read() == \
                open(outs[1] + ".report.json").read()
+
+    def test_bundle_holds_train_model_parameters(self, capsys, tmp_path,
+                                                 corpus_dir):
+        # train runs the recipe of eval --compare: head warm start, then fit
+        out = str(tmp_path / "m.fkit")
+        code, printed, _ = run(capsys, "train", "--data", str(corpus_dir),
+                               "--out", out, "--mode", "text_only",
+                               "--max-epochs", "2", "--patience", "1",
+                               "--seed", "4")
+        assert code == 0 and printed.startswith("head warmup val_acc=")
+        model, _ = train_model("text_only", load_corpus(corpus_dir),
+                               TrainConfig(max_epochs=2, patience=1, seed=4))
+        tensors = load_bundle(out).tensors
+        assert list(tensors) == list(model.params)
+        for k, t in model.params.items():
+            assert tensors[k].tobytes() == t.data.tobytes(), k
 
     def test_failed_report_write_leaves_previous_file(self, tmp_path,
                                                       corpus_dir, monkeypatch):

@@ -9,8 +9,12 @@ from reviewfuse.errors import ManifestError
 from reviewfuse.fusion import classify_batch, predict_labels
 from reviewfuse.imageproc import save_ppm
 from reviewfuse.metrics import evaluate
+from reviewfuse.model import MODES
 from reviewfuse.synthgen import GeneratorSpec, generate_synthetic
 from reviewfuse.training import (
+    BETA1,
+    BETA2,
+    EPS_ADAM,
     AdamState,
     TrainConfig,
     adam_step,
@@ -22,6 +26,7 @@ from reviewfuse.workflow import (
     compare_baselines,
     desk_model,
     load_corpus,
+    train_model,
     warm_start_head,
 )
 
@@ -71,7 +76,7 @@ class TestDeskModel:
 
 class TestTrainOnCorpus:
     def test_one_epoch_run(self, tiny_corpus):
-        # the train command's path: a desk model fitted on a loaded corpus
+        # a desk model fitted on a loaded corpus
         cfg = TrainConfig(lr=1e-3, max_epochs=1, patience=1, batch_size=16,
                           seed=2)
         model = desk_model("text_only", vocab_size=len(tiny_corpus.vocab),
@@ -153,16 +158,16 @@ def gathered_warm_start(model, train_set, val_set, cfg):
             theta, m, v = state.flat, state.m, state.v
             tmp = np.empty_like(theta)
             state.t += 1
-            bc1 = 1.0 - warm_cfg.beta1 ** state.t
-            bc2 = 1.0 - warm_cfg.beta2 ** state.t
-            m *= warm_cfg.beta1
-            m += np.multiply(g, 1.0 - warm_cfg.beta1, out=tmp)
-            v *= warm_cfg.beta2
-            np.multiply(g, 1.0 - warm_cfg.beta2, out=tmp)
+            bc1 = 1.0 - BETA1 ** state.t
+            bc2 = 1.0 - BETA2 ** state.t
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=tmp)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=tmp)
             v += np.multiply(tmp, g, out=tmp)
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += warm_cfg.eps_adam
+            tmp += EPS_ADAM
             step = np.divide(m, bc1, out=g)
             step *= warm_cfg.lr
             step /= tmp
@@ -232,7 +237,77 @@ class TestWarmStartHead:
             assert t.data.tobytes() == models[1].params[k].data.tobytes(), k
 
 
+@pytest.fixture
+def fit_reports(monkeypatch):
+    """The report of every ``fit`` that ``workflow`` runs, in call order."""
+    reports = []
+
+    def recording_fit(*args, **kwargs):
+        report, best = fit(*args, **kwargs)
+        reports.append(report)
+        return report, best
+
+    monkeypatch.setattr(workflow, "fit", recording_fit)
+    return reports
+
+
+class TestTrainModel:
+    def test_warm_start_is_a_fit_run_with_finite_losses(self, tiny_corpus,
+                                                         monkeypatch, fit_reports):
+        monkeypatch.setattr(workflow, "WARM_EPOCHS", 12)
+        model = desk_model("text_only", vocab_size=len(tiny_corpus.vocab), seed=5)
+        acc = warm_start_head(model, tiny_corpus.train, tiny_corpus.val,
+                              TestWarmStartHead.CFG)
+        report, = fit_reports
+        assert len(report.train_losses) == 12
+        assert report.stop_reason == "max_epochs"
+        assert all(np.isfinite(report.train_losses))
+        assert acc == max(report.val_accuracies)
+
+    def test_epoch_loss_is_the_mean_cross_entropy_of_its_steps(
+            self, tiny_corpus, monkeypatch, fit_reports):
+        # one epoch of one step over the whole split: its loss is the graph
+        # cross-entropy of the initial head on every training feature row
+        monkeypatch.setattr(workflow, "WARM_EPOCHS", 1)
+        model = desk_model("fused", vocab_size=len(tiny_corpus.vocab), seed=5)
+        feats, labels = eval_outputs(model.encode_batch, tiny_corpus.train)
+        with ag.no_grad():
+            want = ag.cross_entropy(classify_batch(
+                model.params, model.fusion_cfg, Tensor(feats), False, None),
+                labels).item()
+        cfg = TrainConfig(batch_size=len(labels), seed=3)
+        warm_start_head(model, tiny_corpus.train, tiny_corpus.val, cfg)
+        np.testing.assert_allclose(fit_reports[0].train_losses, [want], rtol=1e-6)
+
+    def test_warm_start_then_fit(self, tiny_corpus):
+        cfg = TrainConfig(lr=1e-3, max_epochs=2, patience=1, batch_size=16,
+                          seed=2)
+        logged = []
+        model, report = train_model("text_only", tiny_corpus, cfg, logged.append)
+        by_hand = desk_model("text_only", vocab_size=len(tiny_corpus.vocab),
+                             seed=cfg.seed)
+        warm_acc = warm_start_head(by_hand, tiny_corpus.train, tiny_corpus.val, cfg)
+        fit(by_hand, tiny_corpus.train, tiny_corpus.val, cfg)
+        assert logged[0] == f"head warmup val_acc={warm_acc:.4f}"
+        assert logged[1].startswith("epoch 1: ")
+        assert 1 <= report.best_epoch <= len(report.train_losses) <= 2
+        for k, t in model.params.items():
+            assert t.data.tobytes() == by_hand.params[k].data.tobytes(), k
+
+
 class TestCompareBaselines:
+    def test_each_arm_is_train_model(self, tiny_corpus, monkeypatch):
+        calls = []
+
+        def stub(mode, corpus, cfg, log=None):
+            calls.append((mode, corpus, cfg))
+            return desk_model(mode, vocab_size=len(corpus.vocab), seed=cfg.seed), None
+
+        monkeypatch.setattr(workflow, "train_model", stub)
+        cfg = TrainConfig(seed=2)
+        compare_baselines(tiny_corpus, cfg)
+        assert calls == [(mode, tiny_corpus, cfg) for mode in MODES]
+
     def test_three_rows_with_reference(self, tiny_corpus):
         cfg = TrainConfig(lr=1e-3, max_epochs=1, patience=1, batch_size=16,
                           seed=2)
