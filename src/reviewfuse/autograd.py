@@ -393,35 +393,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def dropout_mask(shape: tuple[int, ...], p: float, dtype,
-                 rng: np.random.Generator | None = None,
-                 uniforms: np.ndarray | None = None) -> np.ndarray:
-    """Inverted-dropout multipliers of ``shape``: 0 with prob ``p``, else 1/(1-p).
-
-    The keep decisions come from ``uniforms`` (U[0, 1) draws of ``shape``)
-    when given, else from a fresh draw of ``rng``.
-    """
-    if uniforms is None:
-        if rng is None:
-            raise ParameterError(
-                "dropout in training mode requires an rng or uniforms")
-        uniforms = rng.random(shape)
-    elif uniforms.shape != shape:
-        raise DimensionError(f"dropout: uniforms {uniforms.shape} vs input {shape}")
-    dt = np.dtype(dtype)
-    return (uniforms >= p).astype(dt) * dt.type(1.0 / (1.0 - p))
-
-
 def dropout(x: Tensor, p: float, training: bool,
-            rng: np.random.Generator | None = None,
             uniforms: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout with the multipliers of ``dropout_mask``; ``x`` itself
-    when off (eval mode or p = 0)."""
+    """Inverted dropout: an element is zeroed where its U[0, 1) draw in
+    ``uniforms`` (of ``x``'s shape) is below ``p``, else scaled by
+    1/(1-p); ``x`` itself when off (eval mode or p = 0)."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    mask = dropout_mask(x.data.shape, p, x.data.dtype, rng, uniforms)
+    if uniforms is None:
+        raise ParameterError("dropout in training mode requires uniforms")
+    if uniforms.shape != x.data.shape:
+        raise DimensionError(
+            f"dropout: uniforms {uniforms.shape} vs input {x.data.shape}")
+    dt = x.data.dtype
+    mask = (uniforms >= p).astype(dt) * dt.type(1.0 / (1.0 - p))
     out_data = x.data * mask
 
     def backward(g: np.ndarray) -> None:
@@ -430,15 +417,13 @@ def dropout(x: Tensor, p: float, training: bool,
     return _make(out_data, (x,), backward)
 
 
-def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-             keep: np.ndarray | None = None) -> Tensor:
-    """``relu(x @ w1 + b1) * keep @ w2 + b2`` as one graph node.
+def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one graph node.
 
-    ``keep`` is None (no dropout) or the B x hidden multipliers of
-    ``dropout_mask``. Forward and backward are ``mlp_head_forward`` and
-    ``mlp_head_grads``, which do the arithmetic of the matmul, add_bias,
-    relu, dropout, matmul, add_bias chain in its order, one-row products
-    included (``_gemm``), so outputs and gradients are bit-identical to it.
+    Forward and backward are ``mlp_head_forward`` and ``mlp_head_grads``,
+    which do the arithmetic of the matmul, add_bias, relu, matmul,
+    add_bias chain in its order, one-row products included (``_gemm``),
+    so outputs and gradients are bit-identical to it.
     """
     _check_same_dtype(x, w1, b1, w2, b2)
     xs, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
@@ -448,19 +433,12 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         raise DimensionError(
             f"mlp_head: input {xs}, layers {s1} + {b1.data.shape}, "
             f"{s2} + {b2.data.shape}")
-    if keep is not None:
-        if keep.shape != (xs[0], s1[1]):
-            raise DimensionError(
-                f"mlp_head: keep {keep.shape} vs hidden {(xs[0], s1[1])}")
-        if keep.dtype != x.data.dtype:
-            raise ContractError(f"dtype mismatch: {x.data.dtype} vs keep {keep.dtype}")
     pre, hidden, out_data = mlp_head_forward(x.data, w1.data, b1.data, w2.data,
-                                             b2.data, keep)
+                                             b2.data)
 
     def backward(g: np.ndarray) -> None:
         grads = [np.empty_like(t.data) for t in (w1, b1, w2, b2)]
-        dh = mlp_head_grads(g, x.data, pre, hidden, w1.data, w2.data, keep,
-                            grads)
+        dh = mlp_head_grads(g, x.data, pre, hidden, w1.data, w2.data, grads)
         for t, gt in zip((w1, b1, w2, b2), grads):
             _accum(t, gt, fresh=True)
         if x.requires_grad:
@@ -470,34 +448,29 @@ def mlp_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
 
 def mlp_head_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-                     w2: np.ndarray, b2: np.ndarray,
-                     keep: np.ndarray | None = None):
+                     w2: np.ndarray, b2: np.ndarray):
     """The arrays of ``mlp_head``'s forward pass, unchecked and unrecorded:
-    the pre-activation ``x @ w1 + b1``, the hidden layer after ReLU and
-    ``keep``, and the logits ``hidden @ w2 + b2``."""
+    the pre-activation ``x @ w1 + b1``, the hidden layer after ReLU, and
+    the logits ``hidden @ w2 + b2``."""
     pre = _gemm(x, w1) + b1
     hidden = np.maximum(pre, 0)
-    if keep is not None:
-        hidden = hidden * keep
     return pre, hidden, _gemm(hidden, w2) + b2
 
 
 def mlp_head_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray,
                    hidden: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                   keep: np.ndarray | None, out) -> np.ndarray:
+                   out) -> np.ndarray:
     """Gradients of the head's parameters from the logits' gradient ``g``.
 
     Writes the gradients of w1, b1, w2 and b2 into the four arrays of
     ``out``, in that order, and returns the hidden layer's gradient
-    (pre-activation, after ReLU and ``keep``), from which the input's
-    gradient is ``dh @ w1.T``.
+    (pre-activation, after ReLU), from which the input's gradient is
+    ``dh @ w1.T``.
     """
     g_w1, g_b1, g_w2, g_b2 = out
     np.add.reduce(g, axis=0, out=g_b2)
     np.matmul(hidden.T, g, out=g_w2)
     dh = g @ w2.T
-    if keep is not None:
-        dh *= keep
     dh *= (pre > 0)
     np.add.reduce(dh, axis=0, out=g_b1)
     np.matmul(x.T, dh, out=g_w1)

@@ -9,6 +9,7 @@ data/format error, 3 training or evaluation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -57,14 +58,14 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUN = 3
 
-# training settings for `eval --compare`, matched to the default corpus
-COMPARE_TRAIN = dict(lr=5e-4, weight_decay=0.01, batch_size=32,
-                     max_epochs=10, patience=10)
-
-# TrainConfig's fields that `train` takes as flags and records in the
+# TrainConfig's fields, which `train` takes as flags and records in the
 # bundle's train_config entry
-TRAIN_SETTINGS = ("lr", "weight_decay", "batch_size", "max_epochs",
-                  "patience", "seed")
+TRAIN_SETTINGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+# the training settings of `eval --compare` (and of `train` left at its
+# defaults): TrainConfig's defaults, seed aside
+COMPARE_TRAIN = {k: v for k, v in dataclasses.asdict(TrainConfig()).items()
+                 if k != "seed"}
 
 
 class UsageError(Exception):
@@ -261,9 +262,12 @@ def _load_model_and_vocab(path):
 
 def cmd_eval(cfg) -> int:
     if cfg["compare"]:
+        if cfg["model"]:
+            raise UsageError("eval --compare trains its own models; "
+                             "it takes no --model")
         corpus = load_corpus(cfg["data"])
-        tc = TrainConfig(seed=cfg["seed"], **COMPARE_TRAIN)
-        reports, meta = compare_baselines(corpus, tc, log=print)
+        reports, meta = compare_baselines(corpus, TrainConfig(seed=cfg["seed"]),
+                                          log=print)
         print(emit_report(reports, fmt=cfg["format"], path=cfg["out"]), end="")
         ref = meta["benchmark_reference"]
         print("reference (full-scale benchmark): "

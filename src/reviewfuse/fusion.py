@@ -17,7 +17,6 @@ class FusionConfig:
     d_text: int
     d_img: int
     d_hidden: int = 32
-    dropout_p: float = 0.3
 
     def __post_init__(self):
         if any(type(n) is not int for n in (self.d_text, self.d_img, self.d_hidden)):
@@ -26,8 +25,6 @@ class FusionConfig:
             raise ParameterError("fused input dimension must be positive")
         if self.d_hidden < 1:
             raise ParameterError("d_hidden must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ParameterError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
     @property
     def d_in(self) -> int:
@@ -35,7 +32,7 @@ class FusionConfig:
 
 
 def paper_scale_fusion_config() -> FusionConfig:
-    return FusionConfig(d_text=768, d_img=2048, d_hidden=512, dropout_p=0.3)
+    return FusionConfig(d_text=768, d_img=2048, d_hidden=512)
 
 
 def fusion_layout(cfg: FusionConfig):
@@ -47,22 +44,16 @@ def fusion_layout(cfg: FusionConfig):
     yield "head.b2", (2,), "zeros"
 
 
-def classify_batch(params: dict[str, Tensor], cfg: FusionConfig, fused: Tensor,
-                   training: bool = False,
-                   rng: np.random.Generator | None = None) -> Tensor:
-    """B x d_in fused features -> B x 2 logits (linear, ReLU, dropout, linear),
-    one ``mlp_head`` node; dropout draws its B x d_hidden uniforms from
-    ``rng`` when training with ``dropout_p`` > 0."""
+def classify_batch(params: dict[str, Tensor], cfg: FusionConfig,
+                   fused: Tensor) -> Tensor:
+    """B x d_in fused features -> B x 2 logits (linear, ReLU, linear), one
+    ``mlp_head`` node."""
     if fused.data.ndim != 2 or fused.data.shape[1] != cfg.d_in:
         raise DimensionError(
             f"classify: fused shape {fused.data.shape}, expected (B, {cfg.d_in})"
         )
-    keep = None
-    if training and cfg.dropout_p > 0:
-        keep = ag.dropout_mask((fused.data.shape[0], cfg.d_hidden), cfg.dropout_p,
-                               fused.data.dtype, rng)
     return ag.mlp_head(fused, params["head.w1"], params["head.b1"],
-                       params["head.w2"], params["head.b2"], keep)
+                       params["head.w2"], params["head.b2"])
 
 
 def predict_labels(logits) -> np.ndarray:

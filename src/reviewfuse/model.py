@@ -26,13 +26,12 @@ class ReviewClassifier:
     def __init__(self, mode: str,
                  text_cfg: TextEncoderConfig | None,
                  image_cfg: ImageEncoderConfig | None,
-                 d_hidden: int = 32, dropout_p: float = 0.3,
-                 seed: int = 0, dtype=np.float32):
-        self._configure(mode, text_cfg, image_cfg, d_hidden, dropout_p)
+                 d_hidden: int = 32, seed: int = 0, dtype=np.float32):
+        self._configure(mode, text_cfg, image_cfg, d_hidden)
         self.params: dict[str, Tensor] = ag.init_params(
             self._layout(), np.random.default_rng(seed), dtype)
 
-    def _configure(self, mode, text_cfg, image_cfg, d_hidden, dropout_p) -> None:
+    def _configure(self, mode, text_cfg, image_cfg, d_hidden) -> None:
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}, expected one of {MODES}")
         if mode in ("text_only", "fused") and text_cfg is None:
@@ -44,8 +43,7 @@ class ReviewClassifier:
         self.image_cfg = image_cfg if mode != "text_only" else None
         d_text = self.text_cfg.d_model if self.text_cfg else 0
         d_img = self.image_cfg.d_out if self.image_cfg else 0
-        self.fusion_cfg = FusionConfig(d_text=d_text, d_img=d_img,
-                                       d_hidden=d_hidden, dropout_p=dropout_p)
+        self.fusion_cfg = FusionConfig(d_text, d_img, d_hidden)
 
     def _layout(self):
         """``(name, shape, init)`` of every parameter, in serialization order."""
@@ -91,7 +89,7 @@ class ReviewClassifier:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Return B x 2 logits for a batch of samples."""
         feats = self.encode_batch(reviews, images, training, rng)
-        return classify_batch(self.params, self.fusion_cfg, feats, training, rng)
+        return classify_batch(self.params, self.fusion_cfg, feats)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -109,7 +107,6 @@ class ReviewClassifier:
             "text_cfg": asdict(self.text_cfg) if self.text_cfg else None,
             "image_cfg": asdict(self.image_cfg) if self.image_cfg else None,
             "d_hidden": self.fusion_cfg.d_hidden,
-            "dropout_p": self.fusion_cfg.dropout_p,
         }
 
     @classmethod
@@ -118,14 +115,14 @@ class ReviewClassifier:
 
         Draws no random numbers and allocates no weight array: ``arrays``
         are checked against the parameter layout's names and shapes, and
-        each becomes its parameter's data, without a copy if float32.
+        each becomes its parameter's data, without a copy if float32. A
+        ``dropout_p`` entry, which older configs carry, is not read.
         """
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
         image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
                      if cfg.get("image_cfg") else None)
         model = cls.__new__(cls)
-        model._configure(cfg["mode"], text_cfg, image_cfg,
-                         cfg["d_hidden"], cfg["dropout_p"])
+        model._configure(cfg["mode"], text_cfg, image_cfg, cfg["d_hidden"])
         shapes = {name: shape for name, shape, _ in model._layout()}
         if set(arrays) != set(shapes):
             missing = set(shapes) ^ set(arrays)

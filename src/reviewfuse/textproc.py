@@ -64,7 +64,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
 
-def build_vocab(corpus: list[str], max_size: int = 2000, min_count: int = 1) -> Vocabulary:
+def build_vocab(corpus: list[str], max_size: int = 2000) -> Vocabulary:
     """Rank normalized whitespace tokens by frequency (ties lexicographic)."""
     if max_size < 4:
         raise ParameterError(f"max_size must be >= 4, got {max_size}")
@@ -72,11 +72,10 @@ def build_vocab(corpus: list[str], max_size: int = 2000, min_count: int = 1) -> 
     for doc in corpus:
         counts.update(normalize_text(doc).split())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    admitted = [tok for tok, n in ranked if n >= min_count][: max_size - 4]
-    return Vocabulary(admitted)
+    return Vocabulary([tok for tok, _ in ranked[: max_size - 4]])
 
 
-def tokenize(vocab: Vocabulary, text: str, max_len: int = 128) -> np.ndarray:
+def tokenize(vocab: Vocabulary, text: str, max_len: int) -> np.ndarray:
     """Normalize, map to ids, wrap in [CLS]/[SEP], truncate tail, pad: the
     review as a (max_len,) int32 row of token ids."""
     if max_len < 3:

@@ -47,15 +47,13 @@ def read_split(data_dir, name: str) -> list[ReviewSample]:
 
 def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
                 crop_side: int = DESK_CROP_SIDE,
-                vocab_size: int = DESK_VOCAB_SIZE,
-                vocab: Vocabulary | None = None) -> Corpus:
+                vocab_size: int = DESK_VOCAB_SIZE) -> Corpus:
     """Read the three split CSVs, align images, tokenize and decode everything.
 
-    The vocabulary comes from the training split only unless one is passed in.
+    The vocabulary comes from the training split only.
     """
     splits = {name: read_split(data_dir, name) for name in ("train", "val", "test")}
-    if vocab is None:
-        vocab = build_vocab([s.text for s in splits["train"]], max_size=vocab_size)
+    vocab = build_vocab([s.text for s in splits["train"]], max_size=vocab_size)
     prepared = {
         name: PreparedDataset.prepare(samples, vocab=vocab, max_len=max_len,
                                       crop_side=crop_side)
@@ -69,12 +67,9 @@ def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
 def desk_model(mode: str, vocab_size: int, max_len: int = DESK_MAX_LEN,
                crop_side: int = DESK_CROP_SIDE, seed: int = 0) -> ReviewClassifier:
     """Desk-scale model for the given mode (text_only / image_only / fused)."""
-    text_cfg = TextEncoderConfig(vocab_size=vocab_size, max_len=max_len)
-    image_cfg = ImageEncoderConfig(input_side=crop_side)
-    # dropout off at desk scale: these models underfit, and head dropout
-    # mainly masks the weak cross-modal signal the experiment is after
-    return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=32,
-                            dropout_p=0.0, seed=seed)
+    return ReviewClassifier(
+        mode, TextEncoderConfig(vocab_size=vocab_size, max_len=max_len),
+        ImageEncoderConfig(input_side=crop_side), seed=seed)
 
 
 WARM_EPOCHS = 300
@@ -138,7 +133,7 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
             pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
             epoch_logits[i:i + bsz] = logits
             dlogits = ag.xent_grad(ag.softmax_rows(logits), y, one / len(y))
-            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, None, grads)
+            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, grads)
             adam_update(state, g, warm_cfg)
         top = epoch_logits.max(axis=1)
         lse = top + np.log(np.exp(epoch_logits - top[:, None]).sum(axis=1))

@@ -200,7 +200,7 @@ def test_training_sanity_on_separable_data():
                                            stages=[(1, 4, 1), (1, 8, 2)],
                                            d_out=8)
             model = ReviewClassifier("text_only", text_cfg, image_cfg,
-                                     d_hidden=8, dropout_p=0.0, seed=seed)
+                                     d_hidden=8, seed=seed)
             cfg = TrainConfig(lr=1e-2, weight_decay=0.0, batch_size=16,
                               max_epochs=15, patience=15, seed=seed)
             report, _ = fit(model, ds, ds, cfg)

@@ -278,11 +278,10 @@ class TestLayerNorm:
 
 class TestDropout:
     def test_p_zero_identity(self):
-        # off means no node and no draw: the input itself comes back
+        # off means no node: the input itself comes back, and no uniforms
+        # are needed
         x = t64([1.0, 2.0])
-        rng = np.random.default_rng(0)
-        assert ag.dropout(x, 0.0, True, rng) is x
-        assert rng.random() == np.random.default_rng(0).random()
+        assert ag.dropout(x, 0.0, True) is x
 
     def test_eval_identity(self):
         x = t64([1.0, 2.0])
@@ -290,29 +289,34 @@ class TestDropout:
 
     def test_bad_p(self):
         with pytest.raises(ParameterError):
-            ag.dropout(t64([1.0]), 1.0, True, np.random.default_rng(0))
+            ag.dropout(t64([1.0]), 1.0, True, np.zeros(1))
 
     def test_survivor_stats(self):
-        rng = np.random.default_rng(9)
         x = t64(np.ones(100_000))
-        out = ag.dropout(x, 0.3, True, rng)
+        out = ag.dropout(x, 0.3, True, np.random.default_rng(9).random(100_000))
         frac = np.count_nonzero(out.data) / x.data.size
         assert abs(frac - 0.7) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_deterministic_given_seed(self):
         x = t64(np.ones(1000))
-        a = ag.dropout(x, 0.3, True, np.random.default_rng(42)).data
-        b = ag.dropout(x, 0.3, True, np.random.default_rng(42)).data
+        a = ag.dropout(x, 0.3, True, np.random.default_rng(42).random(1000)).data
+        b = ag.dropout(x, 0.3, True, np.random.default_rng(42).random(1000)).data
         np.testing.assert_array_equal(a, b)
 
     def test_given_uniforms_replace_the_draw(self):
-        x = t64(np.ones((4, 5)))
-        a = ag.dropout(x, 0.3, True, np.random.default_rng(42)).data
+        # an element survives where its uniform is at least p, scaled by
+        # 1/(1-p) in the input's dtype; the uniforms must match the input
+        x = ag.Tensor(np.arange(1.0, 21.0, dtype=np.float32).reshape(4, 5))
         u = np.random.default_rng(42).random((4, 5))
-        np.testing.assert_array_equal(ag.dropout(x, 0.3, True, None, u).data, a)
+        out = ag.dropout(x, 0.3, True, u)
+        assert out.data.dtype == np.float32
+        want = x.data * np.where(u >= 0.3, np.float32(1 / 0.7), np.float32(0))
+        np.testing.assert_array_equal(out.data, want)
         with pytest.raises(DimensionError):
-            ag.dropout(x, 0.3, True, None, u.reshape(-1))
+            ag.dropout(x, 0.3, True, u.reshape(-1))
+        with pytest.raises(ParameterError):
+            ag.dropout(x, 0.3, True)
 
 
 class TestGlobalAvgPool:
@@ -803,14 +807,13 @@ class TestPlumbingOps:
 
 
 # ---------------------------------------------------------------------------
-# the fused head op against the six-op chain it replaced
+# the fused head op against the five-op chain it replaced
 
 
-def six_op_head(x, w1, b1, w2, b2, p, uniforms):
-    """matmul, add_bias, relu, dropout, matmul, add_bias: the head as
-    separate graph nodes."""
+def op_chain_head(x, w1, b1, w2, b2):
+    """matmul, add_bias, relu, matmul, add_bias: the head as separate graph
+    nodes."""
     hidden = ag.relu(ag.add_bias(ag.matmul(x, w1), b1))
-    hidden = ag.dropout(hidden, p, True, uniforms=uniforms)
     return ag.add_bias(ag.matmul(hidden, w2), b2)
 
 
@@ -821,23 +824,19 @@ def head_params(rng, dtype, d_in=7, d_hidden=5):
 
 
 class TestMlpHead:
-    @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("x_needs_grad", [False, True])
-    def test_bit_identical_to_six_op_chain(self, dropout, x_needs_grad):
+    def test_bit_identical_to_the_op_chain(self, x_needs_grad):
         # at B=1 both take the one-row products padded to four rows
         for bsz, d_in, d_hidden in ((32, 7, 5), (1, 64, 32)):
             rng = np.random.default_rng(32)
             x_data = rng.normal(size=(bsz, d_in)).astype(np.float32)
             params = head_params(rng, np.float32, d_in, d_hidden)
-            u = rng.random((bsz, d_hidden))
-            keep = None if dropout == 0.0 else \
-                ag.dropout_mask((bsz, d_hidden), dropout, np.float32, uniforms=u)
             labels = rng.integers(0, 2, bsz)
             results = []
-            for head, extra in ((ag.mlp_head, (keep,)), (six_op_head, (dropout, u))):
+            for head in (ag.mlp_head, op_chain_head):
                 x = Tensor(x_data.copy(), requires_grad=x_needs_grad)
                 ps = [Tensor(p.data.copy(), requires_grad=True) for p in params]
-                logits = head(x, *ps, *extra)
+                logits = head(x, *ps)
                 ag.cross_entropy(logits, labels).backward()
                 results.append([logits.data, x.grad] + [p.grad for p in ps])
             new, old = results
@@ -855,16 +854,15 @@ class TestMlpHead:
         assert logits._parents[0] is x and len(logits._parents) == 5
         assert all(not p._parents for p in logits._parents)
 
-    @pytest.mark.parametrize("with_keep", [False, True])
-    def test_gradcheck(self, with_keep):
+    @pytest.mark.parametrize("x_needs_grad", [False, True])
+    def test_gradcheck(self, x_needs_grad):
         rng = np.random.default_rng(34)
-        x = t64(rng.normal(size=(3, 7)))
+        x = t64(rng.normal(size=(3, 7)), x_needs_grad)
         params = head_params(rng, np.float64)
-        keep = ag.dropout_mask((3, 5), 0.4, np.float64, rng) if with_keep else None
         w = rng.normal(size=(3, 2))
         err = grad_check(
-            lambda: ag.tsum(ag.mul(ag.mlp_head(x, *params, keep), t64(w, False))),
-            params + [x])
+            lambda: ag.tsum(ag.mul(ag.mlp_head(x, *params), t64(w, False))),
+            params + ([x] if x_needs_grad else []))
         assert err < 1e-6
 
     def test_shape_and_dtype_checks(self):
@@ -872,8 +870,5 @@ class TestMlpHead:
         params = head_params(rng, np.float64)
         with pytest.raises(DimensionError):
             ag.mlp_head(t64(np.zeros((3, 6))), *params)
-        with pytest.raises(DimensionError):
-            ag.mlp_head(t64(np.zeros((3, 7))), *params, np.ones((3, 4)))
         with pytest.raises(ContractError):
-            ag.mlp_head(t64(np.zeros((3, 7))), *params,
-                        np.ones((3, 5), dtype=np.float32))
+            ag.mlp_head(ag.Tensor(np.zeros((3, 7), dtype=np.float32)), *params)

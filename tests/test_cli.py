@@ -56,16 +56,17 @@ def trained(tmp_path_factory, corpus_dir):
 
 
 # each subcommand's settings and defaults as they stood when the CLI kept
-# its own copy of them; a flag's default now comes from the library, and a
-# change there that moves one of these shows here
+# its own copy of them, except train's training settings, which are now
+# eval --compare's (TrainConfig's defaults); a flag's default comes from the
+# library, and a change there that moves one of these shows here
 REQUIRED = "<required>"
 DEFAULTS = {
     "gen-data": {"out": REQUIRED, "n": 2000, "seed": 7,
                  "ratios": (0.6, 0.2, 0.2), "text_flip_rate": 0.25,
                  "p_match": 0.95, "image_side": 37},
     "train": {"data": REQUIRED, "out": REQUIRED, "mode": "fused", "seed": 0,
-              "lr": 1e-3, "weight_decay": 0.01, "batch_size": 32,
-              "max_epochs": 50, "patience": 5, "max_len": 16,
+              "lr": 5e-4, "weight_decay": 0.01, "batch_size": 32,
+              "max_epochs": 10, "patience": 10, "max_len": 16,
               "crop_side": 32, "vocab_size": 2000, "report": None},
     "eval": {"data": REQUIRED, "model": None, "split": "test",
              "format": "plain", "out": None, "compare": False, "seed": 0},
@@ -164,11 +165,20 @@ class TestTrain:
         config = load_bundle(trained).config
         assert "preprocess" not in config  # the model config holds the sizes
         assert config["train_config"] == {
-            "lr": 1e-3, "weight_decay": 0.01, "batch_size": 32,
+            "lr": 5e-4, "weight_decay": 0.01, "batch_size": 32,
             "max_epochs": 2, "patience": 1, "seed": 1}
         report = json.loads(open(trained + ".report.json").read())
         assert len(report["train_losses"]) >= 1
         assert report["best_epoch"] >= 1
+
+    def test_default_flags_train_with_the_compare_settings(self, tmp_path,
+                                                           corpus_dir):
+        # train left at its defaults runs eval --compare's settings
+        out = str(tmp_path / "m.fkit")
+        assert main(["train", "--data", str(corpus_dir), "--out", out,
+                     "--mode", "text_only"]) == 0
+        assert load_bundle(out).config["train_config"] == {
+            **cli.COMPARE_TRAIN, "seed": 0}
 
     def test_determinism_identical_outputs(self, tmp_path, corpus_dir):
         outs = []
@@ -353,6 +363,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--data", str(corpus_dir))
         assert code == 1 and "--model" in err
 
+    def test_compare_takes_no_model(self, capsys, corpus_dir, trained):
+        # eval --compare trains its own models; a bundle it would ignore is
+        # a usage error, raised before anything is read or trained
+        code, out, err = run(capsys, "eval", "--data", str(corpus_dir),
+                             "--compare", "--model", trained)
+        assert code == 1 and "--model" in err and out == ""
+
     def test_corrupt_model_file(self, capsys, corpus_dir, tmp_path):
         bad = tmp_path / "bad.fkit"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -367,8 +384,7 @@ class TestPredict:
                                      n_heads=2, d_ff=16, max_len=8)
         image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
                                        stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
-        model = ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8,
-                                 dropout_p=0.0, seed=0)
+        model = ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=0)
         for t in model.params.values():
             t.data[:] = 0.0
         path = str(tmp_path / "zero.fkit")
@@ -456,6 +472,23 @@ class TestPredict:
             save_bundle(ModelBundle(bundle.tensors,
                                     {**bundle.config, "preprocess": prep}), old)
             assert run(capsys, "predict", "--model", old, *argv)[:2] == (code, want)
+        assert code == 0
+
+    def test_dropout_p_of_older_bundles_is_ignored(self, capsys, corpus_dir,
+                                                   trained, tmp_path):
+        # bundles written while the head had a dropout setting carry
+        # "dropout_p": 0.0 in their model config; such a bundle loads, and
+        # predict prints what it prints for the bundle without the key
+        argv = ["--text", "absolutely amazing best ever",
+                "--image", str(corpus_dir / "images" / "s000000.ppm")]
+        code, want, _ = run(capsys, "predict", "--model", trained, *argv)
+        bundle = load_bundle(trained)
+        assert "dropout_p" not in bundle.config["model"]
+        old = str(tmp_path / "old.fkit")
+        save_bundle(ModelBundle(bundle.tensors, {
+            **bundle.config,
+            "model": {**bundle.config["model"], "dropout_p": 0.0}}), old)
+        assert run(capsys, "predict", "--model", old, *argv)[:2] == (code, want)
         assert code == 0
 
     def test_image_with_trailing_bytes(self, capsys, tmp_path):

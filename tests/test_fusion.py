@@ -18,7 +18,7 @@ BATCH_SIZES = (1, 3)
 
 
 def desk_cfg():
-    return FusionConfig(d_text=32, d_img=64, d_hidden=32, dropout_p=0.3)
+    return FusionConfig(d_text=32, d_img=64, d_hidden=32)
 
 
 def desk_batch(n, seed=0):
@@ -88,12 +88,12 @@ class TestClassify:
         p = ag.init_params(fusion_layout(cfg), np.random.default_rng(1))
         for n in BATCH_SIZES:
             x = Tensor(np.random.default_rng(2).normal(size=(n, 96)).astype(np.float32))
-            a = classify_batch(p, cfg, x, training=False).data
-            b = classify_batch(p, cfg, x, training=False).data
+            a = classify_batch(p, cfg, x).data
+            b = classify_batch(p, cfg, x).data
             np.testing.assert_array_equal(a, b)
 
     def test_gradcheck_f32_against_f64_oracle(self):
-        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
+        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
         p64 = ag.init_params(fusion_layout(cfg), np.random.default_rng(3), np.float64)
         p32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True)
                for k, v in p64.items()}
@@ -109,7 +109,7 @@ class TestClassify:
         assert err < 1e-3
 
     def test_gradcheck_f64(self):
-        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5, dropout_p=0.0)
+        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
         p = ag.init_params(fusion_layout(cfg), np.random.default_rng(5), np.float64)
         x = Tensor(np.random.default_rng(6).normal(size=(3, 7)),
                    requires_grad=True)
@@ -126,9 +126,9 @@ class TestClassify:
                 classify_batch(p, cfg, Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_linear_region_linearity(self):
-        # with dropout off and all hidden pre-activations positive the head
-        # is linear in its input
-        cfg = FusionConfig(d_text=2, d_img=2, d_hidden=3, dropout_p=0.0)
+        # with all hidden pre-activations positive the head is linear in
+        # its input
+        cfg = FusionConfig(d_text=2, d_img=2, d_hidden=3)
         p = ag.init_params(fusion_layout(cfg), np.random.default_rng(8))
         p["head.b1"].data[:] = 10.0  # push hidden units into the linear region
         f = lambda arr: classify_batch(p, cfg, Tensor(arr)).data

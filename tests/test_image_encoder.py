@@ -289,8 +289,8 @@ def test_float64_twin_of_im2col_encoder(monkeypatch):
     # channel change: every tap offset and phase the encoder can use
     cfg = ImageEncoderConfig(input_side=9, stem_channels=3,
                              stages=[(1, 4, 1), (2, 5, 2), (1, 6, 2)], d_out=6)
-    model = ReviewClassifier("image_only", None, cfg, d_hidden=5,
-                             dropout_p=0.0, seed=26, dtype=np.float64)
+    model = ReviewClassifier("image_only", None, cfg, d_hidden=5, seed=26,
+                             dtype=np.float64)
     for name, t in model.params.items():
         if name.endswith("norm2_g"):
             t.data[:] = 0.5  # every residual branch contributes

@@ -307,15 +307,19 @@ def reference_block(x, mask, params, layer, cfg, training=False, rng=None):
         scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 1.0 / math.sqrt(dh))
         ctx = ag.matmul(ag.softmax(ag.add_const(scores, bias)), vh)
         head_ctx = ctx if head_ctx is None else ag.concat_cols(head_ctx, ctx)
-    attn_out = ag.dropout(ag.matmul(head_ctx, params[pre + "wo"]),
-                          cfg.dropout_p, training, rng)
+
+    def drop(t):
+        # this site's uniforms, in the order encode_text draws them
+        u = rng.random(t.data.shape) if training and cfg.dropout_p > 0 else None
+        return ag.dropout(t, cfg.dropout_p, training, u)
+
+    attn_out = drop(ag.matmul(head_ctx, params[pre + "wo"]))
     y = ag.layer_norm(ag.add(x, attn_out), params[pre + "ln1_g"],
                       params[pre + "ln1_b"])
     hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
                                  params[pre + "ffn_b1"]))
-    ffn_out = ag.dropout(ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
-                                     params[pre + "ffn_b2"]),
-                         cfg.dropout_p, training, rng)
+    ffn_out = drop(ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
+                               params[pre + "ffn_b2"]))
     return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"],
                          params[pre + "ln2_b"])
 
@@ -336,8 +340,8 @@ class TestBatchedMatchesPerSampleTwin:
 
     def logits_and_grads(self, batched, training, dropout_p):
         cfg = tiny_cfg(vocab_size=15, n_layers=2, max_len=7, dropout_p=dropout_p)
-        model = ReviewClassifier("text_only", cfg, None, d_hidden=5,
-                                 dropout_p=dropout_p, seed=21, dtype=np.float64)
+        model = ReviewClassifier("text_only", cfg, None, d_hidden=5, seed=21,
+                                 dtype=np.float64)
         rng = np.random.default_rng(22)
         # mixed padding: true lengths 7 (no PAD), 3, 2 and 5
         batch = np.stack([
@@ -350,8 +354,7 @@ class TestBatchedMatchesPerSampleTwin:
             text = {k[5:]: v for k, v in model.params.items()
                     if k.startswith("text.")}
             feats = reference_encode(text, cfg, batch, training, rng)
-            logits = classify_batch(model.params, model.fusion_cfg, feats,
-                                    training, rng)
+            logits = classify_batch(model.params, model.fusion_cfg, feats)
         model.zero_grad()
         ag.cross_entropy(logits, [0, 1, 1, 0]).backward()
         return logits.data, {k: v.grad.copy() for k, v in model.params.items()}

@@ -84,11 +84,6 @@ class TestBuildVocab:
         expected = sorted(counts, key=lambda w: (-counts[w], w))
         assert v.id_to_token[4:] == expected
 
-    def test_min_count_filters(self):
-        v = build_vocab(["rare common common"], max_size=10, min_count=2)
-        assert v.lookup("common") != UNK_ID
-        assert v.lookup("rare") == UNK_ID
-
     def test_save_load_roundtrip(self, tmp_path):
         # a vocabulary is saved as a bundle's vocab_tokens and loaded back
         # from them, as train and predict do

@@ -36,8 +36,7 @@ def tiny_model(mode="fused", seed=0):
                                  n_heads=2, d_ff=16, max_len=8)
     image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
                                    stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
-    return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8,
-                            dropout_p=0.1, seed=seed)
+    return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=seed)
 
 
 def tiny_dataset(n=8, seed=0):
@@ -55,7 +54,8 @@ def tiny_dataset(n=8, seed=0):
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
-        assert cfg.lr == 1e-3 and cfg.patience == 5
+        assert (cfg.lr, cfg.weight_decay, cfg.batch_size, cfg.max_epochs,
+                cfg.patience, cfg.seed) == (5e-4, 0.01, 32, 10, 10, 0)
 
     def test_lr_zero_rejected(self):
         with pytest.raises(ParameterError):

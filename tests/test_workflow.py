@@ -106,7 +106,7 @@ def graph_warm_start(model, train_set, val_set, cfg, epochs):
         for i in range(0, len(order), warm_cfg.batch_size):
             idx = order[i:i + warm_cfg.batch_size]
             logits = classify_batch(model.params, model.fusion_cfg,
-                                    Tensor(Xtr[idx]), False, None)
+                                    Tensor(Xtr[idx]))
             loss = ag.cross_entropy(logits, ytr[idx])
             for t in head.values():
                 t.zero_grad()
@@ -114,7 +114,7 @@ def graph_warm_start(model, train_set, val_set, cfg, epochs):
             adam_step(head, state, warm_cfg, model.decay_exempt)
         with ag.no_grad():
             logits = classify_batch(model.params, model.fusion_cfg,
-                                    Tensor(Xva), False, None)
+                                    Tensor(Xva))
         acc = float((predict_labels(logits) == yva).mean())
         if acc > best_acc:
             best_acc, best_epoch = acc, epoch
@@ -154,7 +154,7 @@ def gathered_warm_start(model, train_set, val_set, cfg):
             pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
             dlogits = ag.xent_grad(ag.softmax_rows(logits), ytr[idx],
                                    one / len(idx))
-            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, None, grads)
+            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, grads)
             theta, m, v = state.flat, state.m, state.v
             tmp = np.empty_like(theta)
             state.t += 1
@@ -273,7 +273,7 @@ class TestTrainModel:
         feats, labels = eval_outputs(model.encode_batch, tiny_corpus.train)
         with ag.no_grad():
             want = ag.cross_entropy(classify_batch(
-                model.params, model.fusion_cfg, Tensor(feats), False, None),
+                model.params, model.fusion_cfg, Tensor(feats)),
                 labels).item()
         cfg = TrainConfig(batch_size=len(labels), seed=3)
         warm_start_head(model, tiny_corpus.train, tiny_corpus.val, cfg)
