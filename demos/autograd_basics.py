@@ -1,7 +1,8 @@
 """A tour of the reverse-mode autodiff core.
 
-Builds a tiny two-layer network by hand, trains it on a toy regression-ish
-objective, and finishes with a finite-difference check of its gradients.
+Builds a tiny two-layer network from the op library's head, trains it on a
+toy regression-ish objective, and finishes with a finite-difference check of
+its gradients.
 
 Run:  python3 demos/autograd_basics.py
 """
@@ -13,7 +14,7 @@ from reviewfuse.autograd import Tensor, grad_check
 
 rng = np.random.default_rng(0)
 
-# a 2-layer classifier over 4 features, entirely from the op library
+# a 2-layer classifier over 4 features: the parameters of one mlp_head node
 w1 = Tensor(rng.normal(scale=0.5, size=(4, 8)), requires_grad=True)
 b1 = Tensor(np.zeros(8), requires_grad=True)
 w2 = Tensor(rng.normal(scale=0.5, size=(8, 2)), requires_grad=True)
@@ -25,8 +26,7 @@ labels = (x[:, 0] > 0).astype(int).tolist()
 
 
 def forward():
-    h = ag.relu(ag.add_bias(ag.matmul(Tensor(x), w1), b1))
-    logits = ag.add_bias(ag.matmul(h, w2), b2)
+    logits = ag.mlp_head(Tensor(x), w1, b1, w2, b2)
     return ag.cross_entropy(logits, labels)
 
 

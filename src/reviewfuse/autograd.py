@@ -363,20 +363,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     return _make(out_data, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    _check_same_dtype(x, gamma, beta)
+NORM_EPS = 1e-5  # the variance floor of layer_norm and channel_norm
+
+
+def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize ``x + residual`` over the last axis, then affine: a post-LN
+    residual add and norm in one node, bit-identical to ``add(x, residual)``
+    then the norm (backward hands the sum's gradient to x, then residual)."""
+    _check_same_dtype(x, residual, gamma, beta)
     d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+    if (residual.data.shape != x.data.shape or gamma.data.shape != (d,)
+            or beta.data.shape != (d,)):
         raise DimensionError(
-            f"layer_norm: gamma/beta must be shape ({d},), got "
-            f"{gamma.data.shape}/{beta.data.shape}"
-        )
+            f"layer_norm: input {x.data.shape}, residual {residual.data.shape}, "
+            f"gamma/beta {gamma.data.shape}/{beta.data.shape}")
+    s = x.data + residual.data
     # centred once: the variance is ndarray.var's own sum of squares of
-    # the centred values over d, so the bits are x.var()'s
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the centred values over d, so the bits are s.var()'s
+    xc = s - s.mean(axis=-1, keepdims=True)
     var = np.square(xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv_std
     out_data = gamma.data * xhat + beta.data
 
@@ -384,13 +390,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (dxhat - m1 - xhat * m2) * inv_std, fresh=True)
+        ds = (dxhat - m1 - xhat * m2) * inv_std
+        _accum(x, ds)
+        _accum(residual, ds, fresh=True)
         lead = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=lead) if lead else g * xhat,
                fresh=True)
         _accum(beta, g.sum(axis=lead) if lead else g, fresh=bool(lead))
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return _make(out_data, (x, residual, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -582,8 +590,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-                 residual: Tensor | None = None, relu: bool = False,
-                 eps: float = 1e-5) -> Tensor:
+                 residual: Tensor | None = None, relu: bool = False) -> Tensor:
     """``relu(gamma * xhat + beta [+ residual])`` for channel-major maps.
 
     ``x`` is C x B x H x W; gamma/beta are rank-1 of length C. Each
@@ -614,7 +621,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out = np.subtract(xf, mean[:, :, None])
     var = np.einsum("cbn,cbn->cb", out, out)
     var /= n
-    var += eps
+    var += NORM_EPS
     inv_std = 1.0 / np.sqrt(var)
     a = gamma.data[:, None] * inv_std  # d out / d x per map, before the ReLU
     out *= a[:, :, None]
@@ -903,19 +910,33 @@ def xent_grad(probs: np.ndarray, labels: np.ndarray, scale) -> np.ndarray:
 # finite-difference oracle
 
 
+PROBE_SEED = 0  # of the normal(0, 1) probe a tensor output is checked through
+
+
+def _project(out: Tensor, probe: np.ndarray | None) -> Tensor:
+    """``sum(probe * out)`` as a scalar node; ``out`` itself for no probe."""
+    if probe is None:
+        return out
+    w = probe.astype(out.data.dtype, copy=False)
+    return _make(np.asarray((out.data * w).sum(), dtype=out.data.dtype), (out,),
+                 lambda g: _accum(out, g * w, fresh=True))
+
+
 def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
                eps: float = 1e-5,
                fd_f: Callable[[], Tensor] | None = None,
                fd_params: Iterable[Tensor] | None = None,
                floor: float = 1e-8) -> float:
-    """Compare autodiff gradients of scalar ``f`` against central differences.
+    """Compare autodiff gradients of ``f`` against central differences.
 
     ``f`` must rebuild its graph on every call from the tensors in ``params``.
-    Optionally a higher-precision twin (``fd_f`` over ``fd_params``, same
-    mathematical function, typically float64) supplies the finite-difference
-    side. Returns the max relative error with denominator
-    max(|analytic|, |numeric|, floor); raise ``floor`` when checking float32
-    graphs, where near-zero gradients carry ~1e-10 rounding residue. A
+    A tensor output is checked through ``sum(probe * f())``, one probe of
+    its shape drawn at ``PROBE_SEED``. Optionally a higher-precision twin
+    (``fd_f`` over ``fd_params``, same mathematical function, typically
+    float64) supplies the finite-difference side. Returns the max relative
+    error with denominator max(|analytic|, |numeric|, floor); raise
+    ``floor`` when checking float32 graphs, where near-zero gradients carry
+    ~1e-10 rounding residue. The analytic gradients are left in ``grad``. A
     tensor in ``params`` that ends with no gradient (it does not require
     one, or does not reach the output) is a ``ContractError``, not a
     check silently skipped.
@@ -923,32 +944,30 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
     if eps <= 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
     params = list(params)
-    out = f()
-    if out.data.size != 1:
-        raise ContractError("grad_check target must be scalar-valued")
+    out = f().data
+    probe = None if out.size == 1 else \
+        np.random.default_rng(PROBE_SEED).normal(size=out.shape).astype(out.dtype)
     for p in params:
         p.zero_grad()
-    out = f()
-    out.backward()
+    _project(f(), probe).backward()
     for i, p in enumerate(params):
         if p.grad is None:
             raise ContractError(
                 f"grad_check: tensor {i} of shape {p.data.shape} got no gradient")
-    analytic = [p.grad.copy() for p in params]
 
-    probe_f = fd_f if fd_f is not None else f
-    probe_params = list(fd_params) if fd_params is not None else params
+    num_f = fd_f if fd_f is not None else f
+    num_params = list(fd_params) if fd_params is not None else params
 
     worst = 0.0
-    for p, pp, a in zip(params, probe_params, analytic):
+    for p, pp in zip(params, num_params):
         flat = pp.data.reshape(-1)
-        a_flat = a.reshape(-1)
+        a_flat = p.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(probe_f().data)
+            f_plus = float(_project(num_f(), probe).data)
             flat[i] = orig - eps
-            f_minus = float(probe_f().data)
+            f_minus = float(_project(num_f(), probe).data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             denom = max(abs(float(a_flat[i])), abs(numeric), floor)

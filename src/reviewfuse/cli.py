@@ -262,9 +262,9 @@ def _load_model_and_vocab(path):
 
 def cmd_eval(cfg) -> int:
     if cfg["compare"]:
-        if cfg["model"]:
-            raise UsageError("eval --compare trains its own models; "
-                             "it takes no --model")
+        if cfg["model"] or cfg["split"] != "test":
+            raise UsageError("eval --compare trains its own models and scores "
+                             "them on the test split: no --model, no other --split")
         corpus = load_corpus(cfg["data"])
         reports, meta = compare_baselines(corpus, TrainConfig(seed=cfg["seed"]),
                                           log=print)

@@ -204,7 +204,7 @@ def render_image(spec: GeneratorSpec, brightness: float, hue: int,
     base = 0.12 + 0.65 * brightness + HUE_TINTS[hue]
     noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
     img = np.clip(base + noise, 0.0, 1.0)
-    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    return np.rint(img * 255.0).astype(np.uint8)
 
 
 def generate_synthetic(spec: GeneratorSpec, out_dir,

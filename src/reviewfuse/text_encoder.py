@@ -114,12 +114,12 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                        ag.matmul(x, params[pre + "wv"]), mask, cfg.n_heads)
     attn_out = ag.dropout(ag.matmul(ctx, params[pre + "wo"]), cfg.dropout_p,
                           training, uniforms=u_attn)
-    y = ag.layer_norm(ag.add(xq, attn_out), params[pre + "ln1_g"], params[pre + "ln1_b"])
+    y = ag.layer_norm(xq, attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
 
     ffn_out = ag.mlp_head(y, params[pre + "ffn_w1"], params[pre + "ffn_b1"],
                           params[pre + "ffn_w2"], params[pre + "ffn_b2"])
     ffn_out = ag.dropout(ffn_out, cfg.dropout_p, training, uniforms=u_ffn)
-    return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"], params[pre + "ln2_b"])
+    return ag.layer_norm(y, ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
 
 
 def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,

@@ -11,6 +11,8 @@ from reviewfuse.errors import (
     TokenIndexError,
 )
 
+from graph_walk import add_then_layer_norm, backprop
+
 
 def t64(data, requires_grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
@@ -240,40 +242,79 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_vector_zeros(self):
-        x = t64(np.full(4, 3.0))
-        out = ag.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)))
+        # x alone varies; the residual makes the normalised sum constant
+        out = ag.layer_norm(t64([1.0, 2.0, 3.0, 4.0]), t64([2.0, 1.0, 0.0, -1.0]),
+                            t64(np.ones(4)), t64(np.zeros(4)))
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-2)
 
     def test_two_point(self):
-        out = ag.layer_norm(t64([1.0, 3.0]), t64(np.ones(2)), t64(np.zeros(2)),
-                            eps=1e-12)
+        # +-1 / sqrt(1 + 1e-5): the variance floor moves the unit values by 5e-6
+        out = ag.layer_norm(t64([1.0, 3.0]), t64(np.zeros(2)), t64(np.ones(2)),
+                            t64(np.zeros(2)))
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
         x = t64(rng.normal(size=(3, 6)))
+        residual = t64(rng.normal(size=(3, 6)))
         gamma = t64(rng.normal(size=6))
         beta = t64(rng.normal(size=6))
-        w = t64(rng.normal(size=(3, 6)), False)
-        err = grad_check(
-            lambda: ag.tsum(ag.mul(ag.layer_norm(x, gamma, beta), w)),
-            [x, gamma, beta])
+        err = grad_check(lambda: ag.layer_norm(x, residual, gamma, beta),
+                         [x, residual, gamma, beta])
         assert err < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [32, 768])
     def test_bitwise_the_var_formula(self, dtype, d):
-        # the forward centres x once; ndarray.var centres it again itself
+        # the forward centres the sum once; ndarray.var centres it again itself
         rng = np.random.default_rng(9)
         x = (rng.normal(size=(64, d)) * 3.0 + 1.5).astype(dtype)
+        residual = rng.normal(size=(64, d)).astype(dtype)
         gamma = rng.normal(size=d).astype(dtype)
         beta = rng.normal(size=d).astype(dtype)
-        mean = x.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-        want = gamma * ((x - mean) * inv_std) + beta
-        got = ag.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        s = x + residual
+        mean = s.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-5)
+        want = gamma * ((s - mean) * inv_std) + beta
+        got = ag.layer_norm(Tensor(x), Tensor(residual), Tensor(gamma),
+                            Tensor(beta)).data
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [32 * 16, 32], ids=["full_rows", "cls_rows"])
+    def test_bit_identical_to_add_then_layer_norm(self, dtype, rows):
+        # a desk text block's (B*L, d) activation, and its last block's B
+        # [CLS] rows
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=s).astype(dtype)
+                  for s in ((rows, 32), (rows, 32), (32,), (32,), (rows, 32))]
+        results = []
+        for norm in (ag.layer_norm, add_then_layer_norm):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in arrays[:4]]
+            out = norm(*ts)
+            backprop(out, arrays[4])
+            results.append([out.data] + [t.grad for t in ts])
+        for name, a, b in zip(("out", "x", "residual", "gamma", "beta"),
+                              *results):
+            assert a.dtype == dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_one_graph_node(self):
+        x, residual = t64(np.ones((2, 3))), t64(np.zeros((2, 3)))
+        gamma, beta = t64(np.ones(3)), t64(np.zeros(3))
+        out = ag.layer_norm(x, residual, gamma, beta)
+        assert out._parents == (x, residual, gamma, beta)
+
+    def test_shape_and_dtype_checks(self):
+        gamma, beta = t64(np.ones(3)), t64(np.zeros(3))
+        with pytest.raises(DimensionError):
+            ag.layer_norm(t64(np.ones((2, 3))), t64(np.ones((1, 3))), gamma, beta)
+        with pytest.raises(DimensionError):
+            ag.layer_norm(t64(np.ones((2, 4))), t64(np.ones((2, 4))), gamma, beta)
+        with pytest.raises(ContractError):
+            ag.layer_norm(t64(np.ones((2, 3))),
+                          Tensor(np.ones((2, 3), dtype=np.float32)), gamma, beta)
 
 
 class TestDropout:
@@ -696,6 +737,54 @@ class TestGradCheckOracle:
         coarse = grad_check(f, [x], eps=1e-3)
         fine = grad_check(f, [x], eps=1e-5)
         assert fine <= coarse or fine < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_output_gradients_are_the_probe_sum_graph(self, dtype):
+        # a tensor output is checked through sum(probe * out), the probe
+        # drawn at PROBE_SEED: its analytic gradients are those of the
+        # tsum(mul(out, probe)) graph
+        rng = np.random.default_rng(18)
+        ts = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+              for s in ((3, 4), (4, 5), (3, 5), (5,), (5,))]
+        a, b, residual, gamma, beta = ts
+
+        def f():
+            return ag.layer_norm(ag.matmul(a, b), residual, gamma, beta)
+
+        grad_check(f, ts)
+        got = [t.grad for t in ts]
+        probe = np.random.default_rng(ag.PROBE_SEED).normal(size=(3, 5))
+        for t in ts:
+            t.zero_grad()
+        ag.tsum(ag.mul(f(), Tensor(probe.astype(dtype)))).backward()
+        for g, t in zip(got, ts):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, t.grad)
+
+    def test_tensor_output_linear_is_exact(self):
+        # both sides project onto the same probe
+        x = t64(np.random.default_rng(19).normal(size=(2, 3)))
+        w = t64(np.random.default_rng(20).normal(size=(3, 4)), False)
+        assert grad_check(lambda: ag.matmul(x, w), [x]) < 1e-9
+
+    @pytest.mark.parametrize("nudge", [1.0, 1.01])
+    def test_tensor_twin_shares_the_probe(self, nudge):
+        # a float32 tensor output against its float64 twin passes the
+        # full-model threshold; a twin 1% off fails it
+        rng = np.random.default_rng(21)
+        a64, b64 = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        a32 = Tensor(a64.astype(np.float32), requires_grad=True)
+        b32 = Tensor(b64.astype(np.float32), requires_grad=True)
+        a, b = t64(a32.data), t64(b32.data)
+
+        def twin():
+            out = ag.matmul(a, b)
+            out.data *= nudge
+            return out
+
+        err = grad_check(lambda: ag.matmul(a32, b32), [a32, b32], fd_f=twin,
+                         fd_params=[a, b], floor=1e-5)
+        assert (err < 1e-3) == (nudge == 1.0), err
 
     def test_bad_eps(self):
         with pytest.raises(ParameterError):

@@ -370,6 +370,14 @@ class TestEval:
                              "--compare", "--model", trained)
         assert code == 1 and "--model" in err and out == ""
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_compare_evaluates_only_the_test_split(self, capsys, tmp_path, split):
+        # the arms are scored on the test split; another split is a usage
+        # error, raised before the corpus is read (this directory has none)
+        code, out, err = run(capsys, "eval", "--data", str(tmp_path / "none"),
+                             "--compare", "--split", split)
+        assert code == 1 and "--split" in err and out == ""
+
     def test_corrupt_model_file(self, capsys, corpus_dir, tmp_path):
         bad = tmp_path / "bad.fkit"
         bad.write_bytes(b"JUNKJUNKJUNK")

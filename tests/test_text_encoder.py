@@ -18,6 +18,8 @@ from reviewfuse.text_encoder import (
 from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
 from reviewfuse.workflow import desk_model
 
+from graph_walk import add_then_layer_norm, backprop, step_op_counts
+
 
 def tiny_cfg(**kw):
     defaults = dict(vocab_size=12, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -156,6 +158,36 @@ class TestEncoderBlock:
             [v for k, v in p.items() if k.startswith("l0.")] + [x])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [None, [0, 3]], ids=["full_rows", "cls_rows"])
+    def test_bit_identical_to_add_then_layer_norm(self, monkeypatch, dtype, rows):
+        # the block's output and every gradient, with each residual add
+        # inside its layer_norm node or as a node of its own before it
+        cfg = tiny_cfg(max_len=3, dropout_p=0.2)
+        init = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(19),
+                              dtype)
+        rng = np.random.default_rng(20)
+        x_data = rng.normal(size=(6, 8)).astype(dtype)
+        u = rng.random((2, 6, 8))
+        u = u if rows is None else u[:, rows]
+        g = rng.normal(size=(6 if rows is None else len(rows), 8)).astype(dtype)
+        mask = np.array([[1, 1, 1], [1, 1, 0]])
+        results = []
+        for norm in (ag.layer_norm, add_then_layer_norm):
+            monkeypatch.setattr(ag, "layer_norm", norm)
+            p = {k: ag.Tensor(v.data.copy(), requires_grad=True)
+                 for k, v in init.items() if k.startswith("l0.")}
+            x = ag.Tensor(x_data.copy(), requires_grad=True)
+            out = encoder_block(x, mask, p, 0, cfg, True, u, rows=rows)
+            backprop(out, g)
+            results.append({"out": out.data, "x": x.grad,
+                            **{k: t.grad for k, t in p.items()}})
+        fused, chained = results
+        assert fused.keys() == chained.keys()
+        for name, a in fused.items():
+            assert a.dtype == dtype, name
+            np.testing.assert_array_equal(a, chained[name], err_msg=name)
+
     @pytest.mark.parametrize("rows", [[3, 0], [0, 1, 3], [0, 1], [], [[0], [3]]])
     def test_rows_not_whole_per_sequence_raise(self, rows):
         cfg = tiny_cfg(max_len=3)
@@ -239,22 +271,13 @@ class TestEncodeText:
     def test_training_step_graph_is_small(self):
         # one B=32 text_only step of the desk model: the graph grows with
         # the layer count, not with the batch or the number of heads; the
-        # head and each block's FFN are one mlp_head node, and the dropout
-        # sites cost one node each
-        model = desk_model("text_only", vocab_size=40)
-        rng = np.random.default_rng(18)
-        batch = np.stack([
-            make_review([CLS_ID] + list(rng.integers(4, 40, n)) + [SEP_ID], 16)
-            for n in rng.integers(0, 15, 32)])
-        logits = model.forward_batch(batch, None, training=True, rng=rng)
-        seen, stack, nodes = set(), [ag.cross_entropy(logits, [0, 1] * 16)], 0
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                nodes += t._backward_fn is not None
-                stack.extend(t._parents)
-        assert nodes == 28
+        # head and each block's FFN are one mlp_head node, each residual
+        # add is inside its layer_norm node, and the dropout sites cost one
+        # node each: 24 nodes
+        assert step_op_counts("text_only") == {
+            "matmul": 8, "attention": 2, "dropout": 4, "layer_norm": 4,
+            "mlp_head": 3, "embed_tokens": 1, "embedding_lookup": 1,
+            "cross_entropy": 1}
 
     def test_last_block_runs_on_the_cls_rows(self):
         # the last block's layer norms hold one row per review; the blocks
@@ -314,14 +337,12 @@ def reference_block(x, mask, params, layer, cfg, training=False, rng=None):
         return ag.dropout(t, cfg.dropout_p, training, u)
 
     attn_out = drop(ag.matmul(head_ctx, params[pre + "wo"]))
-    y = ag.layer_norm(ag.add(x, attn_out), params[pre + "ln1_g"],
-                      params[pre + "ln1_b"])
+    y = ag.layer_norm(x, attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
     hidden = ag.relu(ag.add_bias(ag.matmul(y, params[pre + "ffn_w1"]),
                                  params[pre + "ffn_b1"]))
     ffn_out = drop(ag.add_bias(ag.matmul(hidden, params[pre + "ffn_w2"]),
                                params[pre + "ffn_b2"]))
-    return ag.layer_norm(ag.add(y, ffn_out), params[pre + "ln2_g"],
-                         params[pre + "ln2_b"])
+    return ag.layer_norm(y, ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
 
 
 def reference_encode(params, cfg, reviews, training=False, rng=None):
