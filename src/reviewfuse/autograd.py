@@ -16,7 +16,11 @@ multiplication by a python scalar (``scale``) and the explicit row-bias add
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -197,6 +201,43 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         padded[:m] = a
         return (padded @ b)[:m]
     return a @ b
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, as
+    ctypes functions; None where they are not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                        "libscipy_openblas64_-*.so")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)  # the copy numpy has loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, for Python
+    threads that each run their own products, then restore the count
+    found on entry; two callers on different threads at once can undo
+    each other's pin. Yields whether it could pin: False, changing
+    nothing, where ``_openblas_threads`` finds no setter."""
+    found = _openblas_threads()
+    if found is None:
+        yield False
+        return
+    get, set_ = found
+    prev = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(prev)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -491,7 +532,8 @@ CONV_TILE_BYTES = 512 * 1024
 
 # widest activation of one group of whole images in a graph-free CNN
 # forward (``image_encoder.encode_image``): 4 desk-size images, 1 at paper
-# scale
+# scale. The groups are split between the caller and a worker thread per
+# further CPU, so one group per thread is in flight.
 EVAL_GROUP_BYTES = 256 * 1024
 
 

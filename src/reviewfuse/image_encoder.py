@@ -10,6 +10,8 @@ projection shortcut.
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,15 +109,25 @@ def eval_group(cfg: ImageEncoderConfig, itemsize: int) -> int:
     return max(1, ag.EVAL_GROUP_BYTES // (widest * itemsize))
 
 
+def _workers() -> int:
+    """Worker threads beside the caller in a grouped forward: one per
+    further CPU this process may run on."""
+    return len(os.sched_getaffinity(0)) - 1
+
+
 def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
                  img: Tensor) -> Tensor:
     """Normalized images, B x 3 x S x S -> B x d_out pooled features.
 
     Recording a graph, the batch runs as one pass. Without one
-    (``autograd.no_grad``) it runs in consecutive groups of ``eval_group``
-    whole images, so an eval forward holds one group's activations at a
-    time. Every op works image by image, so the pooled rows are bitwise
-    those of one pass.
+    (``autograd.no_grad``) it runs in groups of ``eval_group`` whole
+    images, so an eval forward holds one group's activations per thread.
+    The groups are dealt in turn to the caller and ``_workers`` threads
+    started for the call, with numpy's OpenBLAS pinned to one thread while
+    they run (``autograd._one_blas_thread``); where it cannot be pinned,
+    or one CPU is allowed, the caller runs every group. Every op works
+    image by image and each group writes its own rows, so the pooled rows
+    are bitwise those of one pass, whatever the thread counts.
     """
     pixels = img.data
     if pixels.ndim != 4 or pixels.shape[-2:] != (cfg.input_side, cfg.input_side):
@@ -127,8 +139,26 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
     if group >= bsz:
         return _forward(params, cfg, pixels)
     out = np.empty((bsz, cfg.d_out), dtype=pixels.dtype)
-    for b0 in range(0, bsz, group):
-        out[b0:b0 + group] = _forward(params, cfg, pixels[b0:b0 + group]).data
+    starts = range(0, bsz, group)
+
+    def run(share: range) -> None:
+        for b0 in share:
+            out[b0:b0 + group] = _forward(params, cfg, pixels[b0:b0 + group]).data
+
+    workers = min(_workers(), len(starts) - 1)
+    with ag._one_blas_thread() if workers > 0 else nullcontext(False) as pinned:
+        if pinned:
+            # imported here, not at the top: the logging module it loads
+            # adds 0.6 MB to processes that never split a forward
+            from concurrent.futures import ThreadPoolExecutor
+            n = workers + 1
+            with ThreadPoolExecutor(workers) as pool:
+                shares = [pool.submit(run, starts[t::n]) for t in range(1, n)]
+                run(starts[::n])
+                for share in shares:
+                    share.result()  # a worker's exception, raised here
+        else:
+            run(starts)
     return Tensor(out)
 
 

@@ -1,10 +1,14 @@
+import sys
+import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from reviewfuse import autograd as ag
+from reviewfuse import image_encoder
 from reviewfuse.autograd import grad_check
 from reviewfuse.errors import DimensionError, ParameterError
 from reviewfuse.fusion import classify_batch
@@ -387,7 +391,90 @@ class TestStreamedEval:
             finally:
                 tracemalloc.stop()
 
+        monkeypatch.setattr(image_encoder, "_workers", lambda: 0)
         assert peak_bytes() < 3 * 2 ** 20
-        # one pass over all 64 images holds about four times that
+        # split between the caller and a worker: one group per thread
+        monkeypatch.setattr(image_encoder, "_workers", lambda: 1)
+        assert peak_bytes() < 2 * 3 * 2 ** 20
+        # one pass over all 64 images holds about four times one group
         monkeypatch.setattr(ag, "EVAL_GROUP_BYTES", 2 ** 40)
         assert peak_bytes() > 8 * 2 ** 20
+
+
+class TestSplitEval:
+    """Graph-free groups split between the caller and worker threads."""
+
+    @pytest.fixture
+    def encoder(self, monkeypatch):
+        """The desk CNN's params and config, with ``_forward`` recording
+        the thread that runs each group."""
+        if ag._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread-count functions found, so no split")
+        model = streamed_model("image_only")
+        params = {k[4:]: v for k, v in model.params.items() if k.startswith("img.")}
+        threads = []
+        forward = image_encoder._forward
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return forward(*args)
+
+        monkeypatch.setattr(image_encoder, "_forward", recorded)
+        return params, model.image_cfg, threads, forward
+
+    def test_rows_are_bitwise_the_serial_loop_under_stress(self, encoder,
+                                                           monkeypatch):
+        params, cfg, threads, forward = encoder
+        _, images = streamed_batch(64)
+        group = eval_group(cfg, 4)
+        # more workers than cores, and a thread switch every microsecond
+        monkeypatch.setattr(image_encoder, "_workers", lambda: 4)
+
+        def encodes():
+            with ag.no_grad():
+                return {bsz: encode_image(params, cfg, ag.Tensor(images.data[:bsz])).data
+                        for bsz in (64, 37)}  # 37: the last group holds one image
+
+        pool = ThreadPoolExecutor(1)
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = pool.submit(encodes).result(timeout=300)
+        finally:
+            sys.setswitchinterval(prev)
+            pool.shutdown(wait=False)
+        assert len(threads) == 16 + 10  # each group ran once
+        assert len(set(threads[:16])) > 1 and len(set(threads[16:])) > 1
+        with ag.no_grad():
+            for bsz, rows in got.items():
+                serial = np.concatenate([
+                    forward(params, cfg, images.data[b0:min(b0 + group, bsz)]).data
+                    for b0 in range(0, bsz, group)])
+                np.testing.assert_array_equal(rows, serial)
+
+    def test_one_image_and_a_recorded_graph_stay_on_the_caller(self, encoder):
+        params, cfg, threads, _ = encoder
+        _, images = streamed_batch(64)
+        with ag.no_grad():
+            encode_image(params, cfg, ag.Tensor(images.data[:1]))
+        encode_image(params, cfg, images)
+        assert threads == [threading.get_ident()] * 2
+
+    def test_a_worker_exception_reaches_the_caller(self, encoder, monkeypatch):
+        params, cfg, _, forward = encoder
+        _, images = streamed_batch(64)
+
+        class WorkerFailed(Exception):
+            pass
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerFailed
+            return forward(*args)
+
+        monkeypatch.setattr(image_encoder, "_forward", failing)
+        monkeypatch.setattr(image_encoder, "_workers", lambda: 1)
+        alive = threading.active_count()
+        with ag.no_grad(), pytest.raises(WorkerFailed):
+            encode_image(params, cfg, images)
+        assert threading.active_count() == alive
