@@ -69,15 +69,21 @@ def load_ppm(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
-def save_ppm(pixels: np.ndarray, path) -> None:
-    """Write H x W x 3 uint8 ``pixels`` as a binary PPM (P6, maxval 255)."""
+def encode_ppm(pixels: np.ndarray) -> bytes:
+    """The bytes of H x W x 3 uint8 ``pixels`` as a binary PPM (P6,
+    maxval 255)."""
     if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
         raise DimensionError(f"a PPM holds an H x W x 3 uint8 array, got "
                              f"{pixels.dtype} {pixels.shape}")
     height, width, _ = pixels.shape
+    return b"P6\n%d %d\n255\n" % (width, height) + pixels.tobytes()
+
+
+def save_ppm(pixels: np.ndarray, path) -> None:
+    """Write ``encode_ppm(pixels)`` to ``path``."""
+    blob = encode_ppm(pixels)
     with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(pixels.tobytes())
+        fh.write(blob)
 
 
 def resize_bilinear(pixels: np.ndarray, side: int) -> np.ndarray:

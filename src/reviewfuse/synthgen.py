@@ -14,13 +14,20 @@ evidence:
 
 Output layout: ``train.csv``/``val.csv``/``test.csv`` (id,text,label),
 ``images/<id>.ppm``, and ``provenance.json`` recording the full spec.
+``generate_synthetic`` renders on the calling thread and creates the image
+files on one writer thread, so file creation overlaps the rendering; the
+bytes do not depend on the threads' timing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
 import os
+import queue
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,7 +35,7 @@ import numpy as np
 from .bundle import atomic_open
 from .data import DatasetSplit, ReviewSample, stratified_split, write_manifest
 from .errors import ParameterError
-from .imageproc import save_ppm
+from .imageproc import encode_ppm
 
 # every genuine phrase concedes a flaw with "but" before the concrete
 # detail, and every fake phrase reaches for the stock superlative
@@ -95,6 +102,13 @@ HUE_TINTS = np.array([
     [-0.09, 0.18, -0.09],
     [-0.09, -0.09, 0.18],
 ])
+
+# the float64 pixel noise of one chunk of ``generate_synthetic``'s samples:
+# 15 desk-size (37-pixel) images, 1 at paper scale (224)
+CHUNK_BYTES = 512 * 1024
+
+# rendered chunks waiting for the writer thread, at most
+WRITE_AHEAD = 2
 
 
 def _inv_phi(p: float) -> float:
@@ -201,16 +215,108 @@ def render_image(spec: GeneratorSpec, brightness: float, hue: int,
                  rng: np.random.Generator) -> np.ndarray:
     """The image_side x image_side x 3 uint8 pixels of one sample."""
     side = spec.image_side
-    base = 0.12 + 0.65 * brightness + HUE_TINTS[hue]
     noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
-    img = np.clip(base + noise, 0.0, 1.0)
-    return np.rint(img * 255.0).astype(np.uint8)
+    return finish_pixels(np.array([brightness]), np.array([hue]),
+                         noise[np.newaxis])[0]
+
+
+def finish_pixels(brightness: np.ndarray, hue: np.ndarray,
+                  noise: np.ndarray) -> np.ndarray:
+    """The uint8 pixels of K samples from their K x side x side x 3 float64
+    ``noise``, which it overwrites: each sample's base colour plus its
+    noise, clipped to [0, 1], scaled to bytes. Every step is elementwise,
+    so a sample's bytes do not depend on the others in the call."""
+    base = (0.12 + 0.65 * brightness)[:, np.newaxis] + HUE_TINTS[hue]
+    noise += base[:, np.newaxis, np.newaxis, :]
+    np.clip(noise, 0.0, 1.0, out=noise)
+    noise *= 255.0
+    return np.rint(noise, out=noise).astype(np.uint8)
+
+
+def chunk_samples(spec: GeneratorSpec) -> int:
+    """Samples per chunk of ``generate_synthetic``: as many as keep one
+    chunk's float64 pixel noise within ``CHUNK_BYTES``, at least one."""
+    return max(1, CHUNK_BYTES // (spec.image_side ** 2 * 3 * 8))
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this process may run on other than the calling thread's
+    current one (libc's ``sched_getcpu``); empty where there is none, or
+    where it cannot be told."""
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is None:
+        return set()
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    here, allowed = getcpu(), os.sched_getaffinity(0)
+    return allowed - {here} if here in allowed else set()
+
+
+class _ImageWriter:
+    """A thread that writes lists of (path, bytes) files in the order they
+    are put, fed through a queue of at most ``WRITE_AHEAD`` lists. It only
+    opens, writes and closes files: it calls no numpy and no package
+    function, which a profiler may patch. After its first error it writes
+    nothing more; ``put`` raises that error on the calling thread, and so
+    does leaving the block if nothing else did. Leaving the block joins
+    the thread, also on an error.
+
+    The thread runs on the CPUs other than the caller's, where there are
+    any: a new thread starts on its creator's CPU, and where the kernel
+    does not balance load between CPUs (a cpuset with
+    ``sched_load_balance`` 0) it stays there, taking turns with the
+    caller."""
+
+    def __enter__(self):
+        self._queue = queue.Queue(WRITE_AHEAD)
+        self._error = None
+        self._cpus = _other_cpus()
+        self._thread = threading.Thread(target=self._run,
+                                        name="reviewfuse-image-writer")
+        self._thread.start()
+        return self
+
+    def _run(self) -> None:
+        if self._cpus:
+            # this thread only; where it fails, the writer runs unplaced
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, self._cpus)
+        while (files := self._queue.get()) is not None:
+            if self._error is not None:
+                continue  # drained unwritten, so a blocked put returns
+            try:
+                for path, blob in files:
+                    with open(path, "wb") as fh:
+                        fh.write(blob)
+            except BaseException as e:  # raised again on the calling thread
+                self._error = e
+
+    def _raise(self) -> None:
+        if self._error is not None:
+            raise self._error
+
+    def put(self, files: list[tuple[str, bytes]]) -> None:
+        self._queue.put(files)
+        self._raise()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._queue.put(None)
+        self._thread.join()
+        if exc_type is None:
+            self._raise()
 
 
 def generate_synthetic(spec: GeneratorSpec, out_dir,
                        ratios: tuple[float, float, float] = SPLIT_RATIOS
                        ) -> DatasetSplit:
-    """Write images/, the three split CSVs, and provenance.json."""
+    """Write images/, the three split CSVs, and provenance.json.
+
+    The calling thread makes every draw, sample after sample: its text,
+    then its pixel noise. It finishes and encodes the pixels a chunk of
+    ``chunk_samples`` at a time and hands each chunk's files to one
+    writer thread (``_ImageWriter``). The writer's error is raised here,
+    at the latest one chunk after it happened. The split CSVs and
+    provenance.json are written last, on the caller.
+    """
     image_dir = os.path.join(out_dir, "images")
     rng = np.random.default_rng(spec.seed)
     lat = simulate_latents(spec, spec.n, rng)
@@ -218,14 +324,24 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
                             image_path=os.path.join(image_dir, f"s{i:06d}.ppm"))
                for i in range(spec.n)]
     # the split reads only labels, so a corpus that cannot be split fails
-    # before anything is written; it keeps these objects, whose text is
-    # filled in as each sample renders
+    # before anything is written or started; it keeps these objects, whose
+    # text is filled in as each sample renders
     split = stratified_split(samples, ratios=ratios, seed=spec.seed)
     os.makedirs(image_dir, exist_ok=True)
-    for i, s in enumerate(samples):
-        s.text = render_text(spec, int(lat.topic[i]), int(lat.text_list[i]), rng)
-        save_ppm(render_image(spec, float(lat.brightness[i]), int(lat.hue[i]), rng),
-                 s.image_path)
+    side, chunk = spec.image_side, min(chunk_samples(spec), spec.n)
+    noise = np.empty((chunk, side, side, 3))
+    with _ImageWriter() as writer:
+        for c0 in range(0, spec.n, chunk):
+            part = samples[c0:c0 + chunk]
+            for j, s in enumerate(part):
+                i = c0 + j
+                s.text = render_text(spec, int(lat.topic[i]),
+                                     int(lat.text_list[i]), rng)
+                noise[j] = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
+            k = slice(c0, c0 + len(part))
+            pixels = finish_pixels(lat.brightness[k], lat.hue[k], noise[:len(part)])
+            writer.put([(s.image_path, encode_ppm(p))
+                        for s, p in zip(part, pixels)])
     write_manifest(split.train, os.path.join(out_dir, "train.csv"))
     write_manifest(split.val, os.path.join(out_dir, "val.csv"))
     write_manifest(split.test, os.path.join(out_dir, "test.csv"))

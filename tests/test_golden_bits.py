@@ -6,8 +6,10 @@ and, for each mode, hashes the parameters after ``warm_start_head``, the
 parameters after a 2-epoch ``fit`` with the ``eval --compare`` settings,
 the B=64 test logits and one B=1 row. The pins hold for one numpy version,
 OpenBLAS version and set of enabled CPU features; on any other platform
-the test skips and names what differs. It never writes the pins. After a
-change that moves bits on purpose, re-pin from the repository root with
+the test skips and names what differs. A second test runs the same job at
+two BLAS threads and holds it to the same pins: at these shapes the BLAS
+thread count moves no bit. It never writes the pins. After a change that
+moves bits on purpose, re-pin from the repository root with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden_bits.py \
         > tests/golden_bits.json
@@ -77,7 +79,10 @@ def run_bits() -> dict:
     return bits
 
 
-def test_same_bits_as_the_pins():
+def check_pins(blas_threads: int) -> None:
+    """Run the job in a subprocess at ``blas_threads`` OpenBLAS threads and
+    compare its hashes with the pins; skip where the pins are for another
+    platform, or OpenBLAS runs another thread count."""
     with open(PINS, encoding="utf-8") as fh:
         pins = json.load(fh)
     key = platform_key()
@@ -87,14 +92,18 @@ def test_same_bits_as_the_pins():
         pytest.skip("pins are for another platform: " + "; ".join(
             f"{k} pinned {want!r}, here {got!r}"
             for k, (want, got) in other.items()))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__)],
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           str(blas_threads)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["key"] == key
+    if got["blas_threads"] not in (None, blas_threads):
+        pytest.skip(f"OpenBLAS runs {got['blas_threads']} threads here, "
+                    f"not {blas_threads}")
     moved = [f"{mode} {stage}: {got['bits'][mode][stage]} != pinned {want}"
              for mode, stages in pins["bits"].items()
              for stage, want in stages.items()
@@ -102,8 +111,22 @@ def test_same_bits_as_the_pins():
     assert not moved, "bits moved:\n" + "\n".join(moved)
 
 
+def test_same_bits_as_the_pins():
+    check_pins(1)
+
+
+def test_same_bits_at_two_blas_threads():
+    check_pins(2)
+
+
 if __name__ == "__main__":
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        sys.exit("run with OPENBLAS_NUM_THREADS=1: the pins are for one thread")
-    json.dump({"key": platform_key(), "bits": run_bits()}, sys.stdout, indent=2)
+    # the pins are written at one thread; a check may name another count
+    threads = sys.argv[1] if len(sys.argv) > 1 else "1"
+    if os.environ.get("OPENBLAS_NUM_THREADS") != threads:
+        sys.exit(f"run with OPENBLAS_NUM_THREADS={threads}")
+    from reviewfuse import autograd as ag
+    found = ag._openblas_threads()
+    json.dump({"key": platform_key(), "bits": run_bits(),
+               "blas_threads": found[0]() if found else None},
+              sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -1,20 +1,29 @@
+import errno
 import json
 import os
+import sys
+import threading
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from reviewfuse.data import read_manifest
+from reviewfuse import synthgen
+from reviewfuse.cli import main
+from reviewfuse.data import ReviewSample, read_manifest, stratified_split, write_manifest
 from reviewfuse.errors import ParameterError
 from reviewfuse.imageproc import load_ppm
 from reviewfuse.synthgen import (
     FAKE_PHRASES,
     GENUINE_PHRASES,
     HUE_TINTS,
+    SPLIT_RATIOS,
     TOPIC_WORDS,
     TOPICS,
+    WRITE_AHEAD,
     GeneratorSpec,
+    chunk_samples,
     combined_bayes_accuracy,
     generate_synthetic,
     image_bayes_accuracy,
@@ -191,3 +200,178 @@ class TestGenerateSynthetic:
                            tmp_path / "b")
         assert (tmp_path / "a" / "train.csv").read_bytes() != \
                (tmp_path / "b" / "train.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the generator against one serial loop: the same bytes
+
+
+def reference_image(spec, brightness, hue, rng):
+    """One sample's pixels, as one expression per sample."""
+    side = spec.image_side
+    base = 0.12 + 0.65 * brightness + HUE_TINTS[hue]
+    noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
+    img = np.clip(base + noise, 0.0, 1.0)
+    return np.rint(img * 255.0).astype(np.uint8)
+
+
+def serial_corpus(spec, out_dir, ratios=SPLIT_RATIOS):
+    """The corpus written sample after sample on one thread: each
+    sample's text, then its pixels, then its file; the CSVs and
+    provenance.json after the last image."""
+    image_dir = os.path.join(out_dir, "images")
+    rng = np.random.default_rng(spec.seed)
+    lat = simulate_latents(spec, spec.n, rng)
+    samples = [ReviewSample(id=f"s{i:06d}", text="", label=int(lat.label[i]),
+                            image_path=os.path.join(image_dir, f"s{i:06d}.ppm"))
+               for i in range(spec.n)]
+    split = stratified_split(samples, ratios=ratios, seed=spec.seed)
+    os.makedirs(image_dir)
+    for i, s in enumerate(samples):
+        s.text = render_text(spec, int(lat.topic[i]), int(lat.text_list[i]), rng)
+        pixels = reference_image(spec, float(lat.brightness[i]), int(lat.hue[i]), rng)
+        with open(s.image_path, "wb") as fh:
+            fh.write(b"P6\n%d %d\n255\n" % (spec.image_side, spec.image_side))
+            fh.write(pixels.tobytes())
+    for name in ("train", "val", "test"):
+        write_manifest(getattr(split, name), os.path.join(out_dir, f"{name}.csv"))
+    with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
+        json.dump({"spec": asdict(spec), "ratios": list(ratios)}, fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file below ``root`` by its relative path."""
+    found = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+class TestSameBytesAsTheSerialLoop:
+    def test_render_image_is_the_one_sample_expression(self):
+        spec = GeneratorSpec(image_side=13)
+        for brightness, hue in ((0.0, 0), (0.37, 1), (1.0, 2), (0.9, 0)):
+            got = render_image(spec, brightness, hue, np.random.default_rng(4))
+            want = reference_image(spec, brightness, hue, np.random.default_rng(4))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [8, 37, 64])
+    @pytest.mark.parametrize("shape", ["below_one_chunk", "one_chunk",
+                                       "chunks_plus_one"])
+    def test_every_file_matches(self, tmp_path, monkeypatch, side, shape):
+        # a chunk of at least 8 samples, so even the smallest corpus can be
+        # split (3 a class); at 37 pixels that is the budget's own 15
+        monkeypatch.setattr(synthgen, "CHUNK_BYTES",
+                            max(synthgen.CHUNK_BYTES, 8 * side * side * 3 * 8))
+        chunk = chunk_samples(GeneratorSpec(image_side=side))
+        n = {"below_one_chunk": chunk - 1, "one_chunk": chunk,
+             "chunks_plus_one": 2 * chunk + 1}[shape]
+        spec = GeneratorSpec(n=n, seed=11, image_side=side)
+        serial_corpus(spec, tmp_path / "serial")
+        generate_synthetic(spec, tmp_path / "chunked")
+        want = tree_bytes(tmp_path / "serial")
+        assert len(want) == n + 4
+        assert tree_bytes(tmp_path / "chunked") == want
+
+    def test_budget_sets_the_chunk(self, monkeypatch):
+        assert chunk_samples(GeneratorSpec()) == 15
+        assert chunk_samples(GeneratorSpec(image_side=224)) == 1
+        monkeypatch.setattr(synthgen, "CHUNK_BYTES", 3 * 8 * 8 * 3 * 8)
+        assert chunk_samples(GeneratorSpec(image_side=8)) == 3
+
+
+class TestWriterThread:
+    def test_writer_error_is_the_callers_and_nothing_keeps_running(
+            self, tmp_path, monkeypatch):
+        # chunks of 4 samples; image 9, the second of chunk 2, cannot be
+        # created because a directory holds its name
+        monkeypatch.setattr(synthgen, "CHUNK_BYTES", 4 * 8 * 8 * 3 * 8)
+        chunk, k = 4, 9
+        rendered = []
+        real_render = synthgen.render_text
+
+        def counted(*args):
+            rendered.append(1)
+            return real_render(*args)
+
+        monkeypatch.setattr(synthgen, "render_text", counted)
+        blocked = tmp_path / "images" / f"s{k:06d}.ppm"
+        blocked.mkdir(parents=True)
+        threads = threading.active_count()
+        spec = GeneratorSpec(n=400, seed=3, image_side=8)
+        with pytest.raises(IsADirectoryError) as caught:
+            generate_synthetic(spec, tmp_path)
+        assert caught.value.errno == errno.EISDIR
+        assert caught.value.filename == str(blocked)
+        assert threading.active_count() == threads
+        # the writer wrote every image before the failed one and none after;
+        # the caller rendered at most the chunks in flight and one more
+        assert sorted(os.listdir(tmp_path / "images")) == \
+            [f"s{i:06d}.ppm" for i in range(k + 1)]
+        assert all((tmp_path / "images" / f"s{i:06d}.ppm").is_file()
+                   for i in range(k))
+        assert len(rendered) <= (k // chunk + WRITE_AHEAD + 2) * chunk
+        assert sorted(os.listdir(tmp_path)) == ["images"]
+
+    def test_same_bytes_and_stop_under_fast_thread_switching(
+            self, tmp_path, monkeypatch):
+        # one-sample chunks, and a thread switch at almost every bytecode
+        monkeypatch.setattr(synthgen, "CHUNK_BYTES", 1)
+        spec = GeneratorSpec(n=60, seed=5, image_side=8)
+        serial_corpus(spec, tmp_path / "serial")
+        (tmp_path / "failing" / "images" / "s000031.ppm").mkdir(parents=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            generate_synthetic(spec, tmp_path / "chunked")
+            with pytest.raises(IsADirectoryError):
+                generate_synthetic(spec, tmp_path / "failing")
+        finally:
+            sys.setswitchinterval(interval)
+        assert tree_bytes(tmp_path / "chunked") == tree_bytes(tmp_path / "serial")
+        assert sorted(os.listdir(tmp_path / "failing" / "images")) == \
+            [f"s{i:06d}.ppm" for i in range(32)]
+
+    def test_writer_error_exits_2_without_a_traceback(self, tmp_path, capsys):
+        (tmp_path / "d" / "images" / "s000003.ppm").mkdir(parents=True)
+        threads = threading.active_count()
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--n", "40"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "s000003.ppm" in err
+        assert "Traceback" not in err
+        assert threading.active_count() == threads
+
+    def test_unsplittable_corpus_starts_no_thread(self, tmp_path, monkeypatch,
+                                                  capsys):
+        def started(self):
+            raise AssertionError("the writer started before the split")
+
+        monkeypatch.setattr(synthgen._ImageWriter, "__enter__", started)
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--n", "5"])
+        assert code == 2 and "error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_caller_error_joins_the_writer(self, tmp_path, monkeypatch):
+        # the caller fails mid-render; the writer is still joined
+        calls = []
+        real_render = synthgen.render_text
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 40:
+                raise KeyboardInterrupt
+            return real_render(*args)
+
+        monkeypatch.setattr(synthgen, "render_text", failing)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            generate_synthetic(GeneratorSpec(n=100, seed=3, image_side=8),
+                               tmp_path)
+        assert threading.active_count() == threads
+        assert not (tmp_path / "train.csv").exists()

@@ -1,5 +1,6 @@
-"""A graph-free CNN forward split over threads: the same bits on one CPU
-and on two, and nothing left running after it.
+"""Work split over threads: a graph-free CNN forward and ``gen-data``'s
+writer thread give the same bits on one CPU and on two, and the forward
+leaves nothing running after it.
 
 Each test runs a job of ``thread_jobs.py`` in a subprocess, so the CPU
 affinity and the BLAS thread pool are set before numpy loads.
@@ -41,6 +42,20 @@ def test_fused_run_is_bitwise_the_same_on_one_cpu_and_on_two():
     assert split.pop("cpus") >= 2
     assert serial["test_rows"] == 64
     assert split == serial
+
+
+def test_corpus_is_bytewise_the_same_on_one_cpu_and_on_two():
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip(f"this process may run on {len(cpus)} CPU, the test needs 2")
+    one = run_job("corpus_hash", str(cpus[0]))
+    two = run_job("corpus_hash")
+    assert (one.pop("cpus"), one.pop("writer_cpus")) == (1, [1])
+    assert two.pop("cpus") == len(cpus)
+    # the writer leaves the caller's CPU to the caller
+    assert two.pop("writer_cpus") == [len(cpus) - 1]
+    assert one["files"] == 404
+    assert two == one
 
 
 def test_forward_leaves_no_thread_and_restores_the_blas_count():

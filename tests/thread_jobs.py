@@ -3,6 +3,7 @@ starts from a fresh import under the CPU affinity and interpreter options
 the test chose. Each prints one JSON object.
 
     python tests/thread_jobs.py fused_hashes [CPU]
+    python tests/thread_jobs.py corpus_hash [CPU]
     python -X dev -W error tests/thread_jobs.py lifetime
 
 With a CPU, the job pins itself to that one CPU before numpy loads. The
@@ -40,6 +41,33 @@ def fused_hashes() -> dict:
     return {"cpus": len(os.sched_getaffinity(0)), "test_rows": len(logits),
             "warm_start_head": digest(head), "logits_b64": digest([logits]),
             "row_b1": digest([row])}
+
+
+def corpus_hash() -> dict:
+    """The hash of every file of ``gen-data --n 400 --seed 7``, the file
+    count, and how many CPUs its writer thread was allowed."""
+    import hashlib
+
+    from reviewfuse import synthgen
+
+    writer_cpus, run = [], synthgen._ImageWriter._run
+
+    def recorded(self):
+        run(self)
+        writer_cpus.append(len(os.sched_getaffinity(0)))  # still the writer
+
+    synthgen._ImageWriter._run = recorded
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        synthgen.generate_synthetic(synthgen.GeneratorSpec(n=400, seed=7), out)
+        names = sorted(os.path.relpath(os.path.join(d, f), out)
+                       for d, _, files in os.walk(out) for f in files)
+        for name in names:
+            h.update(name.encode())
+            with open(os.path.join(out, name), "rb") as fh:
+                h.update(fh.read())
+    return {"cpus": len(os.sched_getaffinity(0)), "writer_cpus": writer_cpus,
+            "files": len(names), "corpus": h.hexdigest()}
 
 
 def lifetime() -> dict:
@@ -84,4 +112,5 @@ if __name__ == "__main__":
     job, *cpu = sys.argv[1:]
     if cpu:
         os.sched_setaffinity(0, {int(cpu[0])})
-    print(json.dumps({"fused_hashes": fused_hashes, "lifetime": lifetime}[job]()))
+    print(json.dumps({"fused_hashes": fused_hashes, "corpus_hash": corpus_hash,
+                      "lifetime": lifetime}[job]()))
