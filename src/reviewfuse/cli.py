@@ -17,12 +17,9 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import autograd as ag
-from .autograd import Tensor
 from .bundle import atomic_open, load_bundle, save_bundle
-from .data import PreparedDataset
+from .data import PreparedDataset, ReviewSample
 from .errors import (
     AlignmentError,
     ContractError,
@@ -37,12 +34,11 @@ from .errors import (
 )
 from .fusion import predict_labels
 from .gradsuite import run_gradcheck
-from .imageproc import preprocess
 from .metrics import emit_report, evaluate, format_confusion
 from .model import MODES
 from .synthgen import SPLIT_RATIOS, GeneratorSpec, generate_synthetic
-from .textproc import Vocabulary, tokenize
-from .training import TrainConfig, model_from_bundle, model_to_bundle
+from .textproc import Vocabulary
+from .training import TrainConfig, eval_outputs, model_from_bundle, model_to_bundle
 from .workflow import (
     DESK_CROP_SIDE,
     DESK_MAX_LEN,
@@ -260,6 +256,14 @@ def _load_model_and_vocab(path):
     return model, vocab
 
 
+def _prepare(model, vocab, samples) -> PreparedDataset:
+    """``samples`` prepared as ``model`` reads them: the modalities it
+    reads, at its text length and crop side."""
+    return PreparedDataset.prepare(
+        samples, vocab=vocab, max_len=getattr(model.text_cfg, "max_len", None),
+        crop_side=getattr(model.image_cfg, "input_side", None), **model.reads)
+
+
 def cmd_eval(cfg) -> int:
     if cfg["compare"]:
         if cfg["model"] or cfg["split"] != "test":
@@ -276,10 +280,7 @@ def cmd_eval(cfg) -> int:
     if not cfg["model"]:
         raise UsageError("eval requires --model (or --compare)")
     model, vocab = _load_model_and_vocab(cfg["model"])
-    dataset = PreparedDataset.prepare(
-        read_split(cfg["data"], cfg["split"]), vocab=vocab,
-        max_len=getattr(model.text_cfg, "max_len", None),
-        crop_side=getattr(model.image_cfg, "input_side", None), **model.reads)
+    dataset = _prepare(model, vocab, read_split(cfg["data"], cfg["split"]))
     report = evaluate(model, dataset, split_tag=cfg["split"])
     print(emit_report(report, fmt=cfg["format"], path=cfg["out"]), end="")
     print(format_confusion(report.cm), end="")
@@ -288,21 +289,16 @@ def cmd_eval(cfg) -> int:
 
 def cmd_predict(cfg) -> int:
     model, vocab = _load_model_and_vocab(cfg["model"])
-    reviews = None
-    images = None
-    if model.text_cfg is not None:
-        if cfg["text"] is None:
-            raise UsageError(f"mode {model.mode} requires --text")
-        ids = tokenize(vocab, cfg["text"], max_len=model.text_cfg.max_len)
-        reviews = ids[np.newaxis]
-    if model.image_cfg is not None:
-        if cfg["image"] is None:
-            raise UsageError(f"mode {model.mode} requires --image")
-        img = preprocess(cfg["image"], crop_side=model.image_cfg.input_side)
-        images = Tensor(img.data[np.newaxis, ...])
-    with ag.no_grad():
-        logits = model.forward_batch(reviews, images, training=False)
-    probs = ag.softmax_rows(logits.data)[0]
+    if model.text_cfg is not None and cfg["text"] is None:
+        raise UsageError(f"mode {model.mode} requires --text")
+    if model.image_cfg is not None and cfg["image"] is None:
+        raise UsageError(f"mode {model.mode} requires --image")
+    # the review as a one-sample split, scored as eval scores a split; its
+    # label is a placeholder that nothing reads
+    review = ReviewSample("predict", cfg["text"] or "", 0, cfg["image"])
+    logits, _ = eval_outputs(model.forward_batch,
+                             _prepare(model, vocab, [review]), **model.reads)
+    probs = ag.softmax_rows(logits)[0]
     label = predict_labels(logits)[0]
     print(f"label: {'genuine' if label == 1 else 'fake'}")
     print(f"p_fake: {probs[0]:.4f}")

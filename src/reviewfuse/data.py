@@ -13,7 +13,7 @@ import numpy as np
 from .autograd import Tensor
 from .bundle import atomic_open
 from .errors import AlignmentError, ContractError, ManifestError, SplitError
-from .imageproc import DESK_CROP_SIDE, decode_crop, normalize_batch
+from .imageproc import DESK_CROP_SIDE, normalize_batch, preprocess
 from .textproc import DESK_MAX_LEN, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
@@ -164,10 +164,10 @@ class PreparedDataset:
 
     ``reviews`` holds each sample's token ids as one row of an (N, L)
     int32 array (``tokenize``); its attention mask is ``ids != PAD_ID``.
-    ``images`` holds each sample's center crop as bytes (``decode_crop``),
+    ``images`` holds each sample's center crop as bytes (``preprocess``),
     a quarter of the float32 batch it becomes; ``batches`` normalizes the
-    rows it yields (``normalize_batch``). A sequence of rows is taken as
-    ``reviews`` and stacked.
+    rows it yields (``normalize_batch``), the one place where image arrays
+    become Tensors. A sequence of rows is taken as ``reviews`` and stacked.
     """
     reviews: np.ndarray | None  # (N, L) int32
     images: np.ndarray | None  # (N, 3, S, S) uint8
@@ -215,7 +215,7 @@ class PreparedDataset:
             for i, s in enumerate(samples):
                 if s.image_path is None:
                     raise AlignmentError(f"sample {s.id} has no aligned image")
-                images[i] = decode_crop(s.image_path, crop_side)
+                images[i] = preprocess(s.image_path, crop_side)
         labels = np.asarray([s.label for s in samples], dtype=np.int64)
         return cls(reviews=reviews, images=images, labels=labels,
                    ids=[s.id for s in samples])

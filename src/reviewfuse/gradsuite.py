@@ -2,6 +2,8 @@
 
 Each component check builds a tiny instance of one layer type in float64 and
 compares autodiff gradients against central differences (threshold 1e-6).
+Between them their graphs hold every op of a desk training step, dropout in
+training mode included.
 The final check runs the full fused model in float32 against a float64
 finite-difference twin (threshold 1e-3, since f32 forward noise dominates).
 """
@@ -68,13 +70,15 @@ def _check_channel_norm(rng):
 
 def _check_attention_block(rng, rows=None):
     cfg = TextEncoderConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2,
-                            d_ff=12, max_len=5, dropout_p=0.0)
+                            d_ff=12, max_len=5, dropout_p=0.25)
     p = ag.init_params(text_encoder_layout(cfg), rng, np.float64)
     # two sequences of five positions, with one and three PAD positions
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
     x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
+    # training mode: both dropout sites on, the same uniforms on every call
+    u = rng.random((2, 10 if rows is None else len(rows), 8))
     block_params = [v for k, v in p.items() if k.startswith("l0.")]
-    return grad_check(lambda: encoder_block(x, mask, p, 0, cfg, rows=rows),
+    return grad_check(lambda: encoder_block(x, mask, p, 0, cfg, True, u, rows),
                       block_params + [x])
 
 
@@ -85,8 +89,9 @@ def _check_residual_block(rng):
     p["s0.b0.norm2_g"].data[:] = 0.6  # off zero so both convs participate
     x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
     block_params = [v for k, v in p.items() if k.startswith("s0.b0.")]
-    return grad_check(lambda: residual_block(x, p, "s0.b0.", stride=2),
-                      block_params + [x])
+    return grad_check(
+        lambda: ag.global_avg_pool(residual_block(x, p, "s0.b0.", stride=2)),
+        block_params + [x])
 
 
 def _check_embedding(rng):
@@ -113,12 +118,15 @@ def _check_cross_entropy(rng):
 def _check_fusion_head(rng):
     cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
     p = ag.init_params(fusion_layout(cfg), rng, np.float64)
-    x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    # the fused features: text columns, then image columns
+    t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    im = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     return grad_check(
-        lambda: ag.cross_entropy(ag.mlp_head(x, p["head.w1"], p["head.b1"],
+        lambda: ag.cross_entropy(ag.mlp_head(ag.concat_cols(t, im),
+                                             p["head.w1"], p["head.b1"],
                                              p["head.w2"], p["head.b2"]),
                                  [0, 1, 1]),
-        list(p.values()) + [x])
+        list(p.values()) + [t, im])
 
 
 def _full_model_pair(seed):

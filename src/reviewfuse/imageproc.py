@@ -1,18 +1,18 @@
 """Image loading and preprocessing: PPM decode, bilinear resize, center crop,
 and ImageNet-style channel normalization.
 
-Images are plain uint8 arrays until normalization: H x W x 3 RGB from
-``load_ppm`` through the resize, then the center crop's bytes channels-first (3 x S x S), which is
-what a prepared dataset stores. ``normalize_batch`` maps a B x 3 x S x S
-batch of crops to the float32 batch the CNN encoder takes, through a
-per-channel 256-entry table that ``normalize_channels`` computes.
+Images are plain numpy arrays throughout: H x W x 3 uint8 RGB from
+``load_ppm`` through the resize, then the center crop's bytes
+channels-first (3 x S x S), which ``preprocess`` returns for one file and a
+prepared dataset stores. ``normalize_batch`` maps a B x 3 x S x S batch of
+crops to the float32 batch the CNN encoder takes, through a per-channel
+256-entry table that ``normalize_channels`` computes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor
 from .errors import DimensionError, FormatError, ParameterError
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -126,18 +126,20 @@ def center_crop(pixels: np.ndarray, side: int) -> np.ndarray:
 def normalize_channels(pixels: np.ndarray,
                        mean: tuple[float, float, float] = IMAGENET_MEAN,
                        std: tuple[float, float, float] = IMAGENET_STD,
-                       dtype=np.float32) -> Tensor:
+                       dtype=np.float32) -> np.ndarray:
     """(pixel/255 - mean) / std per channel; layout becomes 3 x H x W."""
     if any(s <= 0 for s in std):
         raise ParameterError(f"std components must be > 0, got {std}")
     scaled = pixels.astype(np.float64) / 255.0
     normed = (scaled - np.asarray(mean)) / np.asarray(std)
-    return Tensor(normed.transpose(2, 0, 1), dtype=dtype)
+    return normed.transpose(2, 0, 1).astype(dtype, copy=False)
 
 
-def decode_crop(path, crop_side: int) -> np.ndarray:
-    """Load -> resize to crop_side * 8/7 -> center crop; the crop's bytes,
-    channels-first: a (3, crop_side, crop_side) uint8 array."""
+def preprocess(path, crop_side: int) -> np.ndarray:
+    """One file's step of the image transform that training, eval and
+    predict share: load -> resize to crop_side * 8/7 -> center crop; the
+    crop's bytes, channels-first: a (3, crop_side, crop_side) uint8 array.
+    ``normalize_batch`` is the other step."""
     resize_side = max(crop_side, round(crop_side * 8 / 7))
     crop = center_crop(resize_bilinear(load_ppm(path), resize_side), crop_side)
     return crop.transpose(2, 0, 1)
@@ -145,7 +147,7 @@ def decode_crop(path, crop_side: int) -> np.ndarray:
 
 def _norm_table() -> np.ndarray:
     ramp = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 256, 3)
-    table = normalize_channels(ramp).data[:, 0, :].copy()
+    table = normalize_channels(ramp)[:, 0, :].copy()
     table.flags.writeable = False
     return table
 
@@ -164,10 +166,3 @@ def normalize_batch(crops: np.ndarray) -> np.ndarray:
     for c in range(3):
         np.take(NORM_TABLE[c], crops[:, c], out=out[:, c], mode="clip")
     return out
-
-
-def preprocess(path, crop_side: int) -> Tensor:
-    """One file through the transform that every batch of training, eval
-    and predict goes through: ``decode_crop`` then ``normalize_batch``, as
-    a 3 x S x S float32 tensor."""
-    return Tensor(normalize_batch(decode_crop(path, crop_side)[np.newaxis])[0])

@@ -211,15 +211,6 @@ def render_text(spec: GeneratorSpec, topic_idx: int, text_list: int,
     return " ".join([body] + pad)
 
 
-def render_image(spec: GeneratorSpec, brightness: float, hue: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """The image_side x image_side x 3 uint8 pixels of one sample."""
-    side = spec.image_side
-    noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
-    return finish_pixels(np.array([brightness]), np.array([hue]),
-                         noise[np.newaxis])[0]
-
-
 def finish_pixels(brightness: np.ndarray, hue: np.ndarray,
                   noise: np.ndarray) -> np.ndarray:
     """The uint8 pixels of K samples from their K x side x side x 3 float64

@@ -1,6 +1,6 @@
-"""Graph helpers shared by the encoder and op tests: the op nodes of one
-desk-model training step, and a backward sweep from a chosen upstream
-gradient."""
+"""Graph helpers shared by the encoder, op and oracle tests: the op nodes
+of a graph and of one desk-model training step, and a backward sweep from a
+chosen upstream gradient."""
 
 from collections import Counter
 
@@ -24,7 +24,12 @@ def step_op_counts(mode: str) -> Counter:
         for row, n in zip(reviews, rng.integers(2, 17, 32)):
             row[:n] = [CLS_ID, *rng.integers(4, 40, n - 2), SEP_ID]
     logits = model.forward_batch(reviews, images, training=True, rng=rng)
-    seen, stack, ops = set(), [ag.cross_entropy(logits, [0, 1] * 16)], Counter()
+    return op_counts(ag.cross_entropy(logits, [0, 1] * 16))
+
+
+def op_counts(out: ag.Tensor) -> Counter:
+    """Op nodes per op name in the graph of ``out``."""
+    seen, stack, ops = set(), [out], Counter()
     while stack:
         t = stack.pop()
         if id(t) not in seen:

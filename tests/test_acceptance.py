@@ -13,18 +13,19 @@ minutes); everything else is seconds.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from reviewfuse import autograd as ag
+from reviewfuse import autograd as ag, gradsuite
 from reviewfuse.cli import COMPARE_TRAIN, main
 from reviewfuse.data import ReviewSample, stratified_split
 from reviewfuse.fusion import fusion_layout, paper_scale_fusion_config
 from reviewfuse.gradsuite import run_gradcheck
 from reviewfuse.image_encoder import paper_scale_image_config
 from reviewfuse.metrics import ConfusionMatrix, compute_metrics
-from reviewfuse.model import ReviewClassifier
+from reviewfuse.model import MODES, ReviewClassifier
 from reviewfuse.synthgen import (
     GeneratorSpec,
     generate_synthetic,
@@ -38,6 +39,8 @@ from reviewfuse.data import PreparedDataset
 from reviewfuse.image_encoder import ImageEncoderConfig
 from reviewfuse.training import TrainConfig, evaluate_accuracy, fit
 from reviewfuse.workflow import compare_baselines, load_corpus
+
+from graph_walk import op_counts, step_op_counts
 
 
 def test_gradient_oracle_all_layers():
@@ -54,6 +57,23 @@ def test_gradient_oracle_all_layers():
         "full_model_f32",
     }
     assert elapsed < 60.0
+
+
+def test_float64_checks_cover_every_step_op(monkeypatch):
+    # every op that a B=32 desk training step builds, in any mode, is in
+    # the graph of some float64 component check
+    checked = Counter()
+
+    def graph_of(f, params, **kwargs):
+        checked.update(op_counts(f()))
+        return 0.0
+
+    monkeypatch.setattr(gradsuite, "grad_check", graph_of)
+    for _, check in gradsuite._F64_CHECKS:
+        check(np.random.default_rng(0))
+    for mode in MODES:
+        missing = set(step_op_counts(mode)) - set(checked)
+        assert not missing, f"{mode}: no float64 check of {sorted(missing)}"
 
 
 class TestMetricsOracle:

@@ -28,7 +28,7 @@ from reviewfuse.training import (
     model_from_bundle,
     model_to_bundle,
 )
-from reviewfuse.workflow import load_corpus, train_model
+from reviewfuse.workflow import desk_model, load_corpus, train_model
 
 
 def run(capsys, *argv):
@@ -440,29 +440,40 @@ class TestPredict:
         assert abs(pf + pg - 1.0) <= 0.0001
 
     def test_matches_batched_eval_of_test_split(self, capsys, corpus_dir,
-                                                trained):
+                                                trained, tmp_path):
         # predict and eval share one loader, transform and label rule: a
-        # single-sample predict reports the row eval computes for that sample
+        # single-sample predict reports the row eval computes for that
+        # sample, in every mode (the unimodal bundles seeded, not trained)
         bundle = load_bundle(trained)
-        model = model_from_bundle(bundle)
+        fused = model_from_bundle(bundle)
+        tokens = bundle.config["vocab_tokens"]
+        vocab = Vocabulary(tokens)
+        paths = {"fused": trained}
+        for mode in ("text_only", "image_only"):
+            paths[mode] = str(tmp_path / f"{mode}.fkit")
+            model = desk_model(mode, len(vocab), fused.text_cfg.max_len,
+                               fused.image_cfg.input_side, seed=5)
+            save_bundle(model_to_bundle(model, {"vocab_tokens": tokens}),
+                        paths[mode])
         samples, _ = align_images(read_manifest(corpus_dir / "test.csv"),
                                   corpus_dir / "images")
         ds = PreparedDataset.prepare(
-            samples, vocab=Vocabulary(bundle.config["vocab_tokens"]),
-            max_len=model.text_cfg.max_len,
-            crop_side=model.image_cfg.input_side)
-        logits, _ = eval_outputs(model.forward_batch, ds)
-        labels = predict_labels(logits)
-        z = logits.astype(np.float64)
-        p_genuine = 1.0 / (1.0 + np.exp(z[:, 0] - z[:, 1]))
-        for i in (0, 1, len(samples) - 1):
-            code, out, _ = run(capsys, "predict", "--model", trained,
-                               "--text", samples[i].text,
-                               "--image", samples[i].image_path)
-            assert code == 0
-            assert f"label: {('fake', 'genuine')[labels[i]]}" in out
-            printed = float(out.split("p_genuine: ")[1].split()[0])
-            assert abs(printed - p_genuine[i]) <= 1e-4
+            samples, vocab=vocab, max_len=fused.text_cfg.max_len,
+            crop_side=fused.image_cfg.input_side)
+        for mode, path in paths.items():
+            model = model_from_bundle(load_bundle(path))
+            logits, _ = eval_outputs(model.forward_batch, ds, **model.reads)
+            labels = predict_labels(logits)
+            z = logits.astype(np.float64)
+            p_genuine = 1.0 / (1.0 + np.exp(z[:, 0] - z[:, 1]))
+            for i in (0, 1, len(samples) - 1):
+                code, out, _ = run(capsys, "predict", "--model", path,
+                                   "--text", samples[i].text,
+                                   "--image", samples[i].image_path)
+                assert code == 0, mode
+                assert f"label: {('fake', 'genuine')[labels[i]]}" in out, mode
+                printed = float(out.split("p_genuine: ")[1].split()[0])
+                assert abs(printed - p_genuine[i]) <= 1e-4, mode
 
     def test_preprocess_block_of_older_bundles_is_ignored(self, capsys,
                                                           corpus_dir, trained,

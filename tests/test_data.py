@@ -24,6 +24,7 @@ from reviewfuse.errors import (
 from reviewfuse.imageproc import (
     center_crop,
     load_ppm,
+    normalize_batch,
     normalize_channels,
     preprocess,
     resize_bilinear,
@@ -235,7 +236,7 @@ def float_path(path, crop_side):
     bytes: load, resize, crop, then normalize_channels per image."""
     img = load_ppm(path)
     img = resize_bilinear(img, max(crop_side, round(crop_side * 8 / 7)))
-    return normalize_channels(center_crop(img, crop_side)).data
+    return normalize_channels(center_crop(img, crop_side))
 
 
 class TestPrepareImages:
@@ -251,15 +252,16 @@ class TestPrepareImages:
 
     def test_rows_are_the_preprocess_transform(self, tmp_path):
         # training and predict share one transform: each batch row is
-        # bitwise what preprocess gives for the same file
+        # bitwise the normalized crop that preprocess gives for the same file
         samples = self._samples(tmp_path, [(37, 37), (50, 41), (32, 60)])
         ds = PreparedDataset.prepare(samples, need_text=False, crop_side=32)
         rows = np.concatenate([imgs.data for _, imgs, _ in
                                ds.batches(2, shuffle=False)])
         assert rows.dtype == np.float32
         for i, s in enumerate(samples):
+            crop = preprocess(s.image_path, 32)
             np.testing.assert_array_equal(rows[i],
-                                          preprocess(s.image_path, 32).data)
+                                          normalize_batch(crop[np.newaxis])[0])
 
     def test_batches_are_bitwise_the_float_path(self, tmp_path):
         # shuffled batches of 3 over 8 samples, the last one ragged

@@ -9,7 +9,6 @@ from reviewfuse.errors import DimensionError, FormatError, ParameterError
 from reviewfuse.imageproc import (
     NORM_TABLE,
     center_crop,
-    decode_crop,
     load_ppm,
     normalize_batch,
     normalize_channels,
@@ -166,12 +165,12 @@ class TestNormalize:
         px = np.zeros((1, 1, 3), dtype=np.uint8)
         px[0, 0] = np.rint(np.array(mean) * 255)
         out = normalize_channels(px, mean, std, dtype=np.float64)
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-2)
+        np.testing.assert_allclose(out, 0.0, atol=1e-2)
 
     def test_plain_scaling(self):
         img = make_image(2, 2, 5)
         out = normalize_channels(img, (0, 0, 0), (1, 1, 1), dtype=np.float64)
-        np.testing.assert_allclose(out.data,
+        np.testing.assert_allclose(out,
                                    img.transpose(2, 0, 1) / 255.0)
 
     def test_zero_std(self):
@@ -185,14 +184,14 @@ class TestNormalize:
         for c in range(3):
             for y in range(2):
                 for x in range(2):
-                    assert out.data[c, y, x] == img[y, x, c] / 255.0
+                    assert out[c, y, x] == img[y, x, c] / 255.0
 
     def test_invertible(self):
         img = make_image(3, 3, 7)
         out = normalize_channels(img, dtype=np.float64)
         mean = np.asarray([0.485, 0.456, 0.406])[:, None, None]
         std = np.asarray([0.229, 0.224, 0.225])[:, None, None]
-        recovered = out.data * std + mean
+        recovered = out * std + mean
         np.testing.assert_allclose(recovered,
                                    img.transpose(2, 0, 1) / 255.0,
                                    atol=1e-6)
@@ -204,7 +203,7 @@ class TestNormalizeBatch:
         # ramp the table is built from
         for v in range(256):
             px = np.full((1, 1, 3), v, dtype=np.uint8)
-            want = normalize_channels(px).data[:, 0, 0]
+            want = normalize_channels(px)[:, 0, 0]
             assert NORM_TABLE.dtype == np.float32
             np.testing.assert_array_equal(NORM_TABLE[:, v], want)
 
@@ -215,15 +214,15 @@ class TestNormalizeBatch:
         assert out.dtype == np.float32 and out.shape == crops.shape
         for i in range(5):
             img = crops[i].transpose(1, 2, 0)
-            assert out[i].tobytes() == normalize_channels(img).data.tobytes()
+            assert out[i].tobytes() == normalize_channels(img).tobytes()
 
 
 class TestPreprocess:
-    def test_decode_crop_is_the_crop_channels_first(self, tmp_path):
+    def test_preprocess_is_the_crop_channels_first(self, tmp_path):
         img = make_image(41, 50, 10)
         p = tmp_path / "x.ppm"
         save_ppm(img, p)
-        crop = decode_crop(p, crop_side=32)
+        crop = preprocess(p, crop_side=32)
         want = center_crop(resize_bilinear(img, 37), 32)
         assert crop.dtype == np.uint8 and crop.shape == (3, 32, 32)
         np.testing.assert_array_equal(crop, want.transpose(2, 0, 1))
@@ -234,12 +233,12 @@ class TestPreprocess:
         save_ppm(img, p)
         a = preprocess(p, crop_side=32)
         b = preprocess(p, crop_side=32)
-        assert a.data.shape == (3, 32, 32)
-        np.testing.assert_array_equal(a.data, b.data)
+        assert a.shape == (3, 32, 32)
+        np.testing.assert_array_equal(a, b)
 
     def test_paper_scale_sides(self, tmp_path):
         img = make_image(300, 250, 9)
         p = tmp_path / "big.ppm"
         save_ppm(img, p)
         out = preprocess(p, crop_side=224)
-        assert out.data.shape == (3, 224, 224)
+        assert out.shape == (3, 224, 224)

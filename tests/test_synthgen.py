@@ -25,9 +25,9 @@ from reviewfuse.synthgen import (
     GeneratorSpec,
     chunk_samples,
     combined_bayes_accuracy,
+    finish_pixels,
     generate_synthetic,
     image_bayes_accuracy,
-    render_image,
     render_text,
     simulate_latents,
     text_bayes_accuracy,
@@ -152,16 +152,18 @@ class TestRendering:
     def test_image_shape_and_brightness_ordering(self):
         spec = GeneratorSpec()
         rng = np.random.default_rng(11)
-        dark = render_image(spec, 0.2, 0, rng)
-        bright = render_image(spec, 0.9, 0, rng)
+        noise = rng.normal(0.0, spec.pixel_noise, size=(2, 37, 37, 3))
+        dark, bright = finish_pixels(np.array([0.2, 0.9]), np.array([0, 0]),
+                                     noise)
         assert dark.shape == (37, 37, 3) and dark.dtype == np.uint8
         assert bright.mean() > dark.mean() + 50
 
     def test_image_hue_dominant_channel(self):
         spec = GeneratorSpec()
         rng = np.random.default_rng(12)
-        for hue in range(3):
-            img = render_image(spec, 0.6, hue, rng)
+        noise = rng.normal(0.0, spec.pixel_noise, size=(3, 37, 37, 3))
+        images = finish_pixels(np.full(3, 0.6), np.arange(3), noise)
+        for hue, img in enumerate(images):
             chan_means = img.reshape(-1, 3).mean(axis=0)
             assert int(np.argmax(chan_means)) == hue
 
@@ -253,12 +255,17 @@ def tree_bytes(root) -> dict[str, bytes]:
 
 
 class TestSameBytesAsTheSerialLoop:
-    def test_render_image_is_the_one_sample_expression(self):
+    def test_finish_pixels_is_the_one_sample_expression(self):
         spec = GeneratorSpec(image_side=13)
-        for brightness, hue in ((0.0, 0), (0.37, 1), (1.0, 2), (0.9, 0)):
-            got = render_image(spec, brightness, hue, np.random.default_rng(4))
-            want = reference_image(spec, brightness, hue, np.random.default_rng(4))
-            assert got.tobytes() == want.tobytes()
+        cases = ((0.0, 0), (0.37, 1), (1.0, 2), (0.9, 0))
+        noise = np.random.default_rng(4).normal(0.0, spec.pixel_noise,
+                                                size=(4, 13, 13, 3))
+        got = finish_pixels(np.array([b for b, _ in cases]),
+                            np.array([h for _, h in cases]), noise)
+        rng = np.random.default_rng(4)
+        for k, (brightness, hue) in enumerate(cases):
+            want = reference_image(spec, brightness, hue, rng)
+            assert got[k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("side", [8, 37, 64])
     @pytest.mark.parametrize("shape", ["below_one_chunk", "one_chunk",
