@@ -282,7 +282,7 @@ def cmd_eval(cfg) -> int:
     model, vocab = _load_model_and_vocab(cfg["model"])
     dataset = _prepare(model, vocab, read_split(cfg["data"], cfg["split"]))
     report = evaluate(model, dataset, split_tag=cfg["split"])
-    print(emit_report(report, fmt=cfg["format"], path=cfg["out"]), end="")
+    print(emit_report([report], fmt=cfg["format"], path=cfg["out"]), end="")
     print(format_confusion(report.cm), end="")
     return EXIT_OK
 
@@ -381,8 +381,6 @@ def build_parser() -> _Parser:
 
     c = add("gradcheck", cmd_gradcheck, "run the finite-difference oracle suite")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--corrupt", action="store_const", const=True, default=False,
-                   help=argparse.SUPPRESS)
     return parser
 
 

@@ -123,16 +123,12 @@ def center_crop(pixels: np.ndarray, side: int) -> np.ndarray:
     return pixels[oy:oy + side, ox:ox + side].copy()
 
 
-def normalize_channels(pixels: np.ndarray,
-                       mean: tuple[float, float, float] = IMAGENET_MEAN,
-                       std: tuple[float, float, float] = IMAGENET_STD,
-                       dtype=np.float32) -> np.ndarray:
-    """(pixel/255 - mean) / std per channel; layout becomes 3 x H x W."""
-    if any(s <= 0 for s in std):
-        raise ParameterError(f"std components must be > 0, got {std}")
+def normalize_channels(pixels: np.ndarray) -> np.ndarray:
+    """(pixel/255 - mean) / std per channel with the ImageNet mean and std,
+    in float32; an H x W x 3 image becomes 3 x H x W."""
     scaled = pixels.astype(np.float64) / 255.0
-    normed = (scaled - np.asarray(mean)) / np.asarray(std)
-    return normed.transpose(2, 0, 1).astype(dtype, copy=False)
+    normed = (scaled - np.asarray(IMAGENET_MEAN)) / np.asarray(IMAGENET_STD)
+    return normed.transpose(2, 0, 1).astype(np.float32)
 
 
 def preprocess(path, crop_side: int) -> np.ndarray:

@@ -146,12 +146,10 @@ def format_json(reports: list[MetricsReport]) -> str:
 _FORMATTERS = {"plain": format_plain, "csv": format_csv, "json": format_json}
 
 
-def emit_report(reports: list[MetricsReport] | MetricsReport,
-                fmt: str = "plain", path=None) -> str:
+def emit_report(reports: list[MetricsReport], fmt: str = "plain",
+                path=None) -> str:
     """Render reports; write to ``path`` (atomically) when given, always
     return the text."""
-    if isinstance(reports, MetricsReport):
-        reports = [reports]
     if fmt not in _FORMATTERS:
         raise ContractError(f"unknown report format {fmt!r}")
     text = _FORMATTERS[fmt](reports)

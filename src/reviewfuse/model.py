@@ -95,12 +95,6 @@ class ReviewClassifier:
         for t in self.params.values():
             t.zero_grad()
 
-    def decay_exempt(self, name: str) -> bool:
-        """Norm gains/biases and all bias vectors skip weight decay."""
-        leaf = name.rsplit(".", 1)[-1]
-        return ("norm" in leaf or leaf.startswith(("ln", "b1", "b2"))
-                or leaf.startswith("ffn_b"))
-
     def config_dict(self) -> dict:
         return {
             "mode": self.mode,

@@ -79,7 +79,7 @@ def text_encoder_layout(cfg: TextEncoderConfig):
 def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                   layer: int, cfg: TextEncoderConfig, training: bool = False,
                   uniforms: np.ndarray | None = None,
-                  rows: np.ndarray | None = None) -> Tensor:
+                  cls_only: bool = False) -> Tensor:
     """One post-LN transformer block over a (B*L, d_model) batch of sequences.
 
     ``mask`` is the (B, L) attention mask; row ``b*L + t`` of ``x`` is
@@ -87,26 +87,20 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
     ``uniforms``: the (2, R, d_model) U[0, 1) draws of the block's two
     dropout sites for its R output rows.
 
-    ``rows`` (None for all) are the rows of ``x`` whose outputs are kept,
-    the same number for each sequence and in sequence order. They are
-    gathered once; queries, the output projection, both residual adds and
-    layer norms and the FFN run on them alone, while keys and values come
-    from every row. The output then has one row per entry of ``rows``.
+    With ``cls_only`` the block computes only each sequence's [CLS] row
+    (position 0): those B rows are gathered once, and queries, the output
+    projection, both residual adds and layer norms and the FFN run on them
+    alone, while keys and values come from every row. The output is then
+    B x d_model.
     """
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
         raise DimensionError(
             f"block input shape {x.data.shape}, expected (B*L, {cfg.d_model})")
     pre = f"l{layer}."
     xq = x
-    if rows is not None:
-        rows = np.asarray(rows)
+    if cls_only:
         bsz, seq_len = np.shape(mask)
-        if not np.array_equal(rows // seq_len,
-                              np.repeat(np.arange(bsz), rows.size // bsz)):
-            raise DimensionError(
-                "block rows must hold the same number of positions of each "
-                f"of the {bsz} sequences, in sequence order")
-        xq = ag.embedding_lookup(x, rows)
+        xq = ag.embedding_lookup(x, np.arange(bsz) * seq_len)
     u_attn, u_ffn = (None, None) if uniforms is None else uniforms
 
     ctx = ag.attention(ag.matmul(xq, params[pre + "wq"]),
@@ -152,6 +146,5 @@ def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
             # (2, rows, d): the last block keeps only the [CLS] rows
             u = drops[:, i, :, 0].transpose(1, 0, 2) if last else \
                 drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
-        x = encoder_block(x, mask, params, i, cfg, training, u,
-                          rows=np.arange(bsz) * seq_len if last else None)
+        x = encoder_block(x, mask, params, i, cfg, training, u, cls_only=last)
     return x

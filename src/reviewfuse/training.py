@@ -44,27 +44,24 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam's moments and step count over one flat buffer of parameters.
+    """Adam's settings, moments and step count over one flat buffer of
+    parameters, bound to ``params`` when built.
 
-    ``adopt`` binds the state to its parameter dict: each parameter is
-    copied into its slice of one contiguous buffer ``flat`` and its
-    ``Tensor.data`` becomes a view of that slice. ``m`` and ``v`` share
-    that layout, and ``decay`` holds each element's weight-decay factor (1
-    for exempt tensors), so a step is one gather of the gradients plus about
-    ten whole-buffer numpy ops.
+    Each parameter is copied into its slice of one contiguous buffer
+    ``flat`` and its ``Tensor.data`` becomes a view of that slice. ``m``
+    and ``v`` share that layout. ``lr`` is ``cfg.lr``, and ``decay`` holds
+    each element's decoupled weight-decay factor, ``1 - lr * weight_decay``
+    for a tensor of rank 2 or more (weight matrices, embeddings, conv
+    kernels) and 1 for a rank-1 one (biases, norm gains and shifts), or is
+    None when ``cfg.weight_decay`` is 0. A step is one gather of the
+    gradients plus about ten whole-buffer numpy ops.
     """
 
-    def __init__(self):
-        self.t = 0
-        self.names: tuple[str, ...] | None = None  # set by the first adopt
-        self.decay = None
-        self._decay_key = None
-
-    def bind(self, params: dict[str, Tensor]) -> None:
+    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         dtypes = {p.data.dtype for p in params.values()} or {np.dtype(np.float32)}
         if len(dtypes) != 1:
             raise ContractError(
-                f"adam_step needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+                f"AdamState needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         ends = np.cumsum([p.data.size for p in params.values()]).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))
         self.names = tuple(params)
@@ -74,6 +71,15 @@ class AdamState:
         self.v = np.zeros_like(self.flat)
         self.scratch = np.empty_like(self.flat)  # adam_update's temporary
         self.views = list(self.split(self.flat).values())
+        self.t = 0
+        self.lr = cfg.lr
+        self.decay = None
+        if cfg.weight_decay:
+            self.decay = np.ones_like(self.flat)
+            for (lo, hi), shape in zip(self.bounds, self.shapes):
+                if len(shape) >= 2:
+                    self.decay[lo:hi] = 1.0 - cfg.lr * cfg.weight_decay
+        self.adopt(params)
 
     def split(self, buf: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view of ``buf``, a buffer laid out like ``flat``."""
@@ -81,12 +87,10 @@ class AdamState:
                 in zip(self.names, self.bounds, self.shapes)}
 
     def adopt(self, params: dict[str, Tensor]) -> None:
-        """Bind to ``params`` on first use, else check they are the bound
-        set, and make every ``Tensor.data`` its view of ``flat`` again,
-        copying in an array that was put in its place."""
-        if self.names is None:
-            self.bind(params)
-        elif self.names != tuple(params):
+        """Check ``params`` are the bound set and make every ``Tensor.data``
+        its view of ``flat`` again, copying in an array that was put in its
+        place."""
+        if self.names != tuple(params):
             raise ContractError("AdamState is bound to another parameter set")
         for name, p, view in zip(self.names, params.values(), self.views):
             if p.data is not view:
@@ -96,22 +100,8 @@ class AdamState:
                 view[...] = p.data
                 p.data = view
 
-    def decay_factors(self, cfg: TrainConfig, decay_exempt) -> np.ndarray:
-        """Per-element factor of decoupled weight decay, rebuilt when
-        ``cfg.lr``, ``cfg.weight_decay`` or ``decay_exempt`` change."""
-        key = (cfg.lr, cfg.weight_decay, decay_exempt)
-        if self._decay_key != key:
-            self.decay = np.ones_like(self.flat)
-            factor = 1.0 - cfg.lr * cfg.weight_decay
-            for name, (lo, hi) in zip(self.names, self.bounds):
-                if not (decay_exempt and decay_exempt(name)):
-                    self.decay[lo:hi] = factor
-            self._decay_key = key
-        return self.decay
 
-
-def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
-              decay_exempt=None) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One optimizer step from the gradients currently stored on ``params``:
     ``adam_update`` on their flat gather. A missing gradient counts as
     zero."""
@@ -127,15 +117,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
         grads.append(g.reshape(-1))
     g = (np.concatenate(grads, dtype=state.flat.dtype) if grads
          else np.zeros_like(state.flat))
-    adam_update(state, g, cfg, decay_exempt)
+    adam_update(state, g)
 
 
-def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
-                decay_exempt=None) -> None:
+def adam_update(state: AdamState, g: np.ndarray) -> None:
     """One Adam step of ``state.flat`` from ``g``, the gradient laid out
     like ``flat``; ``g`` is spent as scratch.
 
-    Decoupled weight decay shrinks non-exempt parameters before the Adam
+    Decoupled weight decay shrinks the decaying parameters before the Adam
     update; bias correction makes the very first step ~ -lr * sign(g).
     Element for element this is the per-tensor update
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
@@ -152,8 +141,8 @@ def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    if cfg.weight_decay:
-        theta *= state.decay_factors(cfg, decay_exempt)
+    if state.decay is not None:
+        theta *= state.decay
     m *= BETA1
     m += np.multiply(g, 1.0 - BETA1, out=tmp)
     m[np.abs(m, out=tmp) < np.finfo(m.dtype).tiny] = 0
@@ -164,7 +153,7 @@ def adam_update(state: AdamState, g: np.ndarray, cfg: TrainConfig,
     np.sqrt(tmp, out=tmp)
     tmp += EPS_ADAM
     step = np.divide(m, bc1, out=g)
-    step *= cfg.lr
+    step *= state.lr
     step /= tmp
     theta -= step
 
@@ -186,7 +175,7 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
             )
         model.zero_grad()
         loss.backward()
-        adam_step(model.params, state, cfg, model.decay_exempt)
+        adam_step(model.params, state)
         del logits, loss  # free this step's graph before the next forward pass
         total_loss += val * len(labels)
         total_n += len(labels)
@@ -252,10 +241,12 @@ def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,
     ``epoch_fn(epoch)`` returns the epoch's mean training loss and
     ``val_fn()`` its validation accuracy; by default they are
     ``train_epoch`` and ``evaluate_accuracy``, and a caller with its own
-    step loop (``workflow.warm_start_head``) or a test passes its own.
+    step loop (``workflow.warm_start_head``) or a test passes its own. Only
+    ``train_epoch`` gets an ``AdamState`` built here: building one rebinds
+    every parameter, which would take them from a caller's own state.
     """
-    state = AdamState()
     if epoch_fn is None:
+        state = AdamState(model.params, cfg)
         epoch_fn = lambda epoch: train_epoch(model, train_data, state, cfg, epoch)
     if val_fn is None:
         val_fn = lambda: evaluate_accuracy(model, val_data)

@@ -114,8 +114,7 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
                            patience=WARM_EPOCHS, seed=cfg.seed)
     if not np.isin(ytr, (0, 1)).all():
         raise LabelError("warm_start_head needs labels in {0, 1}")
-    state = AdamState()
-    state.adopt(head)
+    state = AdamState(head, warm_cfg)
     g = np.empty_like(state.flat)
     params, grad_views = state.split(state.flat), state.split(g)
     names = ("head.w1", "head.b1", "head.w2", "head.b2")
@@ -134,7 +133,7 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
             epoch_logits[i:i + bsz] = logits
             dlogits = ag.xent_grad(ag.softmax_rows(logits), y, one / len(y))
             ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, grads)
-            adam_update(state, g, warm_cfg)
+            adam_update(state, g)
         top = epoch_logits.max(axis=1)
         lse = top + np.log(np.exp(epoch_logits - top[:, None]).sum(axis=1))
         return float((lse - epoch_logits[np.arange(n), y_epoch]).mean())

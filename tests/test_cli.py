@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewfuse import cli
+from reviewfuse import autograd as ag
+from reviewfuse import cli, gradsuite
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.cli import main
 from reviewfuse.data import PreparedDataset, align_images, read_manifest
@@ -71,7 +72,7 @@ DEFAULTS = {
     "eval": {"data": REQUIRED, "model": None, "split": "test",
              "format": "plain", "out": None, "compare": False, "seed": 0},
     "predict": {"model": REQUIRED, "text": None, "image": None},
-    "gradcheck": {"seed": 0, "corrupt": False},
+    "gradcheck": {"seed": 0},
 }
 
 
@@ -663,8 +664,18 @@ class TestGradcheckCommand:
         assert "gradcheck passed" in out
         assert out.count("PASS") == 12
 
-    def test_corrupt_hook_fails(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--corrupt")
+    def test_corrupt_hook_fails(self, capsys, monkeypatch):
+        # a float64 twin whose logits are 1% off must fail the full model
+        real_pair = gradsuite._full_model_pair
+
+        def off_pair(seed):
+            m32, m64 = real_pair(seed)
+            forward = m64.forward_batch
+            m64.forward_batch = lambda *a: ag.scale(forward(*a), 1.01)
+            return m32, m64
+
+        monkeypatch.setattr(gradsuite, "_full_model_pair", off_pair)
+        code, out, _ = run(capsys, "gradcheck")
         assert code == 3
         assert "full_model_f32" in out.split("FAILED")[1]
 
@@ -790,7 +801,7 @@ def test_any_argv_exits_with_a_documented_code(argv_root, argv):
             mp.setattr(cli, "generate_synthetic", lambda spec, path, ratios:
                        real_generate(dataclasses.replace(spec, n=min(spec.n, 24)),
                                      path, ratios=ratios))
-            mp.setattr(cli, "run_gradcheck", lambda seed, corrupt: [])
+            mp.setattr(cli, "run_gradcheck", lambda seed: [])
             try:
                 code = main(argv)
             except SystemExit as e:  # --help

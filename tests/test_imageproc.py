@@ -159,38 +159,40 @@ class TestCenterCrop:
 
 
 class TestNormalize:
+    MEAN = (0.485, 0.456, 0.406)
+    STD = (0.229, 0.224, 0.225)
+
     def test_centering(self):
-        mean = (0.4, 0.5, 0.6)
-        std = (0.2, 0.2, 0.2)
+        # a pixel at the ImageNet mean, to the nearest byte, maps to ~0
         px = np.zeros((1, 1, 3), dtype=np.uint8)
-        px[0, 0] = np.rint(np.array(mean) * 255)
-        out = normalize_channels(px, mean, std, dtype=np.float64)
+        px[0, 0] = np.rint(np.array(self.MEAN) * 255)
+        out = normalize_channels(px)
         np.testing.assert_allclose(out, 0.0, atol=1e-2)
 
     def test_plain_scaling(self):
+        # the whole image at once: the float64 formula, rounded to float32
         img = make_image(2, 2, 5)
-        out = normalize_channels(img, (0, 0, 0), (1, 1, 1), dtype=np.float64)
-        np.testing.assert_allclose(out,
-                                   img.transpose(2, 0, 1) / 255.0)
-
-    def test_zero_std(self):
-        with pytest.raises(ParameterError):
-            normalize_channels(make_image(2, 2), (0, 0, 0), (1, 0, 1))
+        out = normalize_channels(img)
+        want = (img / 255.0 - np.array(self.MEAN)) / np.array(self.STD)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.transpose(2, 0, 1).astype(np.float32).tobytes()
 
     def test_channel_major_layout(self):
-        img = make_image(2, 2, 6)
-        out = normalize_channels(img, (0, 0, 0), (1, 1, 1), dtype=np.float64)
-        # index-arithmetic oracle: out[c, y, x] == pixels[y, x, c] / 255
+        img = make_image(2, 3, 6)
+        out = normalize_channels(img)
+        assert out.shape == (3, 2, 3)
+        # index-arithmetic oracle: out[c, y, x] is pixels[y, x, c]'s value
         for c in range(3):
             for y in range(2):
-                for x in range(2):
-                    assert out[c, y, x] == img[y, x, c] / 255.0
+                for x in range(3):
+                    want = (img[y, x, c] / 255.0 - self.MEAN[c]) / self.STD[c]
+                    assert out[c, y, x] == np.float32(want)
 
     def test_invertible(self):
         img = make_image(3, 3, 7)
-        out = normalize_channels(img, dtype=np.float64)
-        mean = np.asarray([0.485, 0.456, 0.406])[:, None, None]
-        std = np.asarray([0.229, 0.224, 0.225])[:, None, None]
+        out = normalize_channels(img)
+        mean = np.asarray(self.MEAN)[:, None, None]
+        std = np.asarray(self.STD)[:, None, None]
         recovered = out * std + mean
         np.testing.assert_allclose(recovered,
                                    img.transpose(2, 0, 1) / 255.0,

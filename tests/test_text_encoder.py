@@ -126,8 +126,8 @@ class TestEncoderBlock:
             [v for k, v in p.items() if k.startswith("l0.")] + [x])
         assert err < 1e-6
 
-    @pytest.mark.parametrize("rows", [[0, 3], [0, 2, 3, 5]],
-                             ids=["cls", "two_per_sequence"])
+    # the [CLS] rows of the two sequences
+    @pytest.mark.parametrize("rows", [[0, 3]], ids=["cls"])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
     def test_rows_are_the_full_block_rows(self, rows, dropout_p):
         cfg = tiny_cfg(max_len=3, dropout_p=dropout_p)
@@ -137,8 +137,7 @@ class TestEncoderBlock:
         mask = np.array([[1, 1, 1], [1, 1, 0]])
         full = encoder_block(x, mask, p, 0, cfg, True, u).data
         # the dropout draws of the kept rows only
-        got = encoder_block(x, mask, p, 0, cfg, True, u[:, rows],
-                            rows=np.array(rows))
+        got = encoder_block(x, mask, p, 0, cfg, True, u[:, rows], cls_only=True)
         assert got.shape == (len(rows), 8)
         np.testing.assert_allclose(got.data, full[rows], rtol=0, atol=1e-12)
 
@@ -151,10 +150,9 @@ class TestEncoderBlock:
                       requires_grad=True)
         w = ag.Tensor(np.random.default_rng(18).normal(size=(2, 8)))
         mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
-        rows = np.array([0, 4])
         err = grad_check(
             lambda: ag.tsum(ag.mul(encoder_block(x, mask, p, 0, cfg,
-                                                 rows=rows), w)),
+                                                 cls_only=True), w)),
             [v for k, v in p.items() if k.startswith("l0.")] + [x])
         assert err < 1e-6
 
@@ -178,7 +176,8 @@ class TestEncoderBlock:
             p = {k: ag.Tensor(v.data.copy(), requires_grad=True)
                  for k, v in init.items() if k.startswith("l0.")}
             x = ag.Tensor(x_data.copy(), requires_grad=True)
-            out = encoder_block(x, mask, p, 0, cfg, True, u, rows=rows)
+            out = encoder_block(x, mask, p, 0, cfg, True, u,
+                                cls_only=rows is not None)
             backprop(out, g)
             results.append({"out": out.data, "x": x.grad,
                             **{k: t.grad for k, t in p.items()}})
@@ -187,15 +186,6 @@ class TestEncoderBlock:
         for name, a in fused.items():
             assert a.dtype == dtype, name
             np.testing.assert_array_equal(a, chained[name], err_msg=name)
-
-    @pytest.mark.parametrize("rows", [[3, 0], [0, 1, 3], [0, 1], [], [[0], [3]]])
-    def test_rows_not_whole_per_sequence_raise(self, rows):
-        cfg = tiny_cfg(max_len=3)
-        p = ag.init_params(text_encoder_layout(cfg), np.random.default_rng(18))
-        x = ag.Tensor(np.zeros((6, 8), dtype=np.float32))
-        with pytest.raises(DimensionError):
-            encoder_block(x, np.ones((2, 3)), p, 0, cfg,
-                          rows=np.array(rows, dtype=np.int64))
 
 
 class TestEncodeText:

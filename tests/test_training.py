@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,18 @@ from reviewfuse.autograd import Tensor
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.data import PreparedDataset, ReviewSample
 from reviewfuse.errors import ContractError, FormatError, ParameterError
-from reviewfuse.image_encoder import ImageEncoderConfig
-from reviewfuse.model import ReviewClassifier
-from reviewfuse.text_encoder import TextEncoderConfig
+from reviewfuse.fusion import fusion_layout, paper_scale_fusion_config
+from reviewfuse.image_encoder import (
+    ImageEncoderConfig,
+    image_encoder_layout,
+    paper_scale_image_config,
+)
+from reviewfuse.model import MODES, ReviewClassifier
+from reviewfuse.text_encoder import (
+    TextEncoderConfig,
+    paper_scale_text_config,
+    text_encoder_layout,
+)
 from reviewfuse.textproc import build_vocab
 from reviewfuse.training import (
     BETA1,
@@ -29,6 +39,7 @@ from reviewfuse.training import (
     model_to_bundle,
     train_epoch,
 )
+from reviewfuse.workflow import desk_model
 
 
 def tiny_model(mode="fused", seed=0):
@@ -75,9 +86,8 @@ class TestAdamStep:
         cfg = TrainConfig(lr=0.01, weight_decay=0.0)
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         p.grad = np.array([0.5, -0.25, 4.0])
-        state = AdamState()
         before = p.data.copy()
-        adam_step({"w": p}, state, cfg)
+        adam_step({"w": p}, AdamState({"w": p}, cfg))
         expected = before - cfg.lr * np.sign(p.grad) / (1.0 + EPS_ADAM / np.abs(p.grad))
         np.testing.assert_allclose(p.data, expected, rtol=1e-10)
 
@@ -85,55 +95,67 @@ class TestAdamStep:
         cfg = TrainConfig(lr=0.01, weight_decay=0.0)
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        state = AdamState()
-        adam_step({"w": p}, state, cfg)
+        adam_step({"w": p}, AdamState({"w": p}, cfg))
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_scalar_descent_trace(self):
         # f(theta) = theta^2 from theta=1 with lr=0.1 converges fast
         cfg = TrainConfig(lr=0.1, weight_decay=0.0)
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState()
+        state = AdamState({"theta": p}, cfg)
         for _ in range(100):
             p.grad = 2.0 * p.data
-            adam_step({"theta": p}, state, cfg)
+            adam_step({"theta": p}, state)
         assert abs(p.data[0]) < 0.05
+
+    def test_state_binds_when_built(self):
+        # every parameter becomes its view of flat, holding its old values;
+        # with no weight decay there are no decay factors
+        rng = np.random.default_rng(42)
+        init = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5),
+                "k": rng.normal(size=(2, 1, 3, 3))}
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        state = AdamState(params, TrainConfig(lr=0.02, weight_decay=0.0))
+        assert state.flat.size == sum(v.size for v in init.values())
+        for (k, p), view in zip(params.items(), state.views):
+            assert p.data is view and np.shares_memory(p.data, state.flat), k
+            np.testing.assert_array_equal(p.data, init[k])
+        assert state.decay is None and state.lr == 0.02 and state.t == 0
 
     def test_decay_exemption(self):
         cfg = TrainConfig(lr=0.1, weight_decay=0.5)
-        w = Tensor(np.array([1.0]), requires_grad=True)
+        w = Tensor(np.array([[1.0]]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
-        w.grad = np.zeros(1)
+        w.grad = np.zeros((1, 1))
         b.grad = np.zeros(1)
-        adam_step({"w": w, "norm_g": b}, AdamState(), cfg,
-                  decay_exempt=lambda n: "norm" in n)
-        np.testing.assert_allclose(w.data, [1.0 - 0.1 * 0.5])
+        params = {"w": w, "b": b}
+        adam_step(params, AdamState(params, cfg))
+        np.testing.assert_allclose(w.data, [[1.0 - 0.1 * 0.5]])
         np.testing.assert_array_equal(b.data, [1.0])
 
     def test_shared_step_count(self):
         cfg = TrainConfig(lr=0.01)
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState()
+        state = AdamState({"w": p}, cfg)
         for _ in range(3):
             p.grad = np.ones(1)
-            adam_step({"w": p}, state, cfg)
+            adam_step({"w": p}, state)
         assert state.t == 3
 
     def test_flat_update_bit_identical_to_per_tensor_adam(self):
-        # 50 steps over float32 tensors, some exempt from decay, one whose
-        # gradient is always missing; at step 25 one tensor's array is
-        # replaced, and the state must take it back in
+        # 50 steps over float32 tensors, the rank-1 ones exempt from decay,
+        # one whose gradient is always missing; at step 25 one tensor's
+        # array is replaced, and the state must take it back in
         cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
         rng = np.random.default_rng(40)
         shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,), "emb": (6, 2),
                   "idle": (2, 2)}
-        exempt = lambda n: "norm" in n or n.startswith("b")  # noqa: E731
         init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
         flat = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
         ref = {k: v.copy() for k, v in init.items()}
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v2 = {k: np.zeros_like(v) for k, v in ref.items()}
-        state = AdamState()
+        state = AdamState(flat, cfg)
         for t in range(1, 51):
             grads = {k: None if k == "idle" else
                      rng.normal(size=s).astype(np.float32)
@@ -142,12 +164,12 @@ class TestAdamStep:
                 flat["emb"].data = flat["emb"].data.copy()
             for k, p in flat.items():
                 p.grad = grads[k]
-            adam_step(flat, state, cfg, exempt)
+            adam_step(flat, state)
             # reference: the per-tensor update, one tensor at a time
             bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
             for k, p in ref.items():
                 g = np.zeros_like(p) if grads[k] is None else grads[k]
-                if not exempt(k):
+                if p.ndim >= 2:
                     p *= (1.0 - cfg.lr * cfg.weight_decay)
                 m[k] *= BETA1
                 m[k] += (1.0 - BETA1) * g
@@ -164,37 +186,33 @@ class TestAdamStep:
         cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
         rng = np.random.default_rng(41)
         shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,)}
-        exempt = lambda n: "norm" in n or n.startswith("b")  # noqa: E731
         init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
         stepped = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
         updated = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
-        by_step, by_update = AdamState(), AdamState()
-        by_update.adopt(updated)
+        by_step, by_update = AdamState(stepped, cfg), AdamState(updated, cfg)
         for _ in range(10):
             grads = {k: rng.normal(size=s).astype(np.float32)
                      for k, s in shapes.items()}
             for k, p in stepped.items():
                 p.grad = grads[k]
-            adam_step(stepped, by_step, cfg, exempt)
-            adam_update(by_update, np.concatenate([g.ravel() for g in grads.values()]),
-                        cfg, exempt)
+            adam_step(stepped, by_step)
+            adam_update(by_update, np.concatenate([g.ravel() for g in grads.values()]))
         assert by_step.t == by_update.t == 10
         for k in shapes:
             np.testing.assert_array_equal(updated[k].data, stepped[k].data)
 
     def test_state_is_bound_to_one_parameter_set(self):
-        cfg = TrainConfig()
-        state = AdamState()
-        adam_step({"w": Tensor(np.zeros(2), requires_grad=True)}, state, cfg)
+        w = {"w": Tensor(np.zeros(2), requires_grad=True)}
+        state = AdamState(w, TrainConfig())
+        adam_step(w, state)
         with pytest.raises(ContractError):
-            adam_step({"u": Tensor(np.zeros(2), requires_grad=True)}, state, cfg)
+            adam_step({"u": Tensor(np.zeros(2), requires_grad=True)}, state)
 
     def test_grad_shape_mismatch(self):
-        cfg = TrainConfig()
         p = Tensor(np.zeros(3), requires_grad=True)
         p.grad = np.zeros(4)
         with pytest.raises(ContractError, match="w"):
-            adam_step({"w": p}, AdamState(), cfg)
+            adam_step({"w": p}, AdamState({"w": p}, TrainConfig()))
 
 
 class TestTrainEpoch:
@@ -202,7 +220,7 @@ class TestTrainEpoch:
         model = tiny_model()
         ds = tiny_dataset()
         cfg = TrainConfig(lr=1e-3, batch_size=4, seed=1)
-        loss = train_epoch(model, ds, AdamState(), cfg, epoch=1)
+        loss = train_epoch(model, ds, AdamState(model.params, cfg), cfg, epoch=1)
         assert np.isfinite(loss) and loss > 0
 
     def test_vanishing_lr_leaves_params_bitwise(self):
@@ -213,7 +231,7 @@ class TestTrainEpoch:
         ds = tiny_dataset()
         before = {k: v.data.copy() for k, v in model.params.items()}
         cfg = TrainConfig(lr=1e-30, weight_decay=0.01, batch_size=4, seed=1)
-        train_epoch(model, ds, AdamState(), cfg, epoch=1)
+        train_epoch(model, ds, AdamState(model.params, cfg), cfg, epoch=1)
         for k, arr in before.items():
             after = model.params[k].data
             # nonzero entries cannot move at this lr; exactly-zero entries
@@ -228,7 +246,7 @@ class TestTrainEpoch:
         for _ in range(2):
             model = tiny_model(seed=3)
             ds = tiny_dataset(seed=2)
-            loss = train_epoch(model, ds, AdamState(), cfg, epoch=1)
+            loss = train_epoch(model, ds, AdamState(model.params, cfg), cfg, epoch=1)
             results.append((loss, {k: v.data.copy()
                                    for k, v in model.params.items()}))
         assert results[0][0] == results[1][0]
@@ -474,10 +492,22 @@ class TestModelModes:
             model.forward_batch(reviews, None)
 
     def test_decay_exempt_rules(self):
-        model = tiny_model("fused")
-        assert model.decay_exempt("img.stem.norm_g")
-        assert model.decay_exempt("text.l0.ln1_b")
-        assert model.decay_exempt("head.b1")
-        assert model.decay_exempt("text.l0.ffn_b2")
-        assert not model.decay_exempt("head.w1")
-        assert not model.decay_exempt("text.l0.wq")
+        # over every desk mode and the three paper-scale layouts, the rank
+        # rule (rank >= 2 decays) leaves out exactly the biases and the norm
+        # gains and shifts, by name; paper-scale layouts are checked at their
+        # ranks with every axis cut to 1
+        undecayed = re.compile(r"(.*\.)?(.*norm.*_[gb]|ln.*_[gb]|ffn_b.*)|head\.b[12]")
+        layouts = {mode: desk_model(mode, vocab_size=30).params for mode in MODES}
+        for name, layout in (
+                ("paper_text", text_encoder_layout(paper_scale_text_config(30_522))),
+                ("paper_image", image_encoder_layout(paper_scale_image_config())),
+                ("paper_head", fusion_layout(paper_scale_fusion_config()))):
+            layouts[name] = {k: Tensor(np.zeros((1,) * len(shape), np.float32))
+                             for k, shape, _ in layout}
+        for name, params in layouts.items():
+            want = [bool(undecayed.fullmatch(k)) for k in params]
+            assert any(want) and not all(want), name
+            sizes = [p.data.size for p in params.values()]
+            state = AdamState(params, TrainConfig(weight_decay=0.01))
+            np.testing.assert_array_equal(state.decay == 1, np.repeat(want, sizes),
+                                          err_msg=name)

@@ -97,7 +97,7 @@ def graph_warm_start(model, train_set, val_set, cfg, epochs):
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)
-    state = AdamState()
+    state = AdamState(head, warm_cfg)
     best_acc, best_epoch = -1.0, 0
     best = {k: v.data.copy() for k, v in head.items()}
     for epoch in range(1, epochs + 1):
@@ -111,7 +111,7 @@ def graph_warm_start(model, train_set, val_set, cfg, epochs):
             for t in head.values():
                 t.zero_grad()
             loss.backward()
-            adam_step(head, state, warm_cfg, model.decay_exempt)
+            adam_step(head, state)
         with ag.no_grad():
             logits = classify_batch(model.params, model.fusion_cfg,
                                     Tensor(Xva))
@@ -136,8 +136,7 @@ def gathered_warm_start(model, train_set, val_set, cfg):
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)
-    state = AdamState()
-    state.adopt(head)
+    state = AdamState(head, warm_cfg)
     g = np.empty_like(state.flat)
     params, grad_views = state.split(state.flat), state.split(g)
     names = ("head.w1", "head.b1", "head.w2", "head.b2")
