@@ -220,7 +220,7 @@ def cmd_train(cfg) -> int:
     save_bundle(model_to_bundle(model, extra), cfg["out"])
     report_path = cfg["report"] or cfg["out"] + ".report.json"
     with atomic_open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {cfg['out']} and {report_path}")
     return EXIT_OK
@@ -261,7 +261,9 @@ def _prepare(model, vocab, samples) -> PreparedDataset:
     reads, at its text length and crop side."""
     return PreparedDataset.prepare(
         samples, vocab=vocab, max_len=getattr(model.text_cfg, "max_len", None),
-        crop_side=getattr(model.image_cfg, "input_side", None), **model.reads)
+        crop_side=getattr(model.image_cfg, "input_side", None),
+        need_text=model.text_cfg is not None,
+        need_images=model.image_cfg is not None)
 
 
 def cmd_eval(cfg) -> int:
@@ -297,7 +299,7 @@ def cmd_predict(cfg) -> int:
     # label is a placeholder that nothing reads
     review = ReviewSample("predict", cfg["text"] or "", 0, cfg["image"])
     logits, _ = eval_outputs(model.forward_batch,
-                             _prepare(model, vocab, [review]), **model.reads)
+                             _prepare(model, vocab, [review]))
     probs = ag.softmax_rows(logits)[0]
     label = predict_labels(logits)[0]
     print(f"label: {'genuine' if label == 1 else 'fake'}")

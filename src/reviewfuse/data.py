@@ -1,4 +1,5 @@
-"""Dataset manifests, image alignment, stratified splits, and batch assembly."""
+"""Dataset manifests, image alignment, stratified splits, and batches of a
+split's raw rows: token ids and crop bytes, never a ``Tensor``."""
 
 from __future__ import annotations
 
@@ -10,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
 from .bundle import atomic_open
 from .errors import AlignmentError, ContractError, ManifestError, SplitError
-from .imageproc import DESK_CROP_SIDE, normalize_batch, preprocess
+from .imageproc import DESK_CROP_SIDE, preprocess
 from .textproc import DESK_MAX_LEN, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
@@ -165,9 +165,9 @@ class PreparedDataset:
     ``reviews`` holds each sample's token ids as one row of an (N, L)
     int32 array (``tokenize``); its attention mask is ``ids != PAD_ID``.
     ``images`` holds each sample's center crop as bytes (``preprocess``),
-    a quarter of the float32 batch it becomes; ``batches`` normalizes the
-    rows it yields (``normalize_batch``), the one place where image arrays
-    become Tensors. A sequence of rows is taken as ``reviews`` and stacked.
+    a quarter of the float32 batch it becomes in a model that reads images
+    (``ReviewClassifier.encode_batch``). A sequence of rows is taken as
+    ``reviews`` and stacked.
     """
     reviews: np.ndarray | None  # (N, L) int32
     images: np.ndarray | None  # (N, 3, S, S) uint8
@@ -221,14 +221,13 @@ class PreparedDataset:
                    ids=[s.id for s in samples])
 
     def batches(self, batch_size: int, seed: int = 0, epoch: int = 0,
-                shuffle: bool = True, need_text: bool = True,
-                need_images: bool = True):
-        """Yield (token ids, images Tensor, labels) in a deterministic order.
+                shuffle: bool = True):
+        """Yield (token ids, crops, labels) in a deterministic order.
 
-        The ids are a (B, L) int32 slice and the labels a (B,) int64 slice.
-        A modality that is not needed, or that the split does not hold, is
-        None. The permutation is keyed on (seed, epoch); the final partial
-        batch is kept.
+        The ids are a (B, L) int32 slice, the crops a (B, 3, S, S) uint8
+        slice and the labels a (B,) int64 slice; a modality the split does
+        not hold is None. The permutation is keyed on (seed, epoch); the
+        final partial batch is kept.
         """
         if batch_size < 1:
             raise SplitError(f"batch_size must be >= 1, got {batch_size}")
@@ -237,10 +236,8 @@ class PreparedDataset:
             order = np.random.default_rng([seed, epoch]).permutation(n)
         else:
             order = np.arange(n)
-        text = self.reviews if need_text else None
-        images = self.images if need_images else None
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            yield (None if text is None else text[idx],
-                   None if images is None else Tensor(normalize_batch(images[idx])),
+            yield (None if self.reviews is None else self.reviews[idx],
+                   None if self.images is None else self.images[idx],
                    self.labels[idx])

@@ -150,16 +150,15 @@ def _full_model_pair(seed):
 def _check_full_model_f32(rng):
     m32, m64 = _full_model_pair(int(rng.integers(0, 2 ** 31)))
     reviews = np.array([[2, 5, 7, 4, 3, 0], [2, 9, 3, 0, 0, 0]], dtype=np.int32)
-    imgs = rng.normal(size=(2, 3, 8, 8))
+    # both models read the same pixels: float32 values, cast up exactly in m64
+    crops = rng.integers(0, 256, size=(2, 3, 8, 8), dtype=np.uint8)
     labels = [1, 0]
 
     def f32():
-        logits = m32.forward_batch(reviews, Tensor(imgs.astype(np.float32)))
-        return ag.cross_entropy(logits, labels)
+        return ag.cross_entropy(m32.forward_batch(reviews, crops), labels)
 
     def f64():
-        logits = m64.forward_batch(reviews, Tensor(imgs))
-        return ag.cross_entropy(logits, labels)
+        return ag.cross_entropy(m64.forward_batch(reviews, crops), labels)
 
     # float32 noise floor: parameters whose true gradient is ~0 keep a
     # ~1e-10 rounding residue that is meaningless against the f64 oracle

@@ -6,7 +6,8 @@ Images are plain numpy arrays throughout: H x W x 3 uint8 RGB from
 channels-first (3 x S x S), which ``preprocess`` returns for one file and a
 prepared dataset stores. ``normalize_batch`` maps a B x 3 x S x S batch of
 crops to the float32 batch the CNN encoder takes, through a per-channel
-256-entry table that ``normalize_channels`` computes.
+256-entry table that ``normalize_channels`` computes; a model that reads
+images runs it on each batch of crops it is given.
 """
 
 from __future__ import annotations

@@ -109,14 +109,14 @@ def compute_metrics(cm: ConfusionMatrix, model_tag: str = "",
                          n=cm.total, degenerate=degenerate)
 
 
-def evaluate(model: ReviewClassifier, dataset, model_tag: str | None = None,
+def evaluate(model: ReviewClassifier, dataset,
              split_tag: str = "test") -> MetricsReport:
-    """Eval-mode predictions over a PreparedDataset -> MetricsReport."""
-    logits, golds = eval_outputs(model.forward_batch, dataset, **model.reads)
+    """Eval-mode predictions over a PreparedDataset -> MetricsReport, tagged
+    with the model's mode."""
+    logits, golds = eval_outputs(model.forward_batch, dataset)
     return compute_metrics(confusion_matrix(predict_labels(logits).tolist(),
                                             golds.tolist()),
-                           model_tag=model_tag or model.mode,
-                           split_tag=split_tag)
+                           model_tag=model.mode, split_tag=split_tag)
 
 
 def format_plain(reports: list[MetricsReport]) -> str:

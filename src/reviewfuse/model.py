@@ -15,13 +15,14 @@ from .autograd import Tensor
 from .errors import ContractError
 from .fusion import FusionConfig, classify_batch, fusion_layout
 from .image_encoder import ImageEncoderConfig, encode_image, image_encoder_layout
+from .imageproc import normalize_batch
 from .text_encoder import TextEncoderConfig, encode_text, text_encoder_layout
 
 MODES = ("text_only", "image_only", "fused")
 
 
 class ReviewClassifier:
-    """Fused or unimodal review classifier over tokenized text + image tensors."""
+    """Fused or unimodal review classifier over token ids and image crops."""
 
     def __init__(self, mode: str,
                  text_cfg: TextEncoderConfig | None,
@@ -58,19 +59,14 @@ class ReviewClassifier:
         n = len(prefix)
         return {k[n:]: v for k, v in self.params.items() if k.startswith(prefix)}
 
-    @property
-    def reads(self) -> dict[str, bool]:
-        """The ``PreparedDataset.batches`` flags of the modalities this
-        model reads."""
-        return {"need_text": self.text_cfg is not None,
-                "need_images": self.image_cfg is not None}
-
     def encode_batch(self, reviews: np.ndarray | None,
-                     images: Tensor | None, training: bool = False,
+                     crops: np.ndarray | None, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
         """Return the B x d_in pre-head representation (encoders only).
 
-        ``reviews`` is the (B, L) int32 token-id batch."""
+        ``reviews`` is the (B, L) int32 token-id batch and ``crops`` the
+        (B, 3, S, S) uint8 crop batch, as ``PreparedDataset.batches``
+        yields them; a modality this model does not read is ignored."""
         feats = None
         if self.text_cfg is not None:
             if reviews is None:
@@ -78,17 +74,21 @@ class ReviewClassifier:
             feats = encode_text(self._sub("text."), self.text_cfg, reviews,
                                 training, rng)
         if self.image_cfg is not None:
-            if images is None:
-                raise ContractError(f"mode {self.mode} needs image tensors")
-            img_feats = encode_image(self._sub("img."), self.image_cfg, images)
+            if getattr(crops, "dtype", None) != np.uint8:
+                raise ContractError(f"mode {self.mode} needs a uint8 crop batch")
+            params = self._sub("img.")
+            # in the parameters' dtype, so the float64 twin reads float64
+            pixels = Tensor(normalize_batch(crops),
+                            dtype=params["stem.conv"].data.dtype)
+            img_feats = encode_image(params, self.image_cfg, pixels)
             feats = img_feats if feats is None else ag.concat_cols(feats, img_feats)
         return feats
 
     def forward_batch(self, reviews: np.ndarray | None,
-                      images: Tensor | None, training: bool = False,
+                      crops: np.ndarray | None, training: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Return B x 2 logits for a batch of samples."""
-        feats = self.encode_batch(reviews, images, training, rng)
+        feats = self.encode_batch(reviews, crops, training, rng)
         return classify_batch(self.params, self.fusion_cfg, feats)
 
     def zero_grad(self) -> None:

@@ -164,9 +164,9 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
     rng = np.random.default_rng([cfg.seed, epoch, 0xD0])
     total_loss = 0.0
     total_n = 0
-    for bi, (reviews, images, labels) in enumerate(
-            dataset.batches(cfg.batch_size, cfg.seed, epoch, **model.reads)):
-        logits = model.forward_batch(reviews, images, training=True, rng=rng)
+    for bi, (reviews, crops, labels) in enumerate(
+            dataset.batches(cfg.batch_size, cfg.seed, epoch)):
+        logits = model.forward_batch(reviews, crops, training=True, rng=rng)
         loss = cross_entropy(logits, labels)
         val = loss.item()
         if not math.isfinite(val):
@@ -187,20 +187,17 @@ def train_epoch(model: ReviewClassifier, dataset, state: AdamState,
 EVAL_BATCH = 64
 
 
-def eval_outputs(forward, dataset, need_text: bool = True,
-                 need_images: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """``forward(reviews, images)`` over a dataset in eval mode.
+def eval_outputs(forward, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``forward(reviews, crops)`` over a dataset in eval mode.
 
-    Batches of ``EVAL_BATCH`` in dataset order, no graph recording, holding
-    the modalities that ``need_text``/``need_images`` ask for (a model's
-    ``reads``); returns the outputs stacked row per sample, and the labels.
+    Batches of ``EVAL_BATCH`` in dataset order, no graph recording; returns
+    the outputs stacked row per sample, and the labels.
     """
     outputs, labels = [], []
     with ag.no_grad():
-        for reviews, images, batch_labels in dataset.batches(
-                EVAL_BATCH, shuffle=False, need_text=need_text,
-                need_images=need_images):
-            outputs.append(forward(reviews, images).data)
+        for reviews, crops, batch_labels in dataset.batches(EVAL_BATCH,
+                                                            shuffle=False):
+            outputs.append(forward(reviews, crops).data)
             labels.append(batch_labels)
     if not outputs:
         raise ContractError("eval_outputs got an empty dataset")
@@ -209,7 +206,7 @@ def eval_outputs(forward, dataset, need_text: bool = True,
 
 def evaluate_accuracy(model: ReviewClassifier, dataset) -> float:
     """Fraction correct in eval mode (dropout off, no graph recording)."""
-    logits, labels = eval_outputs(model.forward_batch, dataset, **model.reads)
+    logits, labels = eval_outputs(model.forward_batch, dataset)
     return int((predict_labels(logits) == labels).sum()) / len(labels)
 
 
@@ -219,14 +216,6 @@ class TrainReport:
     val_accuracies: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based
     stop_reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_accuracies": self.val_accuracies,
-            "best_epoch": self.best_epoch,
-            "stop_reason": self.stop_reason,
-        }
 
 
 def fit(model: ReviewClassifier, train_data, val_data, cfg: TrainConfig,

@@ -106,8 +106,8 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
     """
-    Xtr, ytr = eval_outputs(model.encode_batch, train_set, **model.reads)
-    Xva, yva = eval_outputs(model.encode_batch, val_set, **model.reads)
+    Xtr, ytr = eval_outputs(model.encode_batch, train_set)
+    Xva, yva = eval_outputs(model.encode_batch, val_set)
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, max_epochs=WARM_EPOCHS,
@@ -178,8 +178,7 @@ def compare_baselines(corpus: Corpus, cfg: TrainConfig,
         if log:
             log(f"training {mode} baseline")
         model, _ = train_model(mode, corpus, cfg, log)
-        reports.append(evaluate(model, corpus.test, model_tag=mode,
-                                split_tag="test"))
+        reports.append(evaluate(model, corpus.test))
     metadata = {
         "benchmark_reference": PAPER_REFERENCE,
         "seed": cfg.seed,

@@ -16,14 +16,14 @@ def step_op_counts(mode: str) -> Counter:
     desk model; a node's name is the op whose backward closure it holds."""
     model = desk_model(mode, vocab_size=40)
     rng = np.random.default_rng(25)
-    images = reviews = None
+    crops = reviews = None
     if mode != "text_only":
-        images = ag.Tensor(rng.normal(size=(32, 3, 32, 32)).astype(np.float32))
+        crops = rng.integers(0, 256, size=(32, 3, 32, 32), dtype=np.uint8)
     if mode != "image_only":
         reviews = np.full((32, 16), PAD_ID, dtype=np.int32)
         for row, n in zip(reviews, rng.integers(2, 17, 32)):
             row[:n] = [CLS_ID, *rng.integers(4, 40, n - 2), SEP_ID]
-    logits = model.forward_batch(reviews, images, training=True, rng=rng)
+    logits = model.forward_batch(reviews, crops, training=True, rng=rng)
     return op_counts(ag.cross_entropy(logits, [0, 1] * 16))
 
 

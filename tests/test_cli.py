@@ -24,7 +24,6 @@ from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import Vocabulary
 from reviewfuse.training import (
     TrainConfig,
-    TrainReport,
     eval_outputs,
     model_from_bundle,
     model_to_bundle,
@@ -218,9 +217,14 @@ class TestTrain:
                 "--mode", "text_only", "--max-epochs", "1", "--seed", "4"]
         assert main(argv) == 0
         before = open(out + ".report.json", "rb").read()
-        to_dict = TrainReport.to_dict
-        monkeypatch.setattr(TrainReport, "to_dict",
-                            lambda self: {**to_dict(self), "zz": object()})
+        train = cli.train_model
+
+        def unencodable_report(*args, **kwargs):
+            model, report = train(*args, **kwargs)
+            report.stop_reason = object()  # after best_epoch in key order
+            return model, report
+
+        monkeypatch.setattr(cli, "train_model", unencodable_report)
         with pytest.raises(TypeError):
             main(argv)
         assert open(out + ".report.json", "rb").read() == before
@@ -463,7 +467,7 @@ class TestPredict:
             crop_side=fused.image_cfg.input_side)
         for mode, path in paths.items():
             model = model_from_bundle(load_bundle(path))
-            logits, _ = eval_outputs(model.forward_batch, ds, **model.reads)
+            logits, _ = eval_outputs(model.forward_batch, ds)
             labels = predict_labels(logits)
             z = logits.astype(np.float64)
             p_genuine = 1.0 / (1.0 + np.exp(z[:, 0] - z[:, 1]))

@@ -223,12 +223,16 @@ class TestBatchIter:
         vocab = build_vocab([s.text for s in samples], max_size=20)
         ds = PreparedDataset.prepare(samples, vocab=vocab, max_len=6,
                                      crop_side=32)
-        for revs, imgs, labels in ds.batches(4, seed=1, epoch=5):
+        seen = []
+        for revs, crops, labels in ds.batches(4, seed=1, epoch=5):
             for j in range(len(labels)):
                 # recover the sample index from the constant image value
-                mean_pix = imgs.data[j].mean()
-                # invert normalization roughly: all channels equal i*10/255
-                assert revs[j] is not None
+                i = int(crops[j, 0, 0, 0]) // 10
+                assert (crops[j] == i * 10).all()
+                np.testing.assert_array_equal(revs[j], ds.reviews[i])
+                assert labels[j] == i % 2
+                seen.append(i)
+        assert sorted(seen) == list(range(6))
 
 
 def float_path(path, crop_side):
@@ -252,32 +256,34 @@ class TestPrepareImages:
 
     def test_rows_are_the_preprocess_transform(self, tmp_path):
         # training and predict share one transform: each batch row is
-        # bitwise the normalized crop that preprocess gives for the same file
+        # bitwise the crop that preprocess gives for the same file
         samples = self._samples(tmp_path, [(37, 37), (50, 41), (32, 60)])
         ds = PreparedDataset.prepare(samples, need_text=False, crop_side=32)
-        rows = np.concatenate([imgs.data for _, imgs, _ in
+        rows = np.concatenate([crops for _, crops, _ in
                                ds.batches(2, shuffle=False)])
-        assert rows.dtype == np.float32
+        assert rows.dtype == np.uint8
         for i, s in enumerate(samples):
-            crop = preprocess(s.image_path, 32)
-            np.testing.assert_array_equal(rows[i],
-                                          normalize_batch(crop[np.newaxis])[0])
+            np.testing.assert_array_equal(rows[i], preprocess(s.image_path, 32))
 
     def test_batches_are_bitwise_the_float_path(self, tmp_path):
-        # shuffled batches of 3 over 8 samples, the last one ragged
+        # shuffled batches of 3 over 8 samples, the last one ragged: each
+        # yields the split's own crop rows, unchanged, and those rows
+        # normalized are bitwise the float path
         sizes = [(37, 37), (50, 41), (32, 60), (40, 40), (33, 47), (64, 35),
                  (37, 38), (45, 45)]
         samples = self._samples(tmp_path, sizes, seed=3)
         ds = PreparedDataset.prepare(samples, need_text=False, crop_side=24)
         floats = np.stack([float_path(s.image_path, 24) for s in samples])
         order = np.random.default_rng([5, 2]).permutation(len(samples))
-        got = [(imgs.data, labels) for _, imgs, labels in
+        got = [(revs, crops, labels) for revs, crops, labels in
                ds.batches(3, seed=5, epoch=2)]
-        assert [len(labels) for _, labels in got] == [3, 3, 2]
-        for k, (imgs, labels) in enumerate(got):
+        assert [len(labels) for _, _, labels in got] == [3, 3, 2]
+        for k, (revs, crops, labels) in enumerate(got):
             idx = order[3 * k:3 * k + 3]
-            assert imgs.dtype == np.float32
-            assert imgs.tobytes() == floats[idx].tobytes()
+            assert revs is None
+            assert crops.dtype == np.uint8
+            assert crops.tobytes() == ds.images[idx].tobytes()
+            assert normalize_batch(crops).tobytes() == floats[idx].tobytes()
             assert labels.tolist() == [samples[i].label for i in idx]
 
     def test_images_are_the_crop_bytes(self, tmp_path):

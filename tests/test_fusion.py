@@ -22,14 +22,14 @@ def desk_cfg():
 
 
 def desk_batch(n, seed=0):
-    """``n`` tokenized reviews and ``n`` desk-size image tensors."""
+    """``n`` tokenized reviews and ``n`` desk-size crops."""
     words = ["great", "cold", "service", "pizza", "never", "again"]
     vocab = build_vocab(words, max_size=50)
     rng = np.random.default_rng(seed)
     reviews = [tokenize(vocab, " ".join(rng.choice(words, size=4)), max_len=16)
                for _ in range(n)]
-    images = Tensor(rng.normal(size=(n, 3, 32, 32)).astype(np.float32))
-    return reviews, images
+    crops = rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
+    return reviews, crops
 
 
 class TestFuse:
@@ -55,21 +55,21 @@ class TestFuse:
             for k, t in part.params.items():
                 if not k.startswith("head."):
                     t.data = fused.params[k].data.copy()
-        reviews, images = desk_batch(3, seed=1)
-        feats = fused.encode_batch(reviews, images).data
+        reviews, crops = desk_batch(3, seed=1)
+        feats = fused.encode_batch(reviews, crops).data
         d_text = fused.fusion_cfg.d_text
         np.testing.assert_array_equal(feats[:, :d_text],
                                       text.encode_batch(reviews, None).data)
         np.testing.assert_array_equal(feats[:, d_text:],
-                                      image.encode_batch(None, images).data)
+                                      image.encode_batch(None, crops).data)
 
     def test_length_mismatch(self):
         # text and image batches of different lengths cannot be fused
         model = desk_model("fused", vocab_size=50)
         reviews, _ = desk_batch(3)
-        _, images = desk_batch(2)
+        _, crops = desk_batch(2)
         with pytest.raises(DimensionError):
-            model.encode_batch(reviews, images)
+            model.encode_batch(reviews, crops)
 
 
 class TestClassify:

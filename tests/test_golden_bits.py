@@ -68,11 +68,10 @@ def run_bits() -> dict:
         workflow.warm_start_head(model, corpus.train, corpus.val, cfg)
         warm = digest(t.data for t in model.params.values())
         fit(model, corpus.train, corpus.val, cfg)
-        logits, _ = eval_outputs(model.forward_batch, corpus.test, **model.reads)
-        reviews, images, _ = next(corpus.test.batches(1, shuffle=False,
-                                                      **model.reads))
+        logits, _ = eval_outputs(model.forward_batch, corpus.test)
+        reviews, crops, _ = next(corpus.test.batches(1, shuffle=False))
         with ag.no_grad():
-            row = model.forward_batch(reviews, images).data
+            row = model.forward_batch(reviews, crops).data
         bits[mode] = {"warm_start": warm,
                       "fit": digest(t.data for t in model.params.values()),
                       "logits_b64": digest([logits]), "row_b1": digest([row])}

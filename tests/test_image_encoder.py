@@ -20,6 +20,7 @@ from reviewfuse.image_encoder import (
     paper_scale_image_config,
     residual_block,
 )
+from reviewfuse.imageproc import normalize_batch
 from reviewfuse.model import ReviewClassifier
 from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
 from reviewfuse.workflow import desk_model
@@ -196,10 +197,11 @@ class TestEncodeImage:
         for cin, hw, stride in ((3, 32 * 32, 1), (16, 16 * 16, 2)):
             per_tile = ag.CONV_TILE_BYTES // (cin * 9 * hw * 4)
             assert 1 < per_tile < 7 and 7 % per_tile, (stride, per_tile)
-        images = np.random.default_rng(28).normal(size=(7, 3, 32, 32)).astype(np.float32)
+        crops = np.random.default_rng(28).integers(0, 256, size=(7, 3, 32, 32),
+                                                   dtype=np.uint8)
         with ag.no_grad():
-            batch = model.encode_batch(None, ag.Tensor(images)).data
-            single = np.concatenate([model.encode_batch(None, ag.Tensor(images[i:i + 1])).data
+            batch = model.encode_batch(None, crops).data
+            single = np.concatenate([model.encode_batch(None, crops[i:i + 1]).data
                                      for i in range(7)])
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-6)
 
@@ -289,11 +291,12 @@ def test_float64_twin_of_im2col_encoder(monkeypatch):
     for name, t in model.params.items():
         if name.endswith("norm2_g"):
             t.data[:] = 0.5  # every residual branch contributes
-    images = ag.Tensor(np.random.default_rng(27).normal(size=(3, 3, 9, 9)))
+    crops = np.random.default_rng(27).integers(0, 256, size=(3, 3, 9, 9),
+                                               dtype=np.uint8)
 
     def run():
         model.zero_grad()
-        feats = model.encode_batch(None, images)
+        feats = model.encode_batch(None, crops)
         logits = classify_batch(model.params, model.fusion_cfg, feats)
         ag.cross_entropy(logits, [0, 1, 1]).backward()
         return feats.data, {k: t.grad for k, t in model.params.items()
@@ -325,12 +328,18 @@ def streamed_model(mode):
 
 
 def streamed_batch(bsz):
+    """``bsz`` token-id rows and desk crops, as ``batches`` yields them."""
     rng = np.random.default_rng(6)
-    images = ag.Tensor(rng.normal(size=(bsz, 3, 32, 32)).astype(np.float32))
+    crops = rng.integers(0, 256, size=(bsz, 3, 32, 32), dtype=np.uint8)
     reviews = np.full((bsz, 16), PAD_ID, dtype=np.int32)
     for row, n in zip(reviews, rng.integers(2, 17, bsz)):
         row[:n] = [CLS_ID, *rng.integers(4, 40, n - 2), SEP_ID]
-    return reviews, images
+    return reviews, crops
+
+
+def streamed_pixels(bsz):
+    """``streamed_batch``'s crops normalized, the input ``encode_image`` takes."""
+    return ag.Tensor(normalize_batch(streamed_batch(bsz)[1]))
 
 
 class TestStreamedEval:
@@ -342,27 +351,24 @@ class TestStreamedEval:
     def test_grouped_rows_are_bitwise_the_single_image_rows(self, mode):
         # the encoders' rows, with and without grouping
         model = streamed_model(mode)
-        reviews, images = streamed_batch(64)
+        reviews, crops = streamed_batch(64)
         with ag.no_grad():
             rows = np.concatenate([
-                model.encode_batch(reviews[i:i + 1],
-                                   ag.Tensor(images.data[i:i + 1])).data
+                model.encode_batch(reviews[i:i + 1], crops[i:i + 1]).data
                 for i in range(64)])
             for bsz in (64, 37):  # 37: the last group holds one image
-                got = model.encode_batch(reviews[:bsz],
-                                         ag.Tensor(images.data[:bsz])).data
+                got = model.encode_batch(reviews[:bsz], crops[:bsz]).data
                 np.testing.assert_array_equal(got, rows[:bsz])
 
     @pytest.mark.parametrize("mode", ["image_only", "fused", "text_only"])
     def test_single_sample_logits_are_bitwise_rows_of_the_batch(self, mode):
         # what predict computes for one sample is its row of a B=64 eval
         model = streamed_model(mode)
-        reviews, images = streamed_batch(64)
+        reviews, crops = streamed_batch(64)
         with ag.no_grad():
-            batched = model.forward_batch(reviews, images).data
+            batched = model.forward_batch(reviews, crops).data
             for i in range(64):
-                one = model.forward_batch(reviews[i:i + 1],
-                                          ag.Tensor(images.data[i:i + 1])).data
+                one = model.forward_batch(reviews[i:i + 1], crops[i:i + 1]).data
                 assert one.tobytes() == batched[i:i + 1].tobytes(), i
 
     @pytest.mark.parametrize("mode", ["image_only", "fused"])
@@ -370,17 +376,17 @@ class TestStreamedEval:
         # a recorded graph runs the batch as one pass
         model = streamed_model(mode)
         for bsz in (64, 37):
-            reviews, images = streamed_batch(bsz)
-            one_pass = model.forward_batch(reviews, images).data
+            reviews, crops = streamed_batch(bsz)
+            one_pass = model.forward_batch(reviews, crops).data
             with ag.no_grad():
-                grouped = model.forward_batch(reviews, images).data
+                grouped = model.forward_batch(reviews, crops).data
             np.testing.assert_array_equal(grouped, one_pass)
 
     def test_eval_forward_holds_one_group(self, monkeypatch):
         model = streamed_model("image_only")
         params = {k[4:]: v for k, v in model.params.items()
                   if k.startswith("img.")}
-        _, images = streamed_batch(64)
+        images = streamed_pixels(64)
 
         def peak_bytes():
             tracemalloc.start()
@@ -425,7 +431,7 @@ class TestSplitEval:
     def test_rows_are_bitwise_the_serial_loop_under_stress(self, encoder,
                                                            monkeypatch):
         params, cfg, threads, forward = encoder
-        _, images = streamed_batch(64)
+        images = streamed_pixels(64)
         group = eval_group(cfg, 4)
         # more workers than cores, and a thread switch every microsecond
         monkeypatch.setattr(image_encoder, "_workers", lambda: 4)
@@ -454,7 +460,7 @@ class TestSplitEval:
 
     def test_one_image_and_a_recorded_graph_stay_on_the_caller(self, encoder):
         params, cfg, threads, _ = encoder
-        _, images = streamed_batch(64)
+        images = streamed_pixels(64)
         with ag.no_grad():
             encode_image(params, cfg, ag.Tensor(images.data[:1]))
         encode_image(params, cfg, images)
@@ -462,7 +468,7 @@ class TestSplitEval:
 
     def test_a_worker_exception_reaches_the_caller(self, encoder, monkeypatch):
         params, cfg, _, forward = encoder
-        _, images = streamed_batch(64)
+        images = streamed_pixels(64)
 
         class WorkerFailed(Exception):
             pass

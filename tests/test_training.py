@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reviewfuse import autograd as ag
+from reviewfuse import model as model_module
 from reviewfuse.autograd import Tensor
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.data import PreparedDataset, ReviewSample
@@ -13,9 +14,11 @@ from reviewfuse.errors import ContractError, FormatError, ParameterError
 from reviewfuse.fusion import fusion_layout, paper_scale_fusion_config
 from reviewfuse.image_encoder import (
     ImageEncoderConfig,
+    encode_image,
     image_encoder_layout,
     paper_scale_image_config,
 )
+from reviewfuse.imageproc import normalize_batch
 from reviewfuse.model import MODES, ReviewClassifier
 from reviewfuse.text_encoder import (
     TextEncoderConfig,
@@ -42,12 +45,13 @@ from reviewfuse.training import (
 from reviewfuse.workflow import desk_model
 
 
-def tiny_model(mode="fused", seed=0):
+def tiny_model(mode="fused", seed=0, dtype=np.float32):
     text_cfg = TextEncoderConfig(vocab_size=20, d_model=8, n_layers=1,
                                  n_heads=2, d_ff=16, max_len=8)
     image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
                                    stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
-    return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=seed)
+    return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=seed,
+                            dtype=dtype)
 
 
 def tiny_dataset(n=8, seed=0):
@@ -487,9 +491,41 @@ class TestModelModes:
     def test_missing_modality_input(self):
         model = tiny_model("fused")
         ds = tiny_dataset()
-        reviews, images, labels = next(ds.batches(4, seed=0, epoch=0))
+        reviews, crops, labels = next(ds.batches(4, seed=0, epoch=0))
         with pytest.raises(ContractError):
             model.forward_batch(reviews, None)
+        # a Tensor of normalized pixels is not a crop batch
+        with pytest.raises(ContractError, match="uint8 crop batch"):
+            model.forward_batch(reviews, Tensor(normalize_batch(crops)))
+
+    def test_text_only_ignores_crops(self):
+        model = tiny_model("text_only")
+        reviews, crops, _ = next(tiny_dataset().batches(4, seed=0, epoch=0))
+        assert crops is not None
+        assert (model.forward_batch(reviews, crops).data.tobytes()
+                == model.forward_batch(reviews, None).data.tobytes())
+
+    def test_image_modes_normalize_the_crops(self):
+        # encode_batch is encode_image of the normalized crops, bit for bit
+        model = tiny_model("image_only")
+        crops = tiny_dataset().images[:4]
+        want = encode_image(model._sub("img."), model.image_cfg,
+                            Tensor(normalize_batch(crops)))
+        assert model.encode_batch(None, crops).data.tobytes() == want.data.tobytes()
+
+    def test_float64_model_reads_float64_pixels(self, monkeypatch):
+        seen = []
+
+        def spy(params, cfg, img):
+            seen.append(img.data)
+            return encode_image(params, cfg, img)
+
+        monkeypatch.setattr(model_module, "encode_image", spy)
+        crops = tiny_dataset().images[:3]
+        feats = tiny_model("fused", dtype=np.float64).encode_batch(
+            tiny_dataset().reviews[:3], crops)
+        assert seen[0].dtype == feats.data.dtype == np.float64
+        np.testing.assert_array_equal(seen[0], normalize_batch(crops))
 
     def test_decay_exempt_rules(self):
         # over every desk mode and the three paper-scale layouts, the rank

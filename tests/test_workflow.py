@@ -131,8 +131,8 @@ def gathered_warm_start(model, train_set, val_set, cfg):
     temporary and no flush of subnormal first moments. Returns the best
     accuracy and the most subnormal entries Adam's ``m`` held after any
     step."""
-    Xtr, ytr = eval_outputs(model.encode_batch, train_set, **model.reads)
-    Xva, yva = eval_outputs(model.encode_batch, val_set, **model.reads)
+    Xtr, ytr = eval_outputs(model.encode_batch, train_set)
+    Xva, yva = eval_outputs(model.encode_batch, val_set)
     head = {k: v for k, v in model.params.items() if k.startswith("head.")}
     warm_cfg = TrainConfig(lr=WARM_LR, weight_decay=0.0,
                            batch_size=cfg.batch_size, seed=cfg.seed)

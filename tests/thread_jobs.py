@@ -34,10 +34,10 @@ def fused_hashes() -> dict:
                                 seed=cfg.seed)
     workflow.warm_start_head(model, corpus.train, corpus.val, cfg)
     head = [t.data for name, t in model.params.items() if name.startswith("head.")]
-    logits, _ = eval_outputs(model.forward_batch, corpus.test, **model.reads)
-    reviews, images, _ = next(corpus.test.batches(1, shuffle=False, **model.reads))
+    logits, _ = eval_outputs(model.forward_batch, corpus.test)
+    reviews, crops, _ = next(corpus.test.batches(1, shuffle=False))
     with ag.no_grad():
-        row = model.forward_batch(reviews, images).data
+        row = model.forward_batch(reviews, crops).data
     return {"cpus": len(os.sched_getaffinity(0)), "test_rows": len(logits),
             "warm_start_head": digest(head), "logits_b64": digest([logits]),
             "row_b1": digest([row])}
