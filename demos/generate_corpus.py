@@ -48,7 +48,7 @@ for sample in read_manifest(f"{out}/train.csv"):
 lat = simulate_latents(spec, 100_000, np.random.default_rng(0))
 print("\nBayes-optimal accuracy ceilings (100k-sample Monte Carlo):")
 print(f"  text only        {text_bayes_accuracy(lat):.3f}")
-print(f"  brightness only  {image_bayes_accuracy(lat, spec):.3f}")
+print(f"  brightness only  {image_bayes_accuracy(lat):.3f}")
 print(f"  combined         {combined_bayes_accuracy(lat, spec):.3f}")
 print("\nthe gap between 'combined' and the unimodal ceilings is exactly")
 print("what a fused model can gain over unimodal baselines on this corpus.")

@@ -10,7 +10,7 @@ Run:  python3 demos/train_and_compare.py
 
 import tempfile
 
-from reviewfuse.metrics import emit_report
+from reviewfuse.metrics import PAPER_REFERENCE, emit_report
 from reviewfuse.synthgen import GeneratorSpec, generate_synthetic
 from reviewfuse.training import TrainConfig
 from reviewfuse.workflow import compare_baselines, load_corpus
@@ -24,10 +24,10 @@ generate_synthetic(GeneratorSpec(n=N, seed=7), out)
 corpus = load_corpus(out)
 cfg = TrainConfig(lr=1e-3, batch_size=32, max_epochs=4, patience=2, seed=0)
 
-reports, meta = compare_baselines(corpus, cfg, log=lambda m: print(f"  {m}"))
+reports = compare_baselines(corpus, cfg, log=lambda m: print(f"  {m}"))
 
 print("\ntest-set comparison:")
 print(emit_report(reports), end="")
 print("\nfull-scale benchmark reference (context, not a target here):")
-for tag, row in meta["benchmark_reference"].items():
+for tag, row in PAPER_REFERENCE.items():
     print(f"  {tag:10s} accuracy={row['accuracy']:.3f} f1={row['f1']:.3f}")

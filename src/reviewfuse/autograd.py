@@ -632,15 +632,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-                 residual: Tensor | None = None, relu: bool = False) -> Tensor:
+                 residual: Tensor | None = None) -> Tensor:
     """``relu(gamma * xhat + beta [+ residual])`` for channel-major maps.
 
     ``x`` is C x B x H x W; gamma/beta are rank-1 of length C. Each
     (channel, sample) map is normalized on its own to ``xhat``: a
     deterministic replacement for batch norm inside residual blocks. The
     optional ``residual`` (same shape as ``x``) is added after the affine
-    map, and ``relu`` clamps the sum at zero, so a residual block ends in
-    one node.
+    map, and the ReLU clamps the sum at zero, so the CNN's stem and each
+    norm of a residual block are one node.
     """
     parents = (x, gamma, beta) + ((residual,) if residual is not None else ())
     _check_same_dtype(*parents)
@@ -670,13 +670,10 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out += beta.data[:, None, None]
     if residual is not None:
         out += residual.data.reshape(c, b, n)
-    if relu:
-        np.maximum(out, 0, out=out)
+    np.maximum(out, 0, out=out)
 
     def backward(g: np.ndarray) -> None:
-        g = g.reshape(c, b, n)
-        if relu:
-            g = g * (out > 0)
+        g = g.reshape(c, b, n) * (out > 0)
         if residual is not None:
             _accum(residual, g.reshape(shape))
         xhat = np.subtract(xf, mean[:, :, None])

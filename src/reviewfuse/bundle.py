@@ -29,7 +29,6 @@ _F4 = np.dtype("<f4")
 class ModelBundle:
     tensors: dict[str, np.ndarray]
     config: dict = field(default_factory=dict)
-    version: int = VERSION
 
 
 @contextmanager
@@ -57,7 +56,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def save_bundle(bundle: ModelBundle, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", bundle.version, len(bundle.tensors)))
+        fh.write(struct.pack("<II", VERSION, len(bundle.tensors)))
         for name, arr in bundle.tensors.items():
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
@@ -140,7 +139,7 @@ def _read_bundle(fh, size: int, path) -> ModelBundle:
     if not np.isfinite(payloads[:used]).all():
         name = next(k for k, a in tensors.items() if not np.isfinite(a).all())
         raise FormatError(f"bundle tensor {name} holds NaN or Inf")
-    return ModelBundle(tensors=tensors, config=config, version=version)
+    return ModelBundle(tensors=tensors, config=config)
 
 
 def _decode(raw: bytes, what: str) -> str:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fusion import predict_labels
 from .gradsuite import run_gradcheck
-from .metrics import emit_report, evaluate, format_confusion
+from .metrics import PAPER_REFERENCE, emit_report, evaluate, format_confusion
 from .model import MODES
 from .synthgen import SPLIT_RATIOS, GeneratorSpec, generate_synthetic
 from .textproc import Vocabulary
@@ -272,12 +272,12 @@ def cmd_eval(cfg) -> int:
             raise UsageError("eval --compare trains its own models and scores "
                              "them on the test split: no --model, no other --split")
         corpus = load_corpus(cfg["data"])
-        reports, meta = compare_baselines(corpus, TrainConfig(seed=cfg["seed"]),
-                                          log=print)
+        reports = compare_baselines(corpus, TrainConfig(seed=cfg["seed"]),
+                                    log=print)
         print(emit_report(reports, fmt=cfg["format"], path=cfg["out"]), end="")
-        ref = meta["benchmark_reference"]
         print("reference (full-scale benchmark): "
-              + "  ".join(f"{k}={v['accuracy']:.3f}" for k, v in ref.items()))
+              + "  ".join(f"{k}={v['accuracy']:.3f}"
+                          for k, v in PAPER_REFERENCE.items()))
         return EXIT_OK
     if not cfg["model"]:
         raise UsageError("eval requires --model (or --compare)")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -123,15 +124,18 @@ class DatasetSplit:
     train: list[ReviewSample]
     val: list[ReviewSample]
     test: list[ReviewSample]
-    ratios: tuple[float, float, float]
 
 
 def stratified_split(samples: list[ReviewSample],
                      ratios: tuple[float, float, float],
                      seed: int = 0) -> DatasetSplit:
-    """Per-class deterministic shuffle, then contiguous cuts at rounded ratios."""
+    """Per-class deterministic shuffle, then contiguous cuts at rounded ratios.
+
+    A split that would come out empty is a ``SplitError``.
+    """
     r_train, r_val, r_test = ratios
-    if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
+    if not (all(math.isfinite(r) and r > 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9):
         raise SplitError(f"ratios must be positive and sum to 1, got {ratios}")
     by_class: dict[int, list[ReviewSample]] = {0: [], 1: []}
     for s in samples:
@@ -154,8 +158,11 @@ def stratified_split(samples: list[ReviewSample],
         parts["train"].extend(shuffled[:cut1])
         parts["val"].extend(shuffled[cut1:cut2])
         parts["test"].extend(shuffled[cut2:])
-    return DatasetSplit(train=parts["train"], val=parts["val"],
-                        test=parts["test"], ratios=tuple(ratios))
+    for name, part in parts.items():
+        if not part:
+            raise SplitError(f"the {name} split of {len(samples)} samples at "
+                             f"ratios {ratios} would be empty")
+    return DatasetSplit(**parts)
 
 
 @dataclass

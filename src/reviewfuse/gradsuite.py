@@ -64,7 +64,7 @@ def _check_channel_norm(rng):
     g = Tensor(rng.normal(size=2), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
     r = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-    return grad_check(lambda: ag.channel_norm(x, g, b, residual=r, relu=True),
+    return grad_check(lambda: ag.channel_norm(x, g, b, residual=r),
                       [x, g, b, r])
 
 

@@ -86,15 +86,14 @@ def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     the second one the shortcut add) that follows it.
     """
     h = ag.conv2d(x, params[prefix + "conv1"], stride=stride, pad=1)
-    h = ag.channel_norm(h, params[prefix + "norm1_g"], params[prefix + "norm1_b"],
-                        relu=True)
+    h = ag.channel_norm(h, params[prefix + "norm1_g"], params[prefix + "norm1_b"])
     h = ag.conv2d(h, params[prefix + "conv2"], stride=1, pad=1)
     if prefix + "proj" in params:
         shortcut = ag.conv2d(x, params[prefix + "proj"], stride=stride, pad=0)
     else:
         shortcut = x
     return ag.channel_norm(h, params[prefix + "norm2_g"], params[prefix + "norm2_b"],
-                           residual=shortcut, relu=True)
+                           residual=shortcut)
 
 
 def eval_group(cfg: ImageEncoderConfig, itemsize: int) -> int:
@@ -169,7 +168,7 @@ def _forward(params: dict[str, Tensor], cfg: ImageEncoderConfig,
     pixels."""
     x = Tensor(np.ascontiguousarray(pixels.transpose(1, 0, 2, 3)))
     x = ag.conv2d(x, params["stem.conv"], stride=1, pad=1)
-    x = ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"], relu=True)
+    x = ag.channel_norm(x, params["stem.norm_g"], params["stem.norm_b"])
     for si, (blocks, channels, stride) in enumerate(cfg.stages):
         for bi in range(blocks):
             x = residual_block(x, params, f"s{si}.b{bi}.",

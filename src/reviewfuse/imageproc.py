@@ -80,13 +80,6 @@ def encode_ppm(pixels: np.ndarray) -> bytes:
     return b"P6\n%d %d\n255\n" % (width, height) + pixels.tobytes()
 
 
-def save_ppm(pixels: np.ndarray, path) -> None:
-    """Write ``encode_ppm(pixels)`` to ``path``."""
-    blob = encode_ppm(pixels)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
 def resize_bilinear(pixels: np.ndarray, side: int) -> np.ndarray:
     """Resize to side x side with half-pixel-center bilinear interpolation."""
     if side < 1:

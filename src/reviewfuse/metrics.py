@@ -16,7 +16,7 @@ from .model import ReviewClassifier
 from .training import eval_outputs
 
 # benchmark rows from the reference comparison (accuracy, precision, recall,
-# f1); recorded as report metadata, never asserted at desk scale
+# f1), which `eval --compare` prints as context; never asserted at desk scale
 PAPER_REFERENCE = {
     "fused": {"accuracy": 0.934, "precision": 0.927, "recall": 0.931, "f1": 0.934},
     "text_only": {"accuracy": 0.893, "precision": 0.887, "recall": 0.881, "f1": 0.884},

@@ -12,8 +12,12 @@ evidence:
   probability p_match for genuine samples but is uniform for fakes, a signal
   readable only by looking at text and image together.
 
+The calibration (brightness means and sigma, pixel noise, review length)
+is module constants; ``GeneratorSpec`` holds only ``gen-data``'s settings.
+
 Output layout: ``train.csv``/``val.csv``/``test.csv`` (id,text,label),
-``images/<id>.ppm``, and ``provenance.json`` recording the full spec.
+``images/<id>.ppm``, and ``provenance.json`` recording the spec and the
+split ratios.
 ``generate_synthetic`` renders on the calling thread and creates the image
 files on one writer thread, so file creation overlaps the rendering; the
 bytes do not depend on the threads' timing.
@@ -27,8 +31,9 @@ import json
 import math
 import os
 import queue
+import statistics
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,49 +116,37 @@ CHUNK_BYTES = 512 * 1024
 WRITE_AHEAD = 2
 
 
-def _inv_phi(p: float) -> float:
-    import statistics
-    return statistics.NormalDist().inv_cdf(p)
-
-
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+# the generator's calibration, which no command sets: per-label brightness
+# means, and the brightness-only Bayes accuracy that sets their common sigma
+# (a threshold at the midpoint scores Phi(gap / (2 sigma)))
+MU_FAKE = 0.65
+MU_GENUINE = 0.35
+IMAGE_BAYES_TARGET = 0.70
+SIGMA = abs(MU_FAKE - MU_GENUINE) / (
+    2.0 * statistics.NormalDist().inv_cdf(IMAGE_BAYES_TARGET))
+PIXEL_NOISE = 0.04  # the standard deviation of each pixel channel's noise
+AVG_WORDS = 10  # a review's mean length in words
+TOPIC_MENTIONS = 5  # topic words a review opens with
+
+
 @dataclass
 class GeneratorSpec:
+    """The settings of ``gen-data``, which ``provenance.json`` records."""
     n: int = 2000
     seed: int = 7
     text_flip_rate: float = 0.25
-    mu_fake: float = 0.65
-    mu_genuine: float = 0.35
-    sigma: float | None = None  # None -> calibrated from image_bayes_target
-    image_bayes_target: float = 0.70
-    n_topics: int = 3
     p_match: float = 0.95
     image_side: int = 37
-    pixel_noise: float = 0.04
-    avg_words: int = 10
-    topic_mentions: int = 5
-    genuine_phrases: list[str] = field(default_factory=lambda: list(GENUINE_PHRASES))
-    fake_phrases: list[str] = field(default_factory=lambda: list(FAKE_PHRASES))
 
     def __post_init__(self):
         if not 0.0 <= self.text_flip_rate < 0.5:
             raise ParameterError(f"text_flip_rate must be in [0, 0.5), got {self.text_flip_rate}")
         if not 0.5 < self.p_match <= 1.0:
             raise ParameterError(f"p_match must be in (0.5, 1], got {self.p_match}")
-        if not 1 <= self.n_topics <= len(TOPICS):
-            raise ParameterError(f"n_topics must be in [1, {len(TOPICS)}]")
-        if self.sigma is None:
-            gap = abs(self.mu_fake - self.mu_genuine)
-            self.sigma = gap / (2.0 * _inv_phi(self.image_bayes_target))
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-
-    @property
-    def topics(self) -> tuple[str, ...]:
-        return TOPICS[: self.n_topics]
 
 
 @dataclass
@@ -175,13 +168,13 @@ def simulate_latents(spec: GeneratorSpec, n: int,
         labels[n // 2] = rng.integers(0, 2)
     labels = labels[rng.permutation(n)]
 
-    k = spec.n_topics
+    k = len(TOPICS)
     topic = rng.integers(0, k, size=n)
     flip = rng.random(n) < spec.text_flip_rate
     text_list = np.where(flip, 1 - labels, labels)
 
-    mu = np.where(labels == 1, spec.mu_genuine, spec.mu_fake)
-    brightness = np.clip(rng.normal(mu, spec.sigma), 0.0, 1.0)
+    mu = np.where(labels == 1, MU_GENUINE, MU_FAKE)
+    brightness = np.clip(rng.normal(mu, SIGMA), 0.0, 1.0)
 
     hue = rng.integers(0, k, size=n)
     matched = rng.random(n) < spec.p_match
@@ -190,23 +183,22 @@ def simulate_latents(spec: GeneratorSpec, n: int,
                    brightness=brightness, hue=hue)
 
 
-def render_text(spec: GeneratorSpec, topic_idx: int, text_list: int,
+def render_text(topic_idx: int, text_list: int,
                 rng: np.random.Generator) -> str:
-    """Topic words first, then the class phrase, then filler to ~avg_words.
+    """Topic words first, then the class phrase, then filler to ~AVG_WORDS.
 
     Reviews name their subject up front (several topic words), then state
     the experience; texts stay short enough that a modest encoder window
     sees every content word.
     """
-    phrases = spec.genuine_phrases if text_list == 1 else spec.fake_phrases
+    phrases = GENUINE_PHRASES if text_list == 1 else FAKE_PHRASES
     phrase = phrases[rng.integers(0, len(phrases))]
-    topic = spec.topics[topic_idx]
-    words = TOPIC_WORDS[topic]
+    words = TOPIC_WORDS[TOPICS[topic_idx]]
     picks = [words[int(j)] for j in
-             rng.permutation(len(words))[: spec.topic_mentions]]
+             rng.permutation(len(words))[:TOPIC_MENTIONS]]
     body = f"{' '.join(picks)} {phrase}"
     n_body = len(body.split())
-    target = spec.avg_words + int(rng.integers(-1, 2))
+    target = AVG_WORDS + int(rng.integers(-1, 2))
     pad = [FILLERS[rng.integers(0, len(FILLERS))] for _ in range(max(0, target - n_body))]
     return " ".join([body] + pad)
 
@@ -326,9 +318,9 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
             part = samples[c0:c0 + chunk]
             for j, s in enumerate(part):
                 i = c0 + j
-                s.text = render_text(spec, int(lat.topic[i]),
-                                     int(lat.text_list[i]), rng)
-                noise[j] = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
+                s.text = render_text(int(lat.topic[i]), int(lat.text_list[i]),
+                                     rng)
+                noise[j] = rng.normal(0.0, PIXEL_NOISE, size=(side, side, 3))
             k = slice(c0, c0 + len(part))
             pixels = finish_pixels(lat.brightness[k], lat.hue[k], noise[:len(part)])
             writer.put([(s.image_path, encode_ppm(p))
@@ -353,12 +345,9 @@ def text_bayes_accuracy(lat: Latents) -> float:
     return float((lat.text_list == lat.label).mean())
 
 
-def image_bayes_accuracy(lat: Latents, spec: GeneratorSpec) -> float:
-    """Optimal brightness-only rule: threshold at the midpoint of the means."""
-    mid = 0.5 * (spec.mu_fake + spec.mu_genuine)
-    bright_is_fake = spec.mu_fake > spec.mu_genuine
-    pred_fake = lat.brightness > mid if bright_is_fake else lat.brightness < mid
-    preds = np.where(pred_fake, 0, 1)
+def image_bayes_accuracy(lat: Latents) -> float:
+    """Optimal brightness-only rule: fake above the midpoint of the means."""
+    preds = np.where(lat.brightness > 0.5 * (MU_FAKE + MU_GENUINE), 0, 1)
     return float((preds == lat.label).mean())
 
 
@@ -372,21 +361,21 @@ def combined_bayes_accuracy(lat: Latents, spec: GeneratorSpec) -> float:
     # brightness: clipped normal; interior uses the density ratio, the
     # clipped boundary points use tail masses
     b = lat.brightness
-    s2 = 2.0 * spec.sigma ** 2
-    llr_b = ((b - spec.mu_fake) ** 2 - (b - spec.mu_genuine) ** 2) / s2
+    s2 = 2.0 * SIGMA ** 2
+    llr_b = ((b - MU_FAKE) ** 2 - (b - MU_GENUINE) ** 2) / s2
     low = b <= 0.0
     high = b >= 1.0
     if low.any():
-        lo_g = _phi((0.0 - spec.mu_genuine) / spec.sigma)
-        lo_f = _phi((0.0 - spec.mu_fake) / spec.sigma)
+        lo_g = _phi((0.0 - MU_GENUINE) / SIGMA)
+        lo_f = _phi((0.0 - MU_FAKE) / SIGMA)
         llr_b = np.where(low, math.log(max(lo_g, 1e-300) / max(lo_f, 1e-300)), llr_b)
     if high.any():
-        hi_g = 1.0 - _phi((1.0 - spec.mu_genuine) / spec.sigma)
-        hi_f = 1.0 - _phi((1.0 - spec.mu_fake) / spec.sigma)
+        hi_g = 1.0 - _phi((1.0 - MU_GENUINE) / SIGMA)
+        hi_f = 1.0 - _phi((1.0 - MU_FAKE) / SIGMA)
         llr_b = np.where(high, math.log(max(hi_g, 1e-300) / max(hi_f, 1e-300)), llr_b)
     llr = llr + llr_b
 
-    k = spec.n_topics
+    k = len(TOPICS)
     p_hit = spec.p_match + (1.0 - spec.p_match) / k
     p_miss = (1.0 - spec.p_match) / k
     hue_match = lat.hue == lat.topic

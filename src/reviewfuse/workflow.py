@@ -14,7 +14,7 @@ from .errors import LabelError, ManifestError
 from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
 from .imageproc import DESK_CROP_SIDE
-from .metrics import PAPER_REFERENCE, MetricsReport, evaluate
+from .metrics import MetricsReport, evaluate
 from .model import ReviewClassifier
 from .text_encoder import TextEncoderConfig
 from .textproc import DESK_MAX_LEN, Vocabulary, build_vocab
@@ -36,13 +36,16 @@ class Corpus:
 
 
 def read_split(data_dir, name: str) -> list[ReviewSample]:
-    """The samples of split ``name``'s manifest with their images aligned."""
+    """The samples of split ``name``'s manifest with their images aligned;
+    a manifest with no samples is a ``ManifestError``."""
     path = os.path.join(data_dir, f"{name}.csv")
     if not os.path.isfile(path):
         raise ManifestError(f"missing split manifest {path}")
-    samples, _ = align_images(read_manifest(path),
-                              os.path.join(data_dir, "images"))
-    return samples
+    samples = read_manifest(path)
+    if not samples:
+        raise ManifestError(f"{path}: the manifest holds no samples")
+    aligned, _ = align_images(samples, os.path.join(data_dir, "images"))
+    return aligned
 
 
 def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
@@ -163,15 +166,11 @@ def train_model(mode: str, corpus: Corpus, cfg: TrainConfig,
 
 
 def compare_baselines(corpus: Corpus, cfg: TrainConfig,
-                      log=None) -> tuple[list[MetricsReport], dict]:
+                      log=None) -> list[MetricsReport]:
     """Train text-only, image-only, and fused models with identical seeds and
     configs, evaluate each on the test split, and return Table-1-shaped rows.
 
     Each arm is trained by ``train_model``, the recipe ``train`` uses.
-
-    The metadata dict carries the reference benchmark rows (from the paper-
-    scale experiment) alongside each desk-scale result; they are context, not
-    assertions.
     """
     reports: list[MetricsReport] = []
     for mode in ("text_only", "image_only", "fused"):
@@ -179,10 +178,4 @@ def compare_baselines(corpus: Corpus, cfg: TrainConfig,
             log(f"training {mode} baseline")
         model, _ = train_model(mode, corpus, cfg, log)
         reports.append(evaluate(model, corpus.test))
-    metadata = {
-        "benchmark_reference": PAPER_REFERENCE,
-        "seed": cfg.seed,
-        "note": "reference rows are full-scale benchmark targets, "
-                "not desk-scale assertions",
-    }
-    return reports, metadata
+    return reports

@@ -77,3 +77,27 @@ def add_then_layer_norm(x: ag.Tensor, residual: ag.Tensor, gamma: ag.Tensor,
 
     return ag._make(gamma.data * xhat + beta.data, (s, gamma, beta),
                     norm_backward)
+
+
+def chained_channel_norm(x: ag.Tensor, gamma: ag.Tensor, beta: ag.Tensor,
+                         residual: ag.Tensor | None = None) -> ag.Tensor:
+    """``autograd.channel_norm`` as the norm, shortcut add and ReLU nodes
+    the residual blocks chained before the norm took the other two."""
+    mean = x.data.mean(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.data.var(axis=(2, 3), keepdims=True) + 1e-5)
+    xhat = (x.data - mean) * inv_std
+    gm = gamma.data[:, None, None, None]
+
+    def backward(g):
+        dxhat = g * gm
+        m1 = dxhat.mean(axis=(2, 3), keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=(2, 3), keepdims=True)
+        ag._accum(x, (dxhat - m1 - xhat * m2) * inv_std)
+        ag._accum(gamma, (g * xhat).sum(axis=(1, 2, 3)))
+        ag._accum(beta, g.sum(axis=(1, 2, 3)))
+
+    out = ag._make(gm * xhat + beta.data[:, None, None, None], (x, gamma, beta),
+                   backward)
+    if residual is not None:
+        out = ag.add(out, residual)
+    return ag.relu(out)

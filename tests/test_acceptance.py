@@ -113,7 +113,7 @@ def test_fused_beats_both_unimodal_baselines(tmp_path):
     generate_synthetic(GeneratorSpec(), str(data))
     corpus = load_corpus(str(data))
     cfg = TrainConfig(seed=0, **COMPARE_TRAIN)
-    reports, _ = compare_baselines(corpus, cfg)
+    reports = compare_baselines(corpus, cfg)
     acc = {r.model_tag: r.accuracy for r in reports}
     assert acc["text_only"] > acc["image_only"]
     assert acc["fused"] >= acc["text_only"] + 0.05
@@ -127,7 +127,7 @@ class TestGeneratorCalibration:
         spec = GeneratorSpec()
         lat = simulate_latents(spec, 100_000, np.random.default_rng(123))
         assert abs(text_bayes_accuracy(lat) - 0.75) <= 0.01
-        assert abs(image_bayes_accuracy(lat, spec) - 0.70) <= 0.01
+        assert abs(image_bayes_accuracy(lat) - 0.70) <= 0.01
 
 
 def test_split_stratification_at_benchmark_scale():

@@ -18,8 +18,9 @@ from reviewfuse.cli import main
 from reviewfuse.data import PreparedDataset, align_images, read_manifest
 from reviewfuse.fusion import predict_labels
 from reviewfuse.image_encoder import ImageEncoderConfig
-from reviewfuse.imageproc import save_ppm
+from reviewfuse.imageproc import encode_ppm
 from reviewfuse.model import ReviewClassifier
+from reviewfuse.synthgen import GeneratorSpec
 from reviewfuse.text_encoder import TextEncoderConfig
 from reviewfuse.textproc import Vocabulary
 from reviewfuse.training import (
@@ -91,6 +92,11 @@ def test_settings_and_defaults_are_unchanged(command):
     want = {**table, **{k: "v" for k in required}}
     assert merged == want
     assert [type(v) for v in merged.values()] == [type(want[k]) for k in merged]
+    if command == "gen-data":
+        # the generator takes exactly gen-data's settings; what no command
+        # sets is a constant of synthgen
+        assert [f.name for f in dataclasses.fields(GeneratorSpec)] == \
+            [k for k in merged if k not in ("out", "ratios")]
 
 
 class TestGenData:
@@ -135,9 +141,14 @@ class TestGenData:
         assert code == 1 and "--image-side must be in" in err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("args", [["--n", "5"], ["--ratios", "0.5,0.5,0.5"]])
+    @pytest.mark.parametrize("args", [
+        ["--n", "5"], ["--ratios", "0.5,0.5,0.5"], ["--ratios", "nan,1,1"],
+        ["--ratios", "0.6,0.2,nan"], ["--ratios", "1e-12,0.5,0.5"],
+        ["--n", "6"]])
     def test_unsplittable_corpus_writes_nothing(self, capsys, tmp_path, args):
-        # the split is checked before any directory or image is written
+        # the split is checked before any directory or image is written; a
+        # split that would come out empty (1e-12 of 2,000 samples, or 3
+        # samples a class cut 2/0/1) cannot be split
         code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), *args)
         assert code == 2 and "error:" in err
         assert not (tmp_path / "d").exists()
@@ -391,6 +402,21 @@ class TestEval:
         assert code == 2 and "magic" in err
 
 
+@pytest.mark.parametrize("command,split", [("train", "val"), ("eval", "test")])
+def test_empty_split_manifest_is_a_data_error(capsys, tmp_path, corpus_dir,
+                                              trained, command, split):
+    # a manifest holding only its header is rejected with its file's name
+    # as the corpus is read, before anything trains or evaluates
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    (data / f"{split}.csv").write_text("id,text,label\n")
+    target = (["--out", str(tmp_path / "m.fkit")] if command == "train"
+              else ["--model", trained])
+    code, out, err = run(capsys, command, "--data", str(data), *target)
+    assert code == 2 and f"{split}.csv: the manifest holds no samples" in err
+    assert "epoch" not in out and "Traceback" not in err
+
+
 class TestPredict:
     def _zero_model_path(self, tmp_path, mode="fused"):
         text_cfg = TextEncoderConfig(vocab_size=10, d_model=8, n_layers=1,
@@ -408,9 +434,9 @@ class TestPredict:
         return path
 
     def _ppm(self, tmp_path):
-        p = str(tmp_path / "img.ppm")
-        save_ppm(np.full((9, 9, 3), 120, dtype=np.uint8), p)
-        return p
+        p = tmp_path / "img.ppm"
+        p.write_bytes(encode_ppm(np.full((9, 9, 3), 120, dtype=np.uint8)))
+        return str(p)
 
     def test_zero_weights_tie_goes_to_fake(self, capsys, tmp_path):
         model = self._zero_model_path(tmp_path)
@@ -539,8 +565,8 @@ class TestManifestEncoding:
         data = tmp_path / "data"
         (data / "images").mkdir(parents=True)
         for sid in "abcd":
-            save_ppm(np.full((9, 9, 3), 7, dtype=np.uint8),
-                     data / "images" / f"{sid}.ppm")
+            (data / "images" / f"{sid}.ppm").write_bytes(
+                encode_ppm(np.full((9, 9, 3), 7, dtype=np.uint8)))
         (data / "test.csv").write_bytes(manifest)
         model = TestPredict()._zero_model_path(tmp_path)
         return run(capsys, "eval", "--data", str(data), "--model", model)

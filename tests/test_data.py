@@ -23,12 +23,12 @@ from reviewfuse.errors import (
 )
 from reviewfuse.imageproc import (
     center_crop,
+    encode_ppm,
     load_ppm,
     normalize_batch,
     normalize_channels,
     preprocess,
     resize_bilinear,
-    save_ppm,
 )
 from reviewfuse.textproc import build_vocab
 
@@ -113,7 +113,7 @@ class TestManifest:
 
 class TestAlignImages:
     def _touch_ppm(self, d, name):
-        save_ppm(np.zeros((1, 1, 3), dtype=np.uint8), os.path.join(d, name))
+        (d / name).write_bytes(encode_ppm(np.zeros((1, 1, 3), dtype=np.uint8)))
 
     def test_aligned(self, tmp_path):
         for n in ("a.ppm", "b.ppm"):
@@ -145,7 +145,10 @@ class TestAlignImages:
 
 class TestStratifiedSplit:
     def test_ten_samples(self):
-        split = stratified_split(make_samples(10), (0.7, 0.15, 0.15), seed=1)
+        # 5 a class cut at 0.7/0.15/0.15 leaves val empty (4/0/1)
+        with pytest.raises(SplitError, match="val split"):
+            stratified_split(make_samples(10), (0.7, 0.15, 0.15), seed=1)
+        split = stratified_split(make_samples(10), (0.6, 0.2, 0.2), seed=1)
         sizes = (len(split.train), len(split.val), len(split.test))
         assert sum(sizes) == 10
         for part in (split.train, split.val, split.test):
@@ -216,8 +219,8 @@ class TestBatchIter:
         samples = []
         for i in range(6):
             path = os.path.join(tmp_path, f"r{i}.ppm")
-            val = np.full((37, 37, 3), i * 10, dtype=np.uint8)
-            save_ppm(val, path)
+            with open(path, "wb") as fh:
+                fh.write(encode_ppm(np.full((37, 37, 3), i * 10, dtype=np.uint8)))
             samples.append(ReviewSample(f"r{i}", f"word{i}", i % 2,
                                         image_path=path))
         vocab = build_vocab([s.text for s in samples], max_size=20)
@@ -250,7 +253,8 @@ class TestPrepareImages:
         for i, (w, h) in enumerate(sizes):
             path = os.path.join(tmp_path, f"p{i}.ppm")
             px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            save_ppm(px, path)
+            with open(path, "wb") as fh:
+                fh.write(encode_ppm(px))
             samples.append(ReviewSample(f"p{i}", "x", i % 2, image_path=path))
         return samples
 

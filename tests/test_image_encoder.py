@@ -25,7 +25,7 @@ from reviewfuse.model import ReviewClassifier
 from reviewfuse.textproc import CLS_ID, PAD_ID, SEP_ID
 from reviewfuse.workflow import desk_model
 
-from graph_walk import step_op_counts
+from graph_walk import chained_channel_norm, step_op_counts
 
 
 def tiny_cfg(**kw):
@@ -257,28 +257,6 @@ def im2col_conv2d(x, w, stride=1, pad=0):
         ag._accum(x, dxp[:, :, pad:pad + h, pad:pad + wdt].transpose(1, 0, 2, 3))
 
     return ag._make(np.ascontiguousarray(out), (x, w), backward)
-
-
-def chained_channel_norm(x, gamma, beta, residual=None, relu=False, eps=1e-5):
-    """The norm, shortcut add and ReLU as the three ops the blocks chained."""
-    mean = x.data.mean(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(x.data.var(axis=(2, 3), keepdims=True) + eps)
-    xhat = (x.data - mean) * inv_std
-    gm = gamma.data[:, None, None, None]
-
-    def backward(g):
-        dxhat = g * gm
-        m1 = dxhat.mean(axis=(2, 3), keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=(2, 3), keepdims=True)
-        ag._accum(x, (dxhat - m1 - xhat * m2) * inv_std)
-        ag._accum(gamma, (g * xhat).sum(axis=(1, 2, 3)))
-        ag._accum(beta, g.sum(axis=(1, 2, 3)))
-
-    out = ag._make(gm * xhat + beta.data[:, None, None, None], (x, gamma, beta),
-                   backward)
-    if residual is not None:
-        out = ag.add(out, residual)
-    return ag.relu(out) if relu else out
 
 
 def test_float64_twin_of_im2col_encoder(monkeypatch):

@@ -15,10 +15,17 @@ from reviewfuse.data import ReviewSample, read_manifest, stratified_split, write
 from reviewfuse.errors import ParameterError
 from reviewfuse.imageproc import load_ppm
 from reviewfuse.synthgen import (
+    AVG_WORDS,
     FAKE_PHRASES,
     GENUINE_PHRASES,
     HUE_TINTS,
+    IMAGE_BAYES_TARGET,
+    MU_FAKE,
+    MU_GENUINE,
+    PIXEL_NOISE,
+    SIGMA,
     SPLIT_RATIOS,
+    TOPIC_MENTIONS,
     TOPIC_WORDS,
     TOPICS,
     WRITE_AHEAD,
@@ -38,14 +45,9 @@ class TestSpec:
     def test_sigma_calibration_closed_form(self):
         # Phi(gap / (2 sigma)) must equal the target accuracy
         import statistics
-        spec = GeneratorSpec()
-        gap = spec.mu_fake - spec.mu_genuine
-        acc = statistics.NormalDist().cdf(gap / (2 * spec.sigma))
-        assert abs(acc - spec.image_bayes_target) < 1e-12
-
-    def test_explicit_sigma_kept(self):
-        spec = GeneratorSpec(sigma=0.5)
-        assert spec.sigma == 0.5
+        acc = statistics.NormalDist().cdf((MU_FAKE - MU_GENUINE) / (2 * SIGMA))
+        assert abs(acc - IMAGE_BAYES_TARGET) < 1e-12
+        assert SIGMA == 0.2860409102679736  # the bits every corpus was drawn with
 
     def test_bad_flip_rate(self):
         with pytest.raises(ParameterError):
@@ -79,16 +81,17 @@ class TestLatents:
         assert abs(flip_frac - 0.25) < 0.01
 
     def test_brightness_clipped(self):
-        spec = GeneratorSpec(sigma=2.0)
-        lat = simulate_latents(spec, 5000, np.random.default_rng(2))
-        assert lat.brightness.min() >= 0.0 and lat.brightness.max() <= 1.0
+        # about 11% of each class's draws fall past its end of [0, 1]
+        lat = simulate_latents(GeneratorSpec(), 5000, np.random.default_rng(2))
+        assert lat.brightness.min() == 0.0 and lat.brightness.max() == 1.0
+        assert 0.08 < float((lat.brightness[lat.label == 1] == 0.0).mean()) < 0.14
 
     def test_hue_match_rates(self):
         spec = GeneratorSpec(p_match=0.95)
         lat = simulate_latents(spec, 100_000, np.random.default_rng(3))
         gen = lat.label == 1
         # genuine: p_match + (1-p_match)/k; fake: 1/k
-        k = spec.n_topics
+        k = len(TOPICS)
         gen_rate = float((lat.hue[gen] == lat.topic[gen]).mean())
         fake_rate = float((lat.hue[~gen] == lat.topic[~gen]).mean())
         assert abs(gen_rate - (0.95 + 0.05 / k)) < 0.01
@@ -104,14 +107,14 @@ class TestBayesOracles:
     def test_image_oracle_hits_target(self):
         spec = GeneratorSpec()
         lat = simulate_latents(spec, 100_000, np.random.default_rng(5))
-        assert abs(image_bayes_accuracy(lat, spec) - 0.70) < 0.01
+        assert abs(image_bayes_accuracy(lat) - 0.70) < 0.01
 
     def test_combined_beats_both(self):
         spec = GeneratorSpec()
         lat = simulate_latents(spec, 100_000, np.random.default_rng(6))
         combined = combined_bayes_accuracy(lat, spec)
         assert combined > text_bayes_accuracy(lat) + 0.05
-        assert combined > image_bayes_accuracy(lat, spec) + 0.05
+        assert combined > image_bayes_accuracy(lat) + 0.05
 
     def test_combined_matches_independent_mc_estimate(self):
         # independent oracle: numerically integrate the posterior on a fresh
@@ -122,46 +125,36 @@ class TestBayesOracles:
         acc = combined_bayes_accuracy(lat, spec)
         assert 0.85 < acc < 0.89
 
-    def test_degenerate_single_topic_kills_hue_signal(self):
-        spec = GeneratorSpec(n_topics=1)
-        lat = simulate_latents(spec, 50_000, np.random.default_rng(8))
-        # with one topic the hue always matches; combined = text + brightness
-        assert (lat.hue == lat.topic).all()
-
 
 class TestRendering:
     def test_text_topic_words_lead_then_phrase(self):
         # topic words open the review so they survive truncation; the class
         # phrase follows immediately after them
-        spec = GeneratorSpec()
         topic_words = set(TOPIC_WORDS[TOPICS[0]])
         rng = np.random.default_rng(9)
         for _ in range(20):
-            words = render_text(spec, 0, 1, rng).split()
-            head, rest = words[: spec.topic_mentions], words[spec.topic_mentions :]
+            words = render_text(0, 1, rng).split()
+            head, rest = words[:TOPIC_MENTIONS], words[TOPIC_MENTIONS:]
             assert all(w in topic_words for w in head)
             tail = " ".join(rest)
-            assert any(tail.startswith(p) for p in spec.genuine_phrases)
+            assert any(tail.startswith(p) for p in GENUINE_PHRASES)
 
     def test_text_word_count_near_average(self):
-        spec = GeneratorSpec()
         rng = np.random.default_rng(10)
-        counts = [len(render_text(spec, 1, 0, rng).split()) for _ in range(200)]
-        assert abs(np.mean(counts) - spec.avg_words) < 2
+        counts = [len(render_text(1, 0, rng).split()) for _ in range(200)]
+        assert abs(np.mean(counts) - AVG_WORDS) < 2
 
     def test_image_shape_and_brightness_ordering(self):
-        spec = GeneratorSpec()
         rng = np.random.default_rng(11)
-        noise = rng.normal(0.0, spec.pixel_noise, size=(2, 37, 37, 3))
+        noise = rng.normal(0.0, PIXEL_NOISE, size=(2, 37, 37, 3))
         dark, bright = finish_pixels(np.array([0.2, 0.9]), np.array([0, 0]),
                                      noise)
         assert dark.shape == (37, 37, 3) and dark.dtype == np.uint8
         assert bright.mean() > dark.mean() + 50
 
     def test_image_hue_dominant_channel(self):
-        spec = GeneratorSpec()
         rng = np.random.default_rng(12)
-        noise = rng.normal(0.0, spec.pixel_noise, size=(3, 37, 37, 3))
+        noise = rng.normal(0.0, PIXEL_NOISE, size=(3, 37, 37, 3))
         images = finish_pixels(np.full(3, 0.6), np.arange(3), noise)
         for hue, img in enumerate(images):
             chan_means = img.reshape(-1, 3).mean(axis=0)
@@ -208,11 +201,10 @@ class TestGenerateSynthetic:
 # the generator against one serial loop: the same bytes
 
 
-def reference_image(spec, brightness, hue, rng):
+def reference_image(side, brightness, hue, rng):
     """One sample's pixels, as one expression per sample."""
-    side = spec.image_side
     base = 0.12 + 0.65 * brightness + HUE_TINTS[hue]
-    noise = rng.normal(0.0, spec.pixel_noise, size=(side, side, 3))
+    noise = rng.normal(0.0, PIXEL_NOISE, size=(side, side, 3))
     img = np.clip(base + noise, 0.0, 1.0)
     return np.rint(img * 255.0).astype(np.uint8)
 
@@ -230,8 +222,9 @@ def serial_corpus(spec, out_dir, ratios=SPLIT_RATIOS):
     split = stratified_split(samples, ratios=ratios, seed=spec.seed)
     os.makedirs(image_dir)
     for i, s in enumerate(samples):
-        s.text = render_text(spec, int(lat.topic[i]), int(lat.text_list[i]), rng)
-        pixels = reference_image(spec, float(lat.brightness[i]), int(lat.hue[i]), rng)
+        s.text = render_text(int(lat.topic[i]), int(lat.text_list[i]), rng)
+        pixels = reference_image(spec.image_side, float(lat.brightness[i]),
+                                 int(lat.hue[i]), rng)
         with open(s.image_path, "wb") as fh:
             fh.write(b"P6\n%d %d\n255\n" % (spec.image_side, spec.image_side))
             fh.write(pixels.tobytes())
@@ -256,15 +249,14 @@ def tree_bytes(root) -> dict[str, bytes]:
 
 class TestSameBytesAsTheSerialLoop:
     def test_finish_pixels_is_the_one_sample_expression(self):
-        spec = GeneratorSpec(image_side=13)
         cases = ((0.0, 0), (0.37, 1), (1.0, 2), (0.9, 0))
-        noise = np.random.default_rng(4).normal(0.0, spec.pixel_noise,
+        noise = np.random.default_rng(4).normal(0.0, PIXEL_NOISE,
                                                 size=(4, 13, 13, 3))
         got = finish_pixels(np.array([b for b, _ in cases]),
                             np.array([h for _, h in cases]), noise)
         rng = np.random.default_rng(4)
         for k, (brightness, hue) in enumerate(cases):
-            want = reference_image(spec, brightness, hue, rng)
+            want = reference_image(13, brightness, hue, rng)
             assert got[k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("side", [8, 37, 64])

@@ -9,7 +9,7 @@ import numpy as np
 
 from reviewfuse import autograd as ag
 from reviewfuse.data import PreparedDataset, ReviewSample
-from reviewfuse.imageproc import save_ppm
+from reviewfuse.imageproc import encode_ppm
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -39,9 +39,9 @@ def test_tracer_times_every_image_decode_of_a_split(tmp_path):
     # wraps as imageproc.preprocess: a span per sample
     samples = []
     for i in range(3):
-        path = str(tmp_path / f"s{i}.ppm")
-        save_ppm(np.full((9, 9, 3), 40 * i, dtype=np.uint8), path)
-        samples.append(ReviewSample(f"s{i}", "x", i % 2, image_path=path))
+        path = tmp_path / f"s{i}.ppm"
+        path.write_bytes(encode_ppm(np.full((9, 9, 3), 40 * i, dtype=np.uint8)))
+        samples.append(ReviewSample(f"s{i}", "x", i % 2, image_path=str(path)))
     tracer = load_spans().Tracer()
     try:
         tracer.install()

@@ -370,7 +370,6 @@ class TestBundleFormat:
         path = tmp_path / "m.fkit"
         save_bundle(bundle, path)
         back = load_bundle(path)
-        assert back.version == 1
         assert back.config == bundle.config
         assert list(back.tensors) == list(tensors)
         for k in tensors:
