@@ -839,16 +839,19 @@ class TestPlumbingOps:
             [x, gamma, beta])
         assert err < 1e-6
 
-    def test_channel_norm_fused_gradcheck(self):
-        rng = np.random.default_rng(22)
+    # ids read <residual>-<ReLU>; channel_norm always ends in its ReLU
+    @pytest.mark.parametrize("residual", [False, True],
+                             ids=["False-True", "True-True"])
+    def test_channel_norm_fused_gradcheck(self, residual):
+        rng = np.random.default_rng([22, residual, True])
         x = t64(rng.normal(size=(2, 3, 3, 4)))
         gamma = t64(rng.normal(size=2))
         beta = t64(rng.normal(size=2))
-        r = t64(rng.normal(size=(2, 3, 3, 4)))
+        r = t64(rng.normal(size=(2, 3, 3, 4))) if residual else None
         w = t64(rng.normal(size=(2, 3, 3, 4)), False)
         err = grad_check(
             lambda: ag.tsum(ag.mul(ag.channel_norm(x, gamma, beta, residual=r), w)),
-            [x, gamma, beta, r])
+            [x, gamma, beta] + ([r] if residual else []))
         assert err < 1e-6
 
     def test_channel_norm_fused_equals_norm_add_relu(self):
