@@ -21,7 +21,8 @@ import functools
 import glob
 import math
 import os
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -238,6 +239,53 @@ def _one_blas_thread():
         yield True
     finally:
         set_(prev)
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this process may run on other than the calling thread's
+    current one (libc's ``sched_getcpu``); empty where there is none, or
+    where it cannot be told."""
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is None:
+        return set()
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    here, allowed = getcpu(), os.sched_getaffinity(0)
+    return allowed - {here} if here in allowed else set()
+
+
+@contextmanager
+def beside(*jobs: Callable[[], object]):
+    """Run each job on a thread of its own while the block runs on the
+    caller. The threads run on the CPUs other than the caller's, where
+    there are any: a new thread starts on its creator's CPU, and where the
+    kernel does not balance load between CPUs (a cpuset with
+    ``sched_load_balance`` 0) it stays there, taking turns with the
+    caller. Leaving the block joins every thread, also on an error; then,
+    unless the block raised, the first failed job's exception is raised
+    here."""
+    cpus, errors = _other_cpus(), [None] * len(jobs)
+
+    def run(i: int) -> None:
+        if cpus:
+            with suppress(OSError):  # this thread only; unplaced where it fails
+                os.sched_setaffinity(0, cpus)
+        try:
+            jobs[i]()
+        except BaseException as e:  # raised again on the caller
+            errors[i] = e
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    try:
+        for t in threads:
+            t.start()
+        yield
+    finally:
+        for t in threads:
+            if t.is_alive():  # not every thread started if one could not
+                t.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -116,6 +117,43 @@ def _check_path(flag: str, path: str) -> None:
     raise UsageError(f"{flag}: {path!r} is not a usable file name")
 
 
+def _report_path(cfg) -> str:
+    return cfg["report"] or cfg["out"] + ".report.json"
+
+
+def _output_files(command: str, cfg: dict) -> dict[str, str]:
+    """The files ``command`` writes, by flag."""
+    if command == "train":
+        return {"--out": cfg["out"], "--report": _report_path(cfg)}
+    return {"--out": cfg["out"]} if command == "eval" and cfg["out"] else {}
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(outputs: dict[str, str],
+                   inputs: dict[str, str | None]) -> None:
+    """Before anything is read or written: a UsageError where an output
+    file is an input or another output, and an OSError (exit 2) where it
+    names a directory or its directory does not exist."""
+    taken = {flag: path for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        for other, named in taken.items():
+            if _same_file(path, named):
+                raise UsageError(f"{flag} {path} would overwrite the {other} file")
+        taken[flag] = path
+    for path in outputs.values():
+        if os.path.isdir(path or os.curdir):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < JSON config file < explicit flags (rightmost wins).
 
@@ -218,7 +256,7 @@ def cmd_train(cfg) -> int:
     extra = {"vocab_tokens": corpus.vocab.id_to_token[4:],
              "train_config": train_config}
     save_bundle(model_to_bundle(model, extra), cfg["out"])
-    report_path = cfg["report"] or cfg["out"] + ".report.json"
+    report_path = _report_path(cfg)
     with atomic_open(report_path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -393,7 +431,10 @@ def main(argv=None) -> int:
         if not getattr(args, "fn", None):
             parser.print_help()
             return EXIT_USAGE
-        return args.fn(_merge_config(args, args.defaults))
+        cfg = _merge_config(args, args.defaults)
+        _check_outputs(_output_files(args.command, cfg),
+                       {"--config": args.config, "--model": cfg.get("model")})
+        return args.fn(cfg)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

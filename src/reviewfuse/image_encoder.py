@@ -10,6 +10,7 @@ projection shortcut.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -122,11 +123,12 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
     (``autograd.no_grad``) it runs in groups of ``eval_group`` whole
     images, so an eval forward holds one group's activations per thread.
     The groups are dealt in turn to the caller and ``_workers`` threads
-    started for the call, with numpy's OpenBLAS pinned to one thread while
-    they run (``autograd._one_blas_thread``); where it cannot be pinned,
-    or one CPU is allowed, the caller runs every group. Every op works
-    image by image and each group writes its own rows, so the pooled rows
-    are bitwise those of one pass, whatever the thread counts.
+    started beside it for the call (``autograd.beside``), with numpy's
+    OpenBLAS pinned to one thread while they run
+    (``autograd._one_blas_thread``); where it cannot be pinned, or one CPU
+    is allowed, the caller runs every group. Every op works image by image
+    and each group writes its own rows, so the pooled rows are bitwise
+    those of one pass, whatever the thread counts.
     """
     pixels = img.data
     if pixels.ndim != 4 or pixels.shape[-2:] != (cfg.input_side, cfg.input_side):
@@ -146,18 +148,9 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
 
     workers = min(_workers(), len(starts) - 1)
     with ag._one_blas_thread() if workers > 0 else nullcontext(False) as pinned:
-        if pinned:
-            # imported here, not at the top: the logging module it loads
-            # adds 0.6 MB to processes that never split a forward
-            from concurrent.futures import ThreadPoolExecutor
-            n = workers + 1
-            with ThreadPoolExecutor(workers) as pool:
-                shares = [pool.submit(run, starts[t::n]) for t in range(1, n)]
-                run(starts[::n])
-                for share in shares:
-                    share.result()  # a worker's exception, raised here
-        else:
-            run(starts)
+        n = workers + 1 if pinned else 1
+        with ag.beside(*(functools.partial(run, starts[t::n]) for t in range(1, n))):
+            run(starts[::n])
     return Tensor(out)
 
 

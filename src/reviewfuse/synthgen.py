@@ -25,18 +25,17 @@ bytes do not depend on the threads' timing.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
+import functools
 import json
 import math
 import os
 import queue
 import statistics
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from .bundle import atomic_open
 from .data import DatasetSplit, ReviewSample, stratified_split, write_manifest
 from .errors import ParameterError
@@ -222,70 +221,23 @@ def chunk_samples(spec: GeneratorSpec) -> int:
     return max(1, CHUNK_BYTES // (spec.image_side ** 2 * 3 * 8))
 
 
-def _other_cpus() -> set[int]:
-    """The CPUs this process may run on other than the calling thread's
-    current one (libc's ``sched_getcpu``); empty where there is none, or
-    where it cannot be told."""
-    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
-    if getcpu is None:
-        return set()
-    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
-    here, allowed = getcpu(), os.sched_getaffinity(0)
-    return allowed - {here} if here in allowed else set()
-
-
-class _ImageWriter:
-    """A thread that writes lists of (path, bytes) files in the order they
-    are put, fed through a queue of at most ``WRITE_AHEAD`` lists. It only
-    opens, writes and closes files: it calls no numpy and no package
-    function, which a profiler may patch. After its first error it writes
-    nothing more; ``put`` raises that error on the calling thread, and so
-    does leaving the block if nothing else did. Leaving the block joins
-    the thread, also on an error.
-
-    The thread runs on the CPUs other than the caller's, where there are
-    any: a new thread starts on its creator's CPU, and where the kernel
-    does not balance load between CPUs (a cpuset with
-    ``sched_load_balance`` 0) it stays there, taking turns with the
-    caller."""
-
-    def __enter__(self):
-        self._queue = queue.Queue(WRITE_AHEAD)
-        self._error = None
-        self._cpus = _other_cpus()
-        self._thread = threading.Thread(target=self._run,
-                                        name="reviewfuse-image-writer")
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        if self._cpus:
-            # this thread only; where it fails, the writer runs unplaced
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, self._cpus)
-        while (files := self._queue.get()) is not None:
-            if self._error is not None:
-                continue  # drained unwritten, so a blocked put returns
-            try:
-                for path, blob in files:
-                    with open(path, "wb") as fh:
-                        fh.write(blob)
-            except BaseException as e:  # raised again on the calling thread
-                self._error = e
-
-    def _raise(self) -> None:
-        if self._error is not None:
-            raise self._error
-
-    def put(self, files: list[tuple[str, bytes]]) -> None:
-        self._queue.put(files)
-        self._raise()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._queue.put(None)
-        self._thread.join()
-        if exc_type is None:
-            self._raise()
+def _write_files(todo: queue.Queue, failed: list[BaseException]) -> None:
+    """Write the lists of (path, bytes) files taken from ``todo``, in
+    order, until a None, calling no numpy and no package function, which a
+    profiler may patch. After its first error, put in ``failed`` for the
+    caller, it writes nothing more but keeps taking lists, so a blocked
+    ``put`` returns, and it raises that error when it ends."""
+    while (files := todo.get()) is not None:
+        if failed:
+            continue
+        try:
+            for path, blob in files:
+                with open(path, "wb") as fh:
+                    fh.write(blob)
+        except BaseException as e:  # raised again on the caller
+            failed.append(e)
+    if failed:
+        raise failed[0]
 
 
 def generate_synthetic(spec: GeneratorSpec, out_dir,
@@ -295,10 +247,10 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
 
     The calling thread makes every draw, sample after sample: its text,
     then its pixel noise. It finishes and encodes the pixels a chunk of
-    ``chunk_samples`` at a time and hands each chunk's files to one
-    writer thread (``_ImageWriter``). The writer's error is raised here,
-    at the latest one chunk after it happened. The split CSVs and
-    provenance.json are written last, on the caller.
+    ``chunk_samples`` at a time and queues each chunk's files for one
+    writer thread (``_write_files``, started by ``autograd.beside``). Its
+    error is raised here, at the latest one chunk after it happened. The
+    split CSVs and provenance.json are written last, on the caller.
     """
     image_dir = os.path.join(out_dir, "images")
     rng = np.random.default_rng(spec.seed)
@@ -313,18 +265,25 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
     os.makedirs(image_dir, exist_ok=True)
     side, chunk = spec.image_side, min(chunk_samples(spec), spec.n)
     noise = np.empty((chunk, side, side, 3))
-    with _ImageWriter() as writer:
-        for c0 in range(0, spec.n, chunk):
-            part = samples[c0:c0 + chunk]
-            for j, s in enumerate(part):
-                i = c0 + j
-                s.text = render_text(int(lat.topic[i]), int(lat.text_list[i]),
-                                     rng)
-                noise[j] = rng.normal(0.0, PIXEL_NOISE, size=(side, side, 3))
-            k = slice(c0, c0 + len(part))
-            pixels = finish_pixels(lat.brightness[k], lat.hue[k], noise[:len(part)])
-            writer.put([(s.image_path, encode_ppm(p))
-                        for s, p in zip(part, pixels)])
+    todo, failed = queue.Queue(WRITE_AHEAD), []
+    with ag.beside(functools.partial(_write_files, todo, failed)):
+        try:
+            for c0 in range(0, spec.n, chunk):
+                part = samples[c0:c0 + chunk]
+                for j, s in enumerate(part):
+                    i = c0 + j
+                    s.text = render_text(int(lat.topic[i]),
+                                         int(lat.text_list[i]), rng)
+                    noise[j] = rng.normal(0.0, PIXEL_NOISE, size=(side, side, 3))
+                k = slice(c0, c0 + len(part))
+                pixels = finish_pixels(lat.brightness[k], lat.hue[k],
+                                       noise[:len(part)])
+                todo.put([(s.image_path, encode_ppm(p))
+                          for s, p in zip(part, pixels)])
+                if failed:
+                    raise failed[0]
+        finally:
+            todo.put(None)
     write_manifest(split.train, os.path.join(out_dir, "train.csv"))
     write_manifest(split.val, os.path.join(out_dir, "val.csv"))
     write_manifest(split.test, os.path.join(out_dir, "test.csv"))

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -964,3 +967,35 @@ class TestMlpHead:
             ag.mlp_head(t64(np.zeros((3, 6))), *params)
         with pytest.raises(ContractError):
             ag.mlp_head(ag.Tensor(np.zeros((3, 7), dtype=np.float32)), *params)
+
+
+class TestBeside:
+    """Jobs on helper threads: each joined when the block exits, and a
+    job's error raised on the caller."""
+
+    @staticmethod
+    def job(ran, delay, error=None):
+        def run():
+            time.sleep(delay)
+            ran.append(threading.get_ident())
+            if error is not None:
+                raise error
+        return run
+
+    def test_the_first_failed_jobs_error_after_every_job_ended(self):
+        ran, alive = [], threading.active_count()
+        # the last job fails first; the caller sees the earlier job's error
+        with pytest.raises(KeyError, match="middle"):
+            with ag.beside(self.job(ran, 0.05), self.job(ran, 0.03, KeyError("middle")),
+                           self.job(ran, 0.0, ValueError("last"))):
+                ran.append(threading.get_ident())
+        assert len(ran) == 4 and len(set(ran)) == 4
+        assert threading.active_count() == alive
+
+    def test_the_blocks_own_error_wins_and_the_jobs_are_joined(self):
+        ran, alive = [], threading.active_count()
+        with pytest.raises(ZeroDivisionError):
+            with ag.beside(self.job(ran, 0.05, KeyError("job"))):
+                1 / 0
+        assert len(ran) == 1
+        assert threading.active_count() == alive

@@ -30,6 +30,7 @@ from reviewfuse.training import (
     model_to_bundle,
 )
 from reviewfuse.workflow import desk_model, load_corpus, train_model
+from test_synthgen import tree_bytes
 
 
 def run(capsys, *argv):
@@ -415,6 +416,67 @@ def test_empty_split_manifest_is_a_data_error(capsys, tmp_path, corpus_dir,
     code, out, err = run(capsys, command, "--data", str(data), *target)
     assert code == 2 and f"{split}.csv: the manifest holds no samples" in err
     assert "epoch" not in out and "Traceback" not in err
+
+
+@pytest.fixture
+def nothing_loads(monkeypatch):
+    """``cli``'s corpus and bundle loaders, failing if they are called."""
+    def loaded(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    monkeypatch.setattr(cli, "load_corpus", loaded)
+    monkeypatch.setattr(cli, "load_bundle", loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "{model}", "--out", "{model}"],
+    ["eval", "--model", "{model}", "--config", "{config}", "--out", "{config}"],
+    ["eval", "--compare", "--config", "{config}", "--out", "{config}"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{tmp}/m.fkit"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{tmp}/./m.fkit"],
+    ["train", "--out", "{config}", "--config", "{config}"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{config}",
+     "--config", "{config}"],
+    ["train", "--out", "{tmp}/cfg", "--config", "{tmp}/cfg.report.json"],
+], ids=["eval-model", "eval-config", "compare-config", "train-report",
+        "train-report-alias", "train-config", "report-config",
+        "default-report-config"])
+def test_output_naming_an_input_or_output_is_usage_error(
+        capsys, tmp_path, corpus_dir, trained, nothing_loads, argv):
+    # it would overwrite the bundle, the config or the other output
+    model = tmp_path / "model.fkit"
+    shutil.copyfile(trained, model)
+    (tmp_path / "cfg.json").write_text("{}")
+    (tmp_path / "cfg.report.json").write_text("{}")
+    names = {"model": model, "config": tmp_path / "cfg.json", "tmp": tmp_path}
+    before = tree_bytes(tmp_path)
+    code, out, err = run(capsys, argv[0], "--data", str(corpus_dir),
+                         *(a.format(**names) for a in argv[1:]))
+    assert code == 1 and "would overwrite" in err
+    assert out == "" and tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", "{tmp}/none/m.fkit"],
+    ["train", "--out", "{tmp}/dir"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{tmp}/none/r.json"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{tmp}/dir"],
+    ["train", "--out", "{tmp}/dir/"],
+    ["eval", "--model", "{model}", "--out", "{tmp}/none/r.txt"],
+    ["eval", "--model", "{model}", "--out", "{tmp}/dir"],
+    ["eval", "--compare", "--out", "{tmp}/none/r.txt"],
+    ["eval", "--compare", "--out", "{tmp}/dir"],
+], ids=["train-out-missing-dir", "train-out-dir", "report-missing-dir",
+        "report-dir", "train-out-slash", "eval-missing-dir", "eval-dir",
+        "compare-missing-dir", "compare-dir"])
+def test_unwritable_output_is_a_data_error_before_any_work(
+        capsys, tmp_path, corpus_dir, trained, nothing_loads, argv):
+    (tmp_path / "dir").mkdir()
+    before = tree_bytes(tmp_path)
+    code, out, err = run(capsys, argv[0], "--data", str(corpus_dir),
+                         *(a.format(model=trained, tmp=tmp_path) for a in argv[1:]))
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert "epoch" not in out and tree_bytes(tmp_path) == before
 
 
 class TestPredict:

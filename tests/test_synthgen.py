@@ -348,10 +348,10 @@ class TestWriterThread:
 
     def test_unsplittable_corpus_starts_no_thread(self, tmp_path, monkeypatch,
                                                   capsys):
-        def started(self):
+        def started(*jobs):
             raise AssertionError("the writer started before the split")
 
-        monkeypatch.setattr(synthgen._ImageWriter, "__enter__", started)
+        monkeypatch.setattr(synthgen.ag, "beside", started)
         code = main(["gen-data", "--out", str(tmp_path / "d"), "--n", "5"])
         assert code == 2 and "error:" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()

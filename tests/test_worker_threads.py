@@ -1,6 +1,7 @@
 """Work split over threads: a graph-free CNN forward and ``gen-data``'s
-writer thread give the same bits on one CPU and on two, and the forward
-leaves nothing running after it.
+writer thread give the same bits on one CPU and on two, each helper thread
+runs on the CPUs other than the caller's, and the forward leaves nothing
+running after it.
 
 Each test runs a job of ``thread_jobs.py`` in a subprocess, so the CPU
 affinity and the BLAS thread pool are set before numpy loads.
@@ -63,8 +64,15 @@ def test_forward_leaves_no_thread_and_restores_the_blas_count():
                   blas_threads=2)
     assert got["after_import"] == 1
     assert got["after_forward"] == 1
+    assert not got["futures"]
     if got["blas_before"] is None:
         pytest.skip("no OpenBLAS thread-count functions found, so no split")
-    assert got["ran_groups"] > 1 or got["cpus"] == 1
+    assert got["ran_groups"] > 1 or len(got["cpus"]) == 1
     assert got["blas_before"] == 2
     assert got["blas_after"] == 2
+    if len(got["cpus"]) == 2:
+        # the worker leaves the caller's CPU to the caller
+        (caller,) = got["caller_cpu"]
+        assert got["worker_cpus"]
+        assert all(cpus == [c for c in got["cpus"] if c != caller]
+                   for cpus in got["worker_cpus"])

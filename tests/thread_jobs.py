@@ -50,13 +50,13 @@ def corpus_hash() -> dict:
 
     from reviewfuse import synthgen
 
-    writer_cpus, run = [], synthgen._ImageWriter._run
+    writer_cpus, write = [], synthgen._write_files
 
-    def recorded(self):
-        run(self)
+    def recorded(*args):
+        write(*args)
         writer_cpus.append(len(os.sched_getaffinity(0)))  # still the writer
 
-    synthgen._ImageWriter._run = recorded
+    synthgen._write_files = recorded
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
         synthgen.generate_synthetic(synthgen.GeneratorSpec(n=400, seed=7), out)
@@ -72,8 +72,11 @@ def corpus_hash() -> dict:
 
 def lifetime() -> dict:
     """Threads alive after the import and after one grouped B=64 forward,
-    the threads that ran its groups, and the BLAS thread count before and
-    after it (None where ``autograd._openblas_threads`` finds no getter)."""
+    the threads that ran its groups, the CPUs each worker group was allowed
+    and the caller's CPU as the workers were placed, the BLAS thread count
+    before and after the forward (None where ``autograd._openblas_threads``
+    finds no getter), and whether ``concurrent.futures`` was imported."""
+    import ctypes
     import threading
 
     import numpy as np
@@ -89,13 +92,21 @@ def lifetime() -> dict:
     side = cfg.input_side
     images = ag.Tensor(np.random.default_rng(1).normal(
         size=(64, 3, side, side)).astype(np.float32))
-    ran_groups, forward = set(), ie._forward
+    ran_groups, worker_cpus, forward = set(), [], ie._forward
 
     def recorded(*args):
         ran_groups.add(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            worker_cpus.append(sorted(os.sched_getaffinity(0)))
         return forward(*args)
 
-    ie._forward = recorded
+    caller_cpu, other_cpus = [], ag._other_cpus
+
+    def placing():
+        caller_cpu.append(ctypes.CDLL(None).sched_getcpu())
+        return other_cpus()
+
+    ie._forward, ag._other_cpus = recorded, placing
     found = ag._openblas_threads()
     blas_threads = found[0] if found else lambda: None
     blas_before = blas_threads()
@@ -103,9 +114,10 @@ def lifetime() -> dict:
         ie.encode_image(params, cfg, images)
     return {"after_import": after_import,
             "after_forward": threading.active_count(),
-            "ran_groups": len(ran_groups),
-            "cpus": len(os.sched_getaffinity(0)),
-            "blas_before": blas_before, "blas_after": blas_threads()}
+            "ran_groups": len(ran_groups), "worker_cpus": worker_cpus,
+            "caller_cpu": caller_cpu, "cpus": sorted(os.sched_getaffinity(0)),
+            "blas_before": blas_before, "blas_after": blas_threads(),
+            "futures": "concurrent.futures" in sys.modules}
 
 
 if __name__ == "__main__":
