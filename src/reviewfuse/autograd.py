@@ -243,8 +243,11 @@ def _one_blas_thread():
 
 def _other_cpus() -> set[int]:
     """The CPUs this process may run on other than the calling thread's
-    current one (libc's ``sched_getcpu``); empty where there is none, or
+    current one (libc's ``sched_getcpu``); empty where ``os`` has no
+    ``sched_getaffinity`` (macOS, for one) or libc no ``sched_getcpu``, or
     where it cannot be told."""
+    if not hasattr(os, "sched_getaffinity"):
+        return set()
     getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
     if getcpu is None:
         return set()
@@ -490,17 +493,14 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor) -> Tens
     return _make(out_data, (x, residual, gamma, beta), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            uniforms: np.ndarray | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, uniforms: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: an element is zeroed where its U[0, 1) draw in
     ``uniforms`` (of ``x``'s shape) is below ``p``, else scaled by
-    1/(1-p); ``x`` itself when off (eval mode or p = 0)."""
+    1/(1-p); ``x`` itself when given no draws or when p = 0."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if uniforms is None or p == 0.0:
         return x
-    if uniforms is None:
-        raise ParameterError("dropout in training mode requires uniforms")
     if uniforms.shape != x.data.shape:
         raise DimensionError(
             f"dropout: uniforms {uniforms.shape} vs input {x.data.shape}")
@@ -577,12 +577,6 @@ def mlp_head_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray,
 # scratch of one conv2d tile's stacked taps: a quarter of a 2 MiB L2, so
 # the stacked matrix stays in cache while the GEMM reads it
 CONV_TILE_BYTES = 512 * 1024
-
-# widest activation of one group of whole images in a graph-free CNN
-# forward (``image_encoder.encode_image``): 4 desk-size images, 1 at paper
-# scale. The groups are split between the caller and a worker thread per
-# further CPU, so one group per thread is in flight.
-EVAL_GROUP_BYTES = 256 * 1024
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:

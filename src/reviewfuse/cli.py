@@ -135,17 +135,23 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _check_outputs(outputs: dict[str, str],
-                   inputs: dict[str, str | None]) -> None:
+def _check_outputs(outputs: dict[str, str], inputs: dict[str, str | None],
+                   data_dir: str | None) -> None:
     """Before anything is read or written: a UsageError where an output
-    file is an input or another output, and an OSError (exit 2) where it
-    names a directory or its directory does not exist."""
-    taken = {flag: path for flag, path in inputs.items() if path}
+    file is an input, another output or a file of the ``data_dir``
+    corpus, and an OSError (exit 2) where it names a directory or its
+    directory does not exist."""
+    taken = [(flag, path) for flag, path in inputs.items() if path]
+    taken += [("--data corpus", os.path.join(data_dir, name)) for name in
+              ("train.csv", "val.csv", "test.csv", "provenance.json") if data_dir]
+    images = data_dir and os.path.realpath(os.path.join(data_dir, "images")) + os.sep
     for flag, path in outputs.items():
-        for other, named in taken.items():
+        for other, named in taken:
             if _same_file(path, named):
                 raise UsageError(f"{flag} {path} would overwrite the {other} file")
-        taken[flag] = path
+        if images and os.path.realpath(path).startswith(images):
+            raise UsageError(f"{flag} {path} would overwrite the --data corpus file")
+        taken.append((flag, path))
     for path in outputs.values():
         if os.path.isdir(path or os.curdir):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -433,7 +439,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         cfg = _merge_config(args, args.defaults)
         _check_outputs(_output_files(args.command, cfg),
-                       {"--config": args.config, "--model": cfg.get("model")})
+                       {"--config": args.config, "--model": cfg.get("model")},
+                       cfg.get("data"))
         return args.fn(cfg)
     except UsageError as e:
         print(str(e), file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Each component check builds a tiny instance of one layer type in float64 and
 compares autodiff gradients against central differences (threshold 1e-6).
-Between them their graphs hold every op of a desk training step, dropout in
-training mode included.
+Between them their graphs hold every op of a desk training step, dropout
+included.
 The final check runs the full fused model in float32 against a float64
 finite-difference twin (threshold 1e-3, since f32 forward noise dominates).
 """
@@ -75,10 +75,10 @@ def _check_attention_block(rng, cls_only=False):
     # two sequences of five positions, with one and three PAD positions
     mask = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0]])
     x = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
-    # training mode: both dropout sites on, the same uniforms on every call
+    # both dropout sites on, the same uniforms on every call
     u = rng.random((2, 2 if cls_only else 10, 8))
     block_params = [v for k, v in p.items() if k.startswith("l0.")]
-    return grad_check(lambda: encoder_block(x, mask, p, 0, cfg, True, u, cls_only),
+    return grad_check(lambda: encoder_block(x, mask, p, 0, cfg, u, cls_only),
                       block_params + [x])
 
 

@@ -11,8 +11,6 @@ projection shortcut.
 from __future__ import annotations
 
 import functools
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,22 +95,23 @@ def residual_block(x: Tensor, params: dict[str, Tensor], prefix: str,
                            residual=shortcut)
 
 
+# widest activation of one group of whole images in a graph-free CNN
+# forward (``encode_image``): 4 desk-size images, 1 at paper scale. The
+# groups are split between the caller and a worker thread per other CPU,
+# so one group per thread is in flight.
+EVAL_GROUP_BYTES = 256 * 1024
+
+
 def eval_group(cfg: ImageEncoderConfig, itemsize: int) -> int:
     """Images per group of a graph-free forward: as many whole images as
-    keep the widest activation within ``autograd.EVAL_GROUP_BYTES``, at
-    least one."""
+    keep the widest activation within ``EVAL_GROUP_BYTES``, at least
+    one."""
     side = cfg.input_side
     widest = max(3, cfg.stem_channels) * side * side
     for _, channels, stride in cfg.stages:
         side = (side - 1) // stride + 1  # a 3x3 conv, pad 1
         widest = max(widest, channels * side * side)
-    return max(1, ag.EVAL_GROUP_BYTES // (widest * itemsize))
-
-
-def _workers() -> int:
-    """Worker threads beside the caller in a grouped forward: one per
-    further CPU this process may run on."""
-    return len(os.sched_getaffinity(0)) - 1
+    return max(1, EVAL_GROUP_BYTES // (widest * itemsize))
 
 
 def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
@@ -122,13 +121,14 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
     Recording a graph, the batch runs as one pass. Without one
     (``autograd.no_grad``) it runs in groups of ``eval_group`` whole
     images, so an eval forward holds one group's activations per thread.
-    The groups are dealt in turn to the caller and ``_workers`` threads
-    started beside it for the call (``autograd.beside``), with numpy's
-    OpenBLAS pinned to one thread while they run
-    (``autograd._one_blas_thread``); where it cannot be pinned, or one CPU
-    is allowed, the caller runs every group. Every op works image by image
-    and each group writes its own rows, so the pooled rows are bitwise
-    those of one pass, whatever the thread counts.
+    The groups are dealt in turn to the caller and one thread per CPU of
+    ``autograd._other_cpus``, the CPUs that ``autograd.beside`` places
+    the threads it starts for the call on, with numpy's OpenBLAS pinned to
+    one thread while the groups run (``autograd._one_blas_thread``); where
+    it cannot be pinned, or there is no other CPU, the caller runs every
+    group. Every op works image by image and each group writes its own
+    rows, so the pooled rows are bitwise those of one pass, whatever the
+    thread counts.
     """
     pixels = img.data
     if pixels.ndim != 4 or pixels.shape[-2:] != (cfg.input_side, cfg.input_side):
@@ -146,8 +146,8 @@ def encode_image(params: dict[str, Tensor], cfg: ImageEncoderConfig,
         for b0 in share:
             out[b0:b0 + group] = _forward(params, cfg, pixels[b0:b0 + group]).data
 
-    workers = min(_workers(), len(starts) - 1)
-    with ag._one_blas_thread() if workers > 0 else nullcontext(False) as pinned:
+    workers = min(len(ag._other_cpus()), len(starts) - 1)
+    with ag._one_blas_thread() as pinned:
         n = workers + 1 if pinned else 1
         with ag.beside(*(functools.partial(run, starts[t::n]) for t in range(1, n))):
             run(starts[::n])

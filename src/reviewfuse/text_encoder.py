@@ -77,14 +77,14 @@ def text_encoder_layout(cfg: TextEncoderConfig):
 
 
 def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
-                  layer: int, cfg: TextEncoderConfig, training: bool = False,
+                  layer: int, cfg: TextEncoderConfig,
                   uniforms: np.ndarray | None = None,
                   cls_only: bool = False) -> Tensor:
     """One post-LN transformer block over a (B*L, d_model) batch of sequences.
 
     ``mask`` is the (B, L) attention mask; row ``b*L + t`` of ``x`` is
-    position ``t`` of sequence ``b``. Training with dropout on needs
-    ``uniforms``: the (2, R, d_model) U[0, 1) draws of the block's two
+    position ``t`` of sequence ``b``. Dropout runs where the block is
+    given ``uniforms``: the (2, R, d_model) U[0, 1) draws of its two
     dropout sites for its R output rows.
 
     With ``cls_only`` the block computes only each sequence's [CLS] row
@@ -106,13 +106,12 @@ def encoder_block(x: Tensor, mask: np.ndarray, params: dict[str, Tensor],
     ctx = ag.attention(ag.matmul(xq, params[pre + "wq"]),
                        ag.matmul(x, params[pre + "wk"]),
                        ag.matmul(x, params[pre + "wv"]), mask, cfg.n_heads)
-    attn_out = ag.dropout(ag.matmul(ctx, params[pre + "wo"]), cfg.dropout_p,
-                          training, uniforms=u_attn)
+    attn_out = ag.dropout(ag.matmul(ctx, params[pre + "wo"]), cfg.dropout_p, u_attn)
     y = ag.layer_norm(xq, attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
 
     ffn_out = ag.mlp_head(y, params[pre + "ffn_w1"], params[pre + "ffn_b1"],
                           params[pre + "ffn_w2"], params[pre + "ffn_b2"])
-    ffn_out = ag.dropout(ffn_out, cfg.dropout_p, training, uniforms=u_ffn)
+    ffn_out = ag.dropout(ffn_out, cfg.dropout_p, u_ffn)
     return ag.layer_norm(y, ffn_out, params[pre + "ln2_g"], params[pre + "ln2_b"])
 
 
@@ -146,5 +145,5 @@ def encode_text(params: dict[str, Tensor], cfg: TextEncoderConfig,
             # (2, rows, d): the last block keeps only the [CLS] rows
             u = drops[:, i, :, 0].transpose(1, 0, 2) if last else \
                 drops[:, i].transpose(1, 0, 2, 3).reshape(2, bsz * seq_len, d)
-        x = encoder_block(x, mask, params, i, cfg, training, u, cls_only=last)
+        x = encoder_block(x, mask, params, i, cfg, u, cls_only=last)
     return x

@@ -48,13 +48,14 @@ class AdamState:
     parameters, bound to ``params`` when built.
 
     Each parameter is copied into its slice of one contiguous buffer
-    ``flat`` and its ``Tensor.data`` becomes a view of that slice. ``m``
-    and ``v`` share that layout. ``lr`` is ``cfg.lr``, and ``decay`` holds
+    ``flat`` and its ``Tensor.data`` becomes a view of that slice. ``m``,
+    ``v`` and the gradient ``grad`` share that layout; ``grads`` holds each
+    parameter's view of ``grad``. ``lr`` is ``cfg.lr``, and ``decay`` holds
     each element's decoupled weight-decay factor, ``1 - lr * weight_decay``
     for a tensor of rank 2 or more (weight matrices, embeddings, conv
     kernels) and 1 for a rank-1 one (biases, norm gains and shifts), or is
-    None when ``cfg.weight_decay`` is 0. A step is one gather of the
-    gradients plus about ten whole-buffer numpy ops.
+    None when ``cfg.weight_decay`` is 0. A step is one copy of the
+    gradients into ``grads`` plus about ten whole-buffer numpy ops.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
@@ -69,8 +70,10 @@ class AdamState:
         self.flat = np.zeros(ends[-1] if ends else 0, dtype=dtypes.pop())
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self.grad = np.zeros_like(self.flat)
         self.scratch = np.empty_like(self.flat)  # adam_update's temporary
         self.views = list(self.split(self.flat).values())
+        self.grads = list(self.split(self.grad).values())
         self.t = 0
         self.lr = cfg.lr
         self.decay = None
@@ -103,26 +106,20 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One optimizer step from the gradients currently stored on ``params``:
-    ``adam_update`` on their flat gather. A missing gradient counts as
-    zero."""
+    each is copied into its view of ``state.grad``, then ``adam_update``.
+    A missing gradient counts as zero."""
     state.adopt(params)
-    grads = []
-    for name, p, view in zip(state.names, params.values(), state.views):
-        g = p.grad
-        if g is None:
-            g = np.zeros(view.size, dtype=view.dtype)
-        elif g.shape != view.shape:
+    for name, p, g in zip(state.names, params.values(), state.grads):
+        if p.grad is not None and p.grad.shape != g.shape:
             raise ContractError(
-                f"gradient shape {g.shape} != parameter shape {view.shape} for {name}")
-        grads.append(g.reshape(-1))
-    g = (np.concatenate(grads, dtype=state.flat.dtype) if grads
-         else np.zeros_like(state.flat))
-    adam_update(state, g)
+                f"gradient shape {p.grad.shape} != parameter shape {g.shape} for {name}")
+        g[...] = 0 if p.grad is None else p.grad
+    adam_update(state)
 
 
-def adam_update(state: AdamState, g: np.ndarray) -> None:
-    """One Adam step of ``state.flat`` from ``g``, the gradient laid out
-    like ``flat``; ``g`` is spent as scratch.
+def adam_update(state: AdamState) -> None:
+    """One Adam step of ``state.flat`` from ``state.grad``, which is spent
+    as scratch.
 
     Decoupled weight decay shrinks the decaying parameters before the Adam
     update; bias correction makes the very first step ~ -lr * sign(g).
@@ -137,7 +134,7 @@ def adam_update(state: AdamState, g: np.ndarray) -> None:
     ``tiny / (bc1 * eps) * lr`` (about 1.2e-29 lr in float32), rounds away
     against any parameter that is not itself almost zero.
     """
-    theta, m, v, tmp = state.flat, state.m, state.v, state.scratch
+    theta, g, m, v, tmp = state.flat, state.grad, state.m, state.v, state.scratch
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t

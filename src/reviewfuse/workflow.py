@@ -99,12 +99,12 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     The steps build no graph: each epoch gathers its shuffled features and
     labels once, and each step takes views of them, runs
     ``mlp_head_forward``, the softmax and ``xent_grad``, writes the head's
-    gradients with ``mlp_head_grads`` straight into one flat buffer laid
-    out like ``AdamState.flat``, and applies ``adam_update`` to it. That is
-    the arithmetic of ``classify_batch``, ``cross_entropy``, ``backward``
-    and ``adam_step`` in their order, so the head ends bit-identical to
-    training through the graph. An epoch's loss is the mean cross-entropy
-    of the logits its steps computed.
+    gradients with ``mlp_head_grads`` straight into the views of the
+    state's flat gradient (``AdamState.grads``), and runs ``adam_update``.
+    That is the arithmetic of ``classify_batch``, ``cross_entropy``,
+    ``backward`` and ``adam_step`` in their order, so the head ends
+    bit-identical to training through the graph. An epoch's loss is the
+    mean cross-entropy of the logits its steps computed.
 
     Returns the best warmup validation accuracy. Deterministic given
     (model, data, cfg).
@@ -118,11 +118,7 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
     if not np.isin(ytr, (0, 1)).all():
         raise LabelError("warm_start_head needs labels in {0, 1}")
     state = AdamState(head, warm_cfg)
-    g = np.empty_like(state.flat)
-    params, grad_views = state.split(state.flat), state.split(g)
-    names = ("head.w1", "head.b1", "head.w2", "head.b2")
-    w1, b1, w2, b2 = (params[k] for k in names)
-    grads = [grad_views[k] for k in names]
+    w1, b1, w2, b2 = state.views  # in layout order, as mlp_head_grads writes
     one = state.flat.dtype.type(1)
     n, bsz = len(ytr), warm_cfg.batch_size
     epoch_logits = np.empty((n, 2), dtype=state.flat.dtype)
@@ -135,10 +131,10 @@ def warm_start_head(model: ReviewClassifier, train_set: PreparedDataset,
             pre, hidden, logits = ag.mlp_head_forward(x, w1, b1, w2, b2)
             epoch_logits[i:i + bsz] = logits
             dlogits = ag.xent_grad(ag.softmax_rows(logits), y, one / len(y))
-            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, grads)
-            adam_update(state, g)
-        top = epoch_logits.max(axis=1)
-        lse = top + np.log(np.exp(epoch_logits - top[:, None]).sum(axis=1))
+            ag.mlp_head_grads(dlogits, x, pre, hidden, w1, w2, state.grads)
+            adam_update(state)
+        top, _, total = ag._softmax_terms(epoch_logits)
+        lse = top[:, 0] + np.log(total[:, 0])
         return float((lse - epoch_logits[np.arange(n), y_epoch]).mean())
 
     def val_fn() -> float:

@@ -322,30 +322,32 @@ class TestLayerNorm:
 
 class TestDropout:
     def test_p_zero_identity(self):
-        # off means no node: the input itself comes back, and no uniforms
-        # are needed
+        # off means no node: the input itself comes back, whatever the draws
         x = t64([1.0, 2.0])
-        assert ag.dropout(x, 0.0, True) is x
+        assert ag.dropout(x, 0.0, np.zeros(2)) is x
 
     def test_eval_identity(self):
+        # eval mode hands dropout no draws
         x = t64([1.0, 2.0])
-        assert ag.dropout(x, 0.9, False) is x
+        assert ag.dropout(x, 0.9) is x
 
     def test_bad_p(self):
         with pytest.raises(ParameterError):
-            ag.dropout(t64([1.0]), 1.0, True, np.zeros(1))
+            ag.dropout(t64([1.0]), 1.0, np.zeros(1))
+        with pytest.raises(ParameterError):
+            ag.dropout(t64([1.0]), 1.0)
 
     def test_survivor_stats(self):
         x = t64(np.ones(100_000))
-        out = ag.dropout(x, 0.3, True, np.random.default_rng(9).random(100_000))
+        out = ag.dropout(x, 0.3, np.random.default_rng(9).random(100_000))
         frac = np.count_nonzero(out.data) / x.data.size
         assert abs(frac - 0.7) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_deterministic_given_seed(self):
         x = t64(np.ones(1000))
-        a = ag.dropout(x, 0.3, True, np.random.default_rng(42).random(1000)).data
-        b = ag.dropout(x, 0.3, True, np.random.default_rng(42).random(1000)).data
+        a = ag.dropout(x, 0.3, np.random.default_rng(42).random(1000)).data
+        b = ag.dropout(x, 0.3, np.random.default_rng(42).random(1000)).data
         np.testing.assert_array_equal(a, b)
 
     def test_given_uniforms_replace_the_draw(self):
@@ -353,14 +355,12 @@ class TestDropout:
         # 1/(1-p) in the input's dtype; the uniforms must match the input
         x = ag.Tensor(np.arange(1.0, 21.0, dtype=np.float32).reshape(4, 5))
         u = np.random.default_rng(42).random((4, 5))
-        out = ag.dropout(x, 0.3, True, u)
+        out = ag.dropout(x, 0.3, u)
         assert out.data.dtype == np.float32
         want = x.data * np.where(u >= 0.3, np.float32(1 / 0.7), np.float32(0))
         np.testing.assert_array_equal(out.data, want)
         with pytest.raises(DimensionError):
-            ag.dropout(x, 0.3, True, u.reshape(-1))
-        with pytest.raises(ParameterError):
-            ag.dropout(x, 0.3, True)
+            ag.dropout(x, 0.3, u.reshape(-1))
 
 
 class TestGlobalAvgPool:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewfuse import autograd as ag
-from reviewfuse import cli, gradsuite
+from reviewfuse import cli, errors, gradsuite
 from reviewfuse.bundle import ModelBundle, load_bundle, save_bundle
 from reviewfuse.cli import main
 from reviewfuse.data import PreparedDataset, align_images, read_manifest
@@ -438,19 +438,34 @@ def nothing_loads(monkeypatch):
     ["train", "--out", "{tmp}/m.fkit", "--report", "{config}",
      "--config", "{config}"],
     ["train", "--out", "{tmp}/cfg", "--config", "{tmp}/cfg.report.json"],
+    ["eval", "--model", "{model}", "--out", "{data}/test.csv"],
+    ["train", "--out", "{data}/val.csv"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{data}/images/s000001.ppm"],
+    ["train", "--out", "{data}/provenance.json"],
+    ["eval", "--compare", "--out", "{data}/train.csv"],
+    ["train", "--out", "{tmp}/m.fkit", "--report", "{tmp}/link/images/new.json"],
+    ["eval", "--model", "{model}", "--out", "{data}/images/../test.csv"],
 ], ids=["eval-model", "eval-config", "compare-config", "train-report",
         "train-report-alias", "train-config", "report-config",
-        "default-report-config"])
+        "default-report-config", "eval-test-csv", "train-val-csv",
+        "report-image", "train-provenance", "compare-train-csv",
+        "report-under-linked-images", "eval-dotdot"])
 def test_output_naming_an_input_or_output_is_usage_error(
         capsys, tmp_path, corpus_dir, trained, nothing_loads, argv):
-    # it would overwrite the bundle, the config or the other output
+    # it would overwrite the bundle, the config, the other output, or a
+    # manifest, the provenance or an image of the --data corpus, also
+    # reached through a symlink or a ".."
     model = tmp_path / "model.fkit"
     shutil.copyfile(trained, model)
     (tmp_path / "cfg.json").write_text("{}")
     (tmp_path / "cfg.report.json").write_text("{}")
-    names = {"model": model, "config": tmp_path / "cfg.json", "tmp": tmp_path}
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    (tmp_path / "link").symlink_to(data)
+    names = {"model": model, "config": tmp_path / "cfg.json", "tmp": tmp_path,
+             "data": data}
     before = tree_bytes(tmp_path)
-    code, out, err = run(capsys, argv[0], "--data", str(corpus_dir),
+    code, out, err = run(capsys, argv[0], "--data", str(data),
                          *(a.format(**names) for a in argv[1:]))
     assert code == 1 and "would overwrite" in err
     assert out == "" and tree_bytes(tmp_path) == before
@@ -477,6 +492,35 @@ def test_unwritable_output_is_a_data_error_before_any_work(
                          *(a.format(model=trained, tmp=tmp_path) for a in argv[1:]))
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
     assert "epoch" not in out and tree_bytes(tmp_path) == before
+
+
+ERROR_EXIT_CODES = {
+    errors.ParameterError: 1, cli.UsageError: 1,
+    errors.ManifestError: 2, errors.FormatError: 2, errors.AlignmentError: 2,
+    errors.SplitError: 2, errors.TokenIndexError: 2, errors.LabelError: 2,
+    OSError: 2,
+    errors.DimensionError: 3, errors.ContractError: 3,
+    errors.TrainingDivergenceError: 3, errors.ReviewFuseError: 3,
+}
+
+
+def test_exit_code_map_names_every_package_error():
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.ReviewFuseError)}
+    assert defined <= ERROR_EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("error,code", ERROR_EXIT_CODES.items(),
+                         ids=[c.__name__ for c in ERROR_EXIT_CODES])
+def test_each_error_class_exits_with_its_documented_code(capsys, monkeypatch,
+                                                         error, code):
+    def failing(**cfg):
+        raise error("the planted fault")
+
+    monkeypatch.setattr(cli, "run_gradcheck", failing)
+    got, out, err = run(capsys, "gradcheck")
+    assert got == code
+    assert "the planted fault" in err and "Traceback" not in err + out
 
 
 class TestPredict:

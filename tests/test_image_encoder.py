@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -375,13 +376,13 @@ class TestStreamedEval:
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(image_encoder, "_workers", lambda: 0)
+        monkeypatch.setattr(ag, "_other_cpus", set)
         assert peak_bytes() < 3 * 2 ** 20
         # split between the caller and a worker: one group per thread
-        monkeypatch.setattr(image_encoder, "_workers", lambda: 1)
+        monkeypatch.setattr(ag, "_other_cpus", lambda: {1})
         assert peak_bytes() < 2 * 3 * 2 ** 20
         # one pass over all 64 images holds about four times one group
-        monkeypatch.setattr(ag, "EVAL_GROUP_BYTES", 2 ** 40)
+        monkeypatch.setattr(image_encoder, "EVAL_GROUP_BYTES", 2 ** 40)
         assert peak_bytes() > 8 * 2 ** 20
 
 
@@ -412,7 +413,7 @@ class TestSplitEval:
         images = streamed_pixels(64)
         group = eval_group(cfg, 4)
         # more workers than cores, and a thread switch every microsecond
-        monkeypatch.setattr(image_encoder, "_workers", lambda: 4)
+        monkeypatch.setattr(ag, "_other_cpus", lambda: {1, 2, 3, 4})
 
         def encodes():
             with ag.no_grad():
@@ -457,8 +458,26 @@ class TestSplitEval:
             return forward(*args)
 
         monkeypatch.setattr(image_encoder, "_forward", failing)
-        monkeypatch.setattr(image_encoder, "_workers", lambda: 1)
+        monkeypatch.setattr(ag, "_other_cpus", lambda: {1})
         alive = threading.active_count()
         with ag.no_grad(), pytest.raises(WorkerFailed):
             encode_image(params, cfg, images)
         assert threading.active_count() == alive
+
+    def test_no_affinity_call_runs_every_group_on_the_caller(self, monkeypatch):
+        # where os has no sched_getaffinity (macOS, for one) there is no
+        # other CPU to count: no thread starts, and the rows are one pass's
+        model = streamed_model("image_only")
+        params = {k[4:]: v for k, v in model.params.items() if k.startswith("img.")}
+        images = streamed_pixels(64)
+        with ag.no_grad():
+            whole = image_encoder._forward(params, model.image_cfg, images.data).data
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(ag.threading, "Thread", no_thread)
+        with ag.no_grad():
+            rows = encode_image(params, model.image_cfg, images).data
+        np.testing.assert_array_equal(rows, whole)

@@ -135,9 +135,9 @@ class TestEncoderBlock:
         x = ag.Tensor(np.random.default_rng(13).normal(size=(6, 8)))
         u = np.random.default_rng(14).random((2, 6, 8))
         mask = np.array([[1, 1, 1], [1, 1, 0]])
-        full = encoder_block(x, mask, p, 0, cfg, True, u).data
+        full = encoder_block(x, mask, p, 0, cfg, u).data
         # the dropout draws of the kept rows only
-        got = encoder_block(x, mask, p, 0, cfg, True, u[:, rows], cls_only=True)
+        got = encoder_block(x, mask, p, 0, cfg, u[:, rows], cls_only=True)
         assert got.shape == (len(rows), 8)
         np.testing.assert_allclose(got.data, full[rows], rtol=0, atol=1e-12)
 
@@ -176,7 +176,7 @@ class TestEncoderBlock:
             p = {k: ag.Tensor(v.data.copy(), requires_grad=True)
                  for k, v in init.items() if k.startswith("l0.")}
             x = ag.Tensor(x_data.copy(), requires_grad=True)
-            out = encoder_block(x, mask, p, 0, cfg, True, u,
+            out = encoder_block(x, mask, p, 0, cfg, u,
                                 cls_only=rows is not None)
             backprop(out, g)
             results.append({"out": out.data, "x": x.grad,
@@ -324,7 +324,7 @@ def reference_block(x, mask, params, layer, cfg, training=False, rng=None):
     def drop(t):
         # this site's uniforms, in the order encode_text draws them
         u = rng.random(t.data.shape) if training and cfg.dropout_p > 0 else None
-        return ag.dropout(t, cfg.dropout_p, training, u)
+        return ag.dropout(t, cfg.dropout_p, u)
 
     attn_out = drop(ag.matmul(head_ctx, params[pre + "wo"]))
     y = ag.layer_norm(x, attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])

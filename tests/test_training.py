@@ -148,8 +148,9 @@ class TestAdamStep:
 
     def test_flat_update_bit_identical_to_per_tensor_adam(self):
         # 50 steps over float32 tensors, the rank-1 ones exempt from decay,
-        # one whose gradient is always missing; at step 25 one tensor's
-        # array is replaced, and the state must take it back in
+        # one whose gradient is missing on every other step (the state's
+        # gradient buffer must not keep the last one); at step 25 one
+        # tensor's array is replaced, and the state must take it back in
         cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
         rng = np.random.default_rng(40)
         shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,), "emb": (6, 2),
@@ -161,7 +162,7 @@ class TestAdamStep:
         v2 = {k: np.zeros_like(v) for k, v in ref.items()}
         state = AdamState(flat, cfg)
         for t in range(1, 51):
-            grads = {k: None if k == "idle" else
+            grads = {k: None if k == "idle" and t % 2 else
                      rng.normal(size=s).astype(np.float32)
                      for k, s in shapes.items()}
             if t == 25:
@@ -185,8 +186,8 @@ class TestAdamStep:
             np.testing.assert_array_equal(flat[k].data, ref[k])
 
     def test_adam_update_of_a_gathered_gradient_is_adam_step(self):
-        # the update alone, fed the flat gradient gathered by hand in the
-        # state's layout, moves the parameters exactly as adam_step does
+        # the update alone, its flat gradient gathered by hand into the
+        # state's buffer, moves the parameters exactly as adam_step does
         cfg = TrainConfig(lr=3e-3, weight_decay=0.05)
         rng = np.random.default_rng(41)
         shapes = {"w": (4, 3), "norm_g": (3,), "b1": (5,)}
@@ -200,7 +201,8 @@ class TestAdamStep:
             for k, p in stepped.items():
                 p.grad = grads[k]
             adam_step(stepped, by_step)
-            adam_update(by_update, np.concatenate([g.ravel() for g in grads.values()]))
+            by_update.grad[...] = np.concatenate([g.ravel() for g in grads.values()])
+            adam_update(by_update)
         assert by_step.t == by_update.t == 10
         for k in shapes:
             np.testing.assert_array_equal(updated[k].data, stepped[k].data)

@@ -103,7 +103,9 @@ def lifetime() -> dict:
     caller_cpu, other_cpus = [], ag._other_cpus
 
     def placing():
-        caller_cpu.append(ctypes.CDLL(None).sched_getcpu())
+        # encode_image counts the CPUs, then beside places the workers:
+        # the caller's CPU at the last call is the one they were kept off
+        caller_cpu[:] = [ctypes.CDLL(None).sched_getcpu()]
         return other_cpus()
 
     ie._forward, ag._other_cpus = recorded, placing
