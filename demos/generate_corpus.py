@@ -30,8 +30,7 @@ spec = GeneratorSpec(n=200, seed=7)
 out = tempfile.mkdtemp(prefix="reviewfuse_demo_")
 split = generate_synthetic(spec, out)
 print(f"wrote {out}")
-print(f"splits: train={len(split.train)} val={len(split.val)} "
-      f"test={len(split.test)}")
+print("splits: " + " ".join(f"{name}={len(part)}" for name, part in split.items()))
 
 print("\na genuine and a fake review:")
 for sample in read_manifest(f"{out}/train.csv"):

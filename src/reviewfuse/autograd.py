@@ -241,17 +241,23 @@ def _one_blas_thread():
         set_(prev)
 
 
+@functools.cache
+def _sched_getcpu():
+    """libc's ``sched_getcpu`` as a ctypes function; None where it has none."""
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is not None:
+        getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return getcpu
+
+
 def _other_cpus() -> set[int]:
     """The CPUs this process may run on other than the calling thread's
     current one (libc's ``sched_getcpu``); empty where ``os`` has no
     ``sched_getaffinity`` (macOS, for one) or libc no ``sched_getcpu``, or
     where it cannot be told."""
-    if not hasattr(os, "sched_getaffinity"):
+    getcpu = hasattr(os, "sched_getaffinity") and _sched_getcpu()
+    if not getcpu:
         return set()
-    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
-    if getcpu is None:
-        return set()
-    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
     here, allowed = getcpu(), os.sched_getaffinity(0)
     return allowed - {here} if here in allowed else set()
 

@@ -20,7 +20,8 @@ from collections import Counter
 
 from . import autograd as ag
 from .bundle import atomic_open, load_bundle, save_bundle
-from .data import PreparedDataset, ReviewSample
+from .data import IMAGES, PROVENANCE, SPLITS, PreparedDataset, ReviewSample, \
+    align_images, manifest_path, read_split
 from .errors import (
     AlignmentError,
     ContractError,
@@ -46,7 +47,6 @@ from .workflow import (
     DESK_VOCAB_SIZE,
     compare_baselines,
     load_corpus,
-    read_split,
     train_model,
 )
 
@@ -142,9 +142,10 @@ def _check_outputs(outputs: dict[str, str], inputs: dict[str, str | None],
     corpus, and an OSError (exit 2) where it names a directory or its
     directory does not exist."""
     taken = [(flag, path) for flag, path in inputs.items() if path]
-    taken += [("--data corpus", os.path.join(data_dir, name)) for name in
-              ("train.csv", "val.csv", "test.csv", "provenance.json") if data_dir]
-    images = data_dir and os.path.realpath(os.path.join(data_dir, "images")) + os.sep
+    if data_dir:
+        taken += [("--data corpus", manifest_path(data_dir, s)) for s in SPLITS]
+        taken.append(("--data corpus", os.path.join(data_dir, PROVENANCE)))
+    images = data_dir and os.path.realpath(os.path.join(data_dir, IMAGES)) + os.sep
     for flag, path in outputs.items():
         for other, named in taken:
             if _same_file(path, named):
@@ -240,8 +241,7 @@ def _ratios(text: str) -> tuple[float, float, float]:
 def cmd_gen_data(cfg) -> int:
     out, ratios = cfg.pop("out"), cfg.pop("ratios")
     split = generate_synthetic(GeneratorSpec(**cfg), out, ratios=ratios)
-    for name, part in (("train", split.train), ("val", split.val),
-                       ("test", split.test)):
+    for name, part in split.items():
         counts = Counter(s.label for s in part)
         print(f"{name}: {len(part)} samples "
               f"(fake={counts[0]}, genuine={counts[1]})")
@@ -326,7 +326,10 @@ def cmd_eval(cfg) -> int:
     if not cfg["model"]:
         raise UsageError("eval requires --model (or --compare)")
     model, vocab = _load_model_and_vocab(cfg["model"])
-    dataset = _prepare(model, vocab, read_split(cfg["data"], cfg["split"]))
+    samples = read_split(cfg["data"], cfg["split"])
+    if model.image_cfg is not None:
+        samples, _ = align_images(samples, os.path.join(cfg["data"], IMAGES))
+    dataset = _prepare(model, vocab, samples)
     report = evaluate(model, dataset, split_tag=cfg["split"])
     print(emit_report([report], fmt=cfg["format"], path=cfg["out"]), end="")
     print(format_confusion(report.cm), end="")
@@ -413,7 +416,7 @@ def build_parser() -> _Parser:
     e = add("eval", cmd_eval, "evaluate a model or compare baselines")
     e.add_argument("--data", default=_REQUIRED, help="corpus directory")
     e.add_argument("--model", help="model bundle path")
-    e.add_argument("--split", choices=("train", "val", "test"), default="test")
+    e.add_argument("--split", choices=SPLITS, default="test")
     e.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     e.add_argument("--out", help="write the report here as well")
     e.add_argument("--compare", action="store_const", const=True, default=False,

@@ -1,5 +1,6 @@
-"""Dataset manifests, image alignment, stratified splits, and batches of a
-split's raw rows: token ids and crop bytes, never a ``Tensor``."""
+"""The corpus layout, manifests, image alignment, stratified splits, and
+batches of a split's raw rows: token ids and crop bytes, never a ``Tensor``.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +19,18 @@ from .imageproc import DESK_CROP_SIDE, preprocess
 from .textproc import DESK_MAX_LEN, Vocabulary, tokenize
 
 MANIFEST_FIELDS = ["id", "text", "label"]
+# a corpus directory: <split>.csv per split, IMAGES/<id>.ppm, PROVENANCE
+SPLITS = ("train", "val", "test")
+IMAGES = "images"
+PROVENANCE = "provenance.json"
+
+
+def manifest_path(data_dir, split: str) -> str:
+    return os.path.join(data_dir, f"{split}.csv")
+
+
+def image_path(image_dir, sample_id: str) -> str:
+    return os.path.join(image_dir, f"{sample_id}.ppm")
 
 
 @dataclass
@@ -93,43 +106,42 @@ def write_manifest(samples: list[ReviewSample], csv_path) -> None:
             writer.writerow([s.id, s.text, s.label])
 
 
-def align_images(samples: list[ReviewSample], image_dir,
-                 strict: bool = True) -> tuple[list[ReviewSample], int]:
-    """Set each sample's image path to ``image_dir/<id>.ppm``.
+def read_split(data_dir, name: str) -> list[ReviewSample]:
+    """The samples of split ``name``'s manifest, with no image read or
+    aligned; a manifest with no samples is a ``ManifestError``."""
+    path = manifest_path(data_dir, name)
+    if not os.path.isfile(path):
+        raise ManifestError(f"missing split manifest {path}")
+    samples = read_manifest(path)
+    if not samples:
+        raise ManifestError(f"{path}: the manifest holds no samples")
+    return samples
 
-    Missing files raise in strict mode, otherwise the affected samples are
-    dropped. Returns (aligned samples, number dropped). Surplus image files
-    never referenced by a sample are simply ignored.
+
+def align_images(samples: list[ReviewSample],
+                 image_dir) -> tuple[list[ReviewSample], int]:
+    """Copies of ``samples`` with each image path set to
+    ``image_dir/<id>.ppm``, and 0 dropped; a missing file is an
+    ``AlignmentError`` naming the first 20 missing ids. Surplus image
+    files never referenced by a sample are ignored.
     """
     if not os.path.isdir(image_dir):
         raise AlignmentError(f"image directory {image_dir} does not exist")
-    aligned: list[ReviewSample] = []
-    missing: list[str] = []
-    for s in samples:
-        path = os.path.join(image_dir, f"{s.id}.ppm")
-        if os.path.isfile(path):
-            aligned.append(ReviewSample(s.id, s.text, s.label, image_path=path))
-        else:
-            missing.append(s.id)
-    if missing and strict:
-        raise AlignmentError(
-            f"missing image files for ids: {', '.join(missing[:20])}"
-            + (" ..." if len(missing) > 20 else "")
-        )
-    return aligned, len(missing)
-
-
-@dataclass
-class DatasetSplit:
-    train: list[ReviewSample]
-    val: list[ReviewSample]
-    test: list[ReviewSample]
+    aligned = [ReviewSample(s.id, s.text, s.label, image_path(image_dir, s.id))
+               for s in samples]
+    missing = [s.id for s in aligned if not os.path.isfile(s.image_path)]
+    if missing:
+        raise AlignmentError(f"missing image files for ids: "
+                             f"{', '.join(missing[:20])}"
+                             + (" ..." if len(missing) > 20 else ""))
+    return aligned, 0
 
 
 def stratified_split(samples: list[ReviewSample],
                      ratios: tuple[float, float, float],
-                     seed: int = 0) -> DatasetSplit:
-    """Per-class deterministic shuffle, then contiguous cuts at rounded ratios.
+                     seed: int = 0) -> dict[str, list[ReviewSample]]:
+    """``samples`` by split name (``SPLITS``, in order): a per-class
+    deterministic shuffle, then contiguous cuts at rounded ratios.
 
     A split that would come out empty is a ``SplitError``.
     """
@@ -140,7 +152,7 @@ def stratified_split(samples: list[ReviewSample],
     by_class: dict[int, list[ReviewSample]] = {0: [], 1: []}
     for s in samples:
         by_class[s.label].append(s)
-    parts: dict[str, list[ReviewSample]] = {"train": [], "val": [], "test": []}
+    parts: dict[str, list[ReviewSample]] = {name: [] for name in SPLITS}
     # dedicated SeedSequence stream so the split permutation is decoupled
     # from other consumers of the same user-facing seed
     rng = np.random.default_rng([seed, 0x3C])
@@ -153,16 +165,14 @@ def stratified_split(samples: list[ReviewSample],
         order = rng.permutation(len(group))
         shuffled = [group[i] for i in order]
         n = len(group)
-        cut1 = round(n * r_train)
-        cut2 = round(n * (r_train + r_val))
-        parts["train"].extend(shuffled[:cut1])
-        parts["val"].extend(shuffled[cut1:cut2])
-        parts["test"].extend(shuffled[cut2:])
+        cuts = (0, round(n * r_train), round(n * (r_train + r_val)), n)
+        for name, lo, hi in zip(SPLITS, cuts, cuts[1:]):
+            parts[name].extend(shuffled[lo:hi])
     for name, part in parts.items():
         if not part:
             raise SplitError(f"the {name} split of {len(samples)} samples at "
                              f"ratios {ratios} would be empty")
-    return DatasetSplit(**parts)
+    return parts
 
 
 @dataclass

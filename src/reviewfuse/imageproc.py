@@ -58,16 +58,14 @@ def load_ppm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     need = width * height * 3
-    body = blob[pos:pos + need]
-    if len(body) < need:
-        raise FormatError(
-            f"{path}: short pixel body at offset {pos + len(body)} "
-            f"(expected {need} bytes)"
-        )
+    if len(blob) < pos + need:
+        raise FormatError(f"{path}: short pixel body at offset "
+                          f"{max(pos, len(blob))} (expected {need} bytes)")
     if len(blob) > pos + need:
         raise FormatError(f"{path}: {len(blob) - pos - need} trailing bytes "
                           f"after the pixel body at offset {pos + need}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
+    return np.frombuffer(blob, dtype=np.uint8, count=need,
+                         offset=pos).reshape(height, width, 3).copy()
 
 
 def encode_ppm(pixels: np.ndarray) -> bytes:
@@ -87,7 +85,6 @@ def resize_bilinear(pixels: np.ndarray, side: int) -> np.ndarray:
     height, width, _ = pixels.shape
     if width == side and height == side:
         return pixels.copy()
-    src = pixels.astype(np.float64)
 
     def coords(n_src, n_dst):
         # half-pixel alignment: dst center i maps to (i + 0.5) * scale - 0.5
@@ -101,8 +98,12 @@ def resize_bilinear(pixels: np.ndarray, side: int) -> np.ndarray:
     x0, x1, fx = coords(width, side)
     fy = fy[:, None, None]
     fx = fx[None, :, None]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+
+    def taps(ys, xs):  # sampled bytes, then widened: memory follows side
+        return pixels[np.ix_(ys, xs)].astype(np.float64)
+
+    top = taps(y0, x0) * (1 - fx) + taps(y0, x1) * fx
+    bot = taps(y1, x0) * (1 - fx) + taps(y1, x1) * fx
     out = top * (1 - fy) + bot * fy
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bundle import atomic_open
 from .errors import ContractError, LabelError
 from .fusion import predict_labels
@@ -36,28 +38,21 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion_matrix(preds: list[int], golds: list[int]) -> ConfusionMatrix:
-    if len(preds) != len(golds):
-        raise ContractError(
-            f"{len(preds)} predictions vs {len(golds)} gold labels"
-        )
-    if not preds:
+def confusion_matrix(preds, golds) -> ConfusionMatrix:
+    """The counts of (prediction, gold) pairs of two equal-length
+    sequences or arrays of 0/1 labels."""
+    p, g = np.asarray(preds), np.asarray(golds)
+    if len(p) != len(g):
+        raise ContractError(f"{len(p)} predictions vs {len(g)} gold labels")
+    if not len(p):
         raise ContractError("confusion_matrix needs at least one pair")
-    cm = ConfusionMatrix()
-    for p, g in zip(preds, golds):
-        if p not in (0, 1) or g not in (0, 1):
-            raise LabelError(f"labels must be 0/1, got pred={p} gold={g}")
-        if g == 1:
-            if p == 1:
-                cm.tp += 1
-            else:
-                cm.fn += 1
-        else:
-            if p == 1:
-                cm.fp += 1
-            else:
-                cm.tn += 1
-    return cm
+    bad = ~(np.isin(p, (0, 1)) & np.isin(g, (0, 1)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise LabelError(f"labels must be 0/1, got pred={preds[i]} gold={golds[i]}")
+    # index 2 * gold + pred: tn, fp, fn, tp
+    tn, fp, fn, tp = np.bincount((2 * g + p).astype(np.intp), minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 @dataclass
@@ -114,8 +109,7 @@ def evaluate(model: ReviewClassifier, dataset,
     """Eval-mode predictions over a PreparedDataset -> MetricsReport, tagged
     with the model's mode."""
     logits, golds = eval_outputs(model.forward_batch, dataset)
-    return compute_metrics(confusion_matrix(predict_labels(logits).tolist(),
-                                            golds.tolist()),
+    return compute_metrics(confusion_matrix(predict_labels(logits), golds),
                            model_tag=model.mode, split_tag=split_tag)
 
 

@@ -15,9 +15,6 @@ evidence:
 The calibration (brightness means and sigma, pixel noise, review length)
 is module constants; ``GeneratorSpec`` holds only ``gen-data``'s settings.
 
-Output layout: ``train.csv``/``val.csv``/``test.csv`` (id,text,label),
-``images/<id>.ppm``, and ``provenance.json`` recording the spec and the
-split ratios.
 ``generate_synthetic`` renders on the calling thread and creates the image
 files on one writer thread, so file creation overlaps the rendering; the
 bytes do not depend on the threads' timing.
@@ -37,7 +34,8 @@ import numpy as np
 
 from . import autograd as ag
 from .bundle import atomic_open
-from .data import DatasetSplit, ReviewSample, stratified_split, write_manifest
+from .data import IMAGES, PROVENANCE, SPLITS, ReviewSample, image_path, \
+    manifest_path, stratified_split, write_manifest
 from .errors import ParameterError
 from .imageproc import encode_ppm
 
@@ -242,8 +240,9 @@ def _write_files(todo: queue.Queue, failed: list[BaseException]) -> None:
 
 def generate_synthetic(spec: GeneratorSpec, out_dir,
                        ratios: tuple[float, float, float] = SPLIT_RATIOS
-                       ) -> DatasetSplit:
-    """Write images/, the three split CSVs, and provenance.json.
+                       ) -> dict[str, list[ReviewSample]]:
+    """Write images/, the three split CSVs, and provenance.json; return the
+    samples by split name, as ``stratified_split`` does.
 
     The calling thread makes every draw, sample after sample: its text,
     then its pixel noise. It finishes and encodes the pixels a chunk of
@@ -252,11 +251,11 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
     error is raised here, at the latest one chunk after it happened. The
     split CSVs and provenance.json are written last, on the caller.
     """
-    image_dir = os.path.join(out_dir, "images")
+    image_dir = os.path.join(out_dir, IMAGES)
     rng = np.random.default_rng(spec.seed)
     lat = simulate_latents(spec, spec.n, rng)
     samples = [ReviewSample(id=f"s{i:06d}", text="", label=int(lat.label[i]),
-                            image_path=os.path.join(image_dir, f"s{i:06d}.ppm"))
+                            image_path=image_path(image_dir, f"s{i:06d}"))
                for i in range(spec.n)]
     # the split reads only labels, so a corpus that cannot be split fails
     # before anything is written or started; it keeps these objects, whose
@@ -284,10 +283,9 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
                     raise failed[0]
         finally:
             todo.put(None)
-    write_manifest(split.train, os.path.join(out_dir, "train.csv"))
-    write_manifest(split.val, os.path.join(out_dir, "val.csv"))
-    write_manifest(split.test, os.path.join(out_dir, "test.csv"))
-    with atomic_open(os.path.join(out_dir, "provenance.json"), "w",
+    for name in SPLITS:
+        write_manifest(split[name], manifest_path(out_dir, name))
+    with atomic_open(os.path.join(out_dir, PROVENANCE), "w",
                      encoding="utf-8") as fh:
         json.dump({"spec": asdict(spec), "ratios": list(ratios)}, fh, indent=2,
                   sort_keys=True)

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .data import PreparedDataset, ReviewSample, align_images, read_manifest
-from .errors import LabelError, ManifestError
+from .data import IMAGES, SPLITS, PreparedDataset, align_images, read_split
+from .errors import LabelError
 from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
 from .imageproc import DESK_CROP_SIDE
 from .metrics import MetricsReport, evaluate
-from .model import ReviewClassifier
+from .model import MODES, ReviewClassifier
 from .text_encoder import TextEncoderConfig
 from .textproc import DESK_MAX_LEN, Vocabulary, build_vocab
 from .training import AdamState, TrainConfig, TrainReport, adam_update, \
@@ -35,36 +35,23 @@ class Corpus:
     crop_side: int
 
 
-def read_split(data_dir, name: str) -> list[ReviewSample]:
-    """The samples of split ``name``'s manifest with their images aligned;
-    a manifest with no samples is a ``ManifestError``."""
-    path = os.path.join(data_dir, f"{name}.csv")
-    if not os.path.isfile(path):
-        raise ManifestError(f"missing split manifest {path}")
-    samples = read_manifest(path)
-    if not samples:
-        raise ManifestError(f"{path}: the manifest holds no samples")
-    aligned, _ = align_images(samples, os.path.join(data_dir, "images"))
-    return aligned
-
-
 def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
                 crop_side: int = DESK_CROP_SIDE,
                 vocab_size: int = DESK_VOCAB_SIZE) -> Corpus:
-    """Read the three split CSVs, align images, tokenize and decode everything.
+    """Read the split manifests, align images, tokenize and decode everything.
 
     The vocabulary comes from the training split only.
     """
-    splits = {name: read_split(data_dir, name) for name in ("train", "val", "test")}
+    image_dir = os.path.join(data_dir, IMAGES)
+    splits = {name: align_images(read_split(data_dir, name), image_dir)[0]
+              for name in SPLITS}
     vocab = build_vocab([s.text for s in splits["train"]], max_size=vocab_size)
     prepared = {
         name: PreparedDataset.prepare(samples, vocab=vocab, max_len=max_len,
                                       crop_side=crop_side)
         for name, samples in splits.items()
     }
-    return Corpus(train=prepared["train"], val=prepared["val"],
-                  test=prepared["test"], vocab=vocab, max_len=max_len,
-                  crop_side=crop_side)
+    return Corpus(**prepared, vocab=vocab, max_len=max_len, crop_side=crop_side)
 
 
 def desk_model(mode: str, vocab_size: int, max_len: int = DESK_MAX_LEN,
@@ -169,7 +156,7 @@ def compare_baselines(corpus: Corpus, cfg: TrainConfig,
     Each arm is trained by ``train_model``, the recipe ``train`` uses.
     """
     reports: list[MetricsReport] = []
-    for mode in ("text_only", "image_only", "fused"):
+    for mode in MODES:
         if log:
             log(f"training {mode} baseline")
         model, _ = train_model(mode, corpus, cfg, log)

@@ -134,13 +134,12 @@ def test_split_stratification_at_benchmark_scale():
     n = 20_144
     samples = [ReviewSample(f"s{i}", "t", i % 2) for i in range(n)]
     split = stratified_split(samples, ratios=(0.6, 0.2, 0.2), seed=0)
-    for part, want in ((split.train, 12_086), (split.val, 4_029),
-                       (split.test, 4_029)):
+    for name, want in (("train", 12_086), ("val", 4_029), ("test", 4_029)):
+        part = split[name]
         assert abs(len(part) - want) <= 1
         labels = [s.label for s in part]
         assert abs(labels.count(0) - labels.count(1)) <= 1
-    ids = [s.id for part in (split.train, split.val, split.test)
-           for s in part]
+    ids = [s.id for part in split.values() for s in part]
     assert len(set(ids)) == n
 
 

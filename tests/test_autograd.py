@@ -999,3 +999,13 @@ class TestBeside:
                 1 / 0
         assert len(ran) == 1
         assert threading.active_count() == alive
+
+    def test_libc_is_looked_up_once(self, monkeypatch):
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("libc was looked up again")
+
+        ag._other_cpus()
+        monkeypatch.setattr(ag.ctypes, "CDLL", no_lookup)
+        assert ag._other_cpus() == ag._other_cpus()
+        with ag.beside(lambda: None):
+            pass

@@ -418,6 +418,41 @@ def test_empty_split_manifest_is_a_data_error(capsys, tmp_path, corpus_dir,
     assert "epoch" not in out and "Traceback" not in err
 
 
+class TestMissingImage:
+    """The cli corpus with the train image ``s000050.ppm`` deleted: only a
+    command that reads images aligns them."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory, corpus_dir):
+        d = tmp_path_factory.mktemp("missing_image") / "data"
+        shutil.copytree(corpus_dir, d)
+        (d / "images" / "s000050.ppm").unlink()
+        return d
+
+    def test_text_only_eval_reads_no_image(self, capsys, tmp_path, corpus_dir,
+                                           trained, data):
+        tokens = load_bundle(trained).config["vocab_tokens"]
+        model = desk_model("text_only", len(Vocabulary(tokens)), seed=5)
+        path = str(tmp_path / "text_only.fkit")
+        save_bundle(model_to_bundle(model, {"vocab_tokens": tokens}), path)
+        whole, gone = (run(capsys, "eval", "--data", str(d), "--model", path,
+                           "--split", "train") for d in (corpus_dir, data))
+        assert whole[0] == 0 and gone == whole
+
+    def test_fused_eval_names_the_missing_image(self, capsys, trained, data):
+        code, out, err = run(capsys, "eval", "--data", str(data), "--model",
+                             trained, "--split", "train")
+        assert code == 2 and out == ""
+        assert "missing image files for ids: s000050" in err
+
+    def test_train_aligns_every_split_in_any_mode(self, capsys, tmp_path, data):
+        # load_corpus prepares both modalities whatever the mode trains
+        code, out, err = run(capsys, "train", "--data", str(data), "--out",
+                             str(tmp_path / "m.fkit"), "--mode", "text_only")
+        assert code == 2 and "missing image files for ids: s000050" in err
+        assert not (tmp_path / "m.fkit").exists()
+
+
 @pytest.fixture
 def nothing_loads(monkeypatch):
     """``cli``'s corpus and bundle loaders, failing if they are called."""

@@ -127,13 +127,7 @@ class TestAlignImages:
         self._touch_ppm(tmp_path, "a.ppm")
         samples = [ReviewSample("a", "x", 0), ReviewSample("b", "y", 1)]
         with pytest.raises(AlignmentError, match="b"):
-            align_images(samples, tmp_path, strict=True)
-
-    def test_lenient_drops_with_count(self, tmp_path):
-        self._touch_ppm(tmp_path, "a.ppm")
-        samples = [ReviewSample("a", "x", 0), ReviewSample("b", "y", 1)]
-        aligned, dropped = align_images(samples, tmp_path, strict=False)
-        assert [s.id for s in aligned] == ["a"] and dropped == 1
+            align_images(samples, tmp_path)
 
     def test_surplus_images_ignored(self, tmp_path):
         for n in ("a.ppm", "b.ppm", "extra1.ppm", "extra2.ppm"):
@@ -149,27 +143,27 @@ class TestStratifiedSplit:
         with pytest.raises(SplitError, match="val split"):
             stratified_split(make_samples(10), (0.7, 0.15, 0.15), seed=1)
         split = stratified_split(make_samples(10), (0.6, 0.2, 0.2), seed=1)
-        sizes = (len(split.train), len(split.val), len(split.test))
-        assert sum(sizes) == 10
-        for part in (split.train, split.val, split.test):
+        assert list(split) == ["train", "val", "test"]
+        assert sum(len(part) for part in split.values()) == 10
+        for part in split.values():
             counts = Counter(s.label for s in part)
             assert abs(counts[0] - counts[1]) <= 1
 
     def test_exact_divisibility(self):
         split = stratified_split(make_samples(6), (1 / 3, 1 / 3, 1 / 3), seed=2)
-        for part in (split.train, split.val, split.test):
+        for part in split.values():
             assert Counter(s.label for s in part) == {0: 1, 1: 1}
 
     def test_paper_counts(self):
         split = stratified_split(make_samples(20144), (0.6, 0.2, 0.2), seed=3)
-        assert abs(len(split.train) - 12086) <= 1
-        assert abs(len(split.val) - 4029) <= 1
-        assert abs(len(split.test) - 4029) <= 1
+        assert abs(len(split["train"]) - 12086) <= 1
+        assert abs(len(split["val"]) - 4029) <= 1
+        assert abs(len(split["test"]) - 4029) <= 1
 
     def test_disjoint_and_complete(self):
         samples = make_samples(101)
         split = stratified_split(samples, (0.7, 0.15, 0.15), seed=4)
-        ids = [s.id for s in split.train + split.val + split.test]
+        ids = [s.id for part in split.values() for s in part]
         assert sorted(ids) == sorted(s.id for s in samples)
         assert len(set(ids)) == len(ids)
 
@@ -186,7 +180,7 @@ class TestStratifiedSplit:
         samples = make_samples(40)
         a = stratified_split(samples, (0.7, 0.15, 0.15), seed=7)
         b = stratified_split(samples, (0.7, 0.15, 0.15), seed=7)
-        assert [s.id for s in a.train] == [s.id for s in b.train]
+        assert [s.id for s in a["train"]] == [s.id for s in b["train"]]
 
 
 class TestBatchIter:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,36 @@ class TestResize:
         with pytest.raises(ParameterError):
             resize_bilinear(make_image(4, 4), 0)
 
+    def test_bitwise_the_whole_image_float_formula(self):
+        # the formula as it read when it widened the whole source to
+        # float64 first; gathering the sampled bytes first moves no bit
+        def widened_first(pixels, side):
+            src = pixels.astype(np.float64)
+            height, width, _ = pixels.shape
+
+            def coords(n_src, n_dst):
+                c = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
+                c = np.clip(c, 0.0, n_src - 1.0)
+                lo = np.floor(c).astype(np.int64)
+                return lo, np.minimum(lo + 1, n_src - 1), c - lo
+
+            y0, y1, fy = coords(height, side)
+            x0, x1, fx = coords(width, side)
+            fy, fx = fy[:, None, None], fx[None, :, None]
+            top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+            bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+            out = top * (1 - fy) + bot * fy
+            return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+        rng = np.random.default_rng(29)
+        for i in range(200):
+            h, w, side = (int(v) for v in rng.integers(1, 90, size=3))
+            if h == w == side:
+                continue  # the same-size copy
+            img = make_image(h, w, i)
+            assert resize_bilinear(img, side).tobytes() == \
+                widened_first(img, side).tobytes(), (h, w, side)
+
 
 class TestCenterCrop:
     def test_full_size_identity(self):
@@ -243,3 +274,18 @@ class TestPreprocess:
         p.write_bytes(encode_ppm(img))
         out = preprocess(p, crop_side=224)
         assert out.shape == (3, 224, 224)
+
+    def test_large_photo_decodes_in_twice_its_bytes(self, tmp_path):
+        # the file's bytes and the decoded pixels are held at once; the
+        # resize widens only the sampled pixels, not the whole photo
+        img = make_image(1200, 1600, 11)
+        p = tmp_path / "photo.ppm"
+        p.write_bytes(encode_ppm(img))
+        tracemalloc.start()
+        try:
+            crop = preprocess(p, crop_side=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert crop.shape == (3, 32, 32)
+        assert peak < 2.2 * img.nbytes, peak / img.nbytes

@@ -52,6 +52,14 @@ class TestConfusionMatrix:
         with pytest.raises(LabelError):
             confusion_matrix([2], [1])
 
+    def test_arrays_count_as_lists_and_name_the_first_bad_pair(self):
+        rng = np.random.default_rng(1)
+        preds, golds = rng.integers(0, 2, size=(2, 50))
+        assert confusion_matrix(preds, golds) == \
+            confusion_matrix(preds.tolist(), golds.tolist())
+        with pytest.raises(LabelError, match="pred=1 gold=3$"):
+            confusion_matrix(np.array([0, 1, 2]), np.array([1, 3, 1]))
+
 
 class TestComputeMetrics:
     def test_against_reference_random_sweep(self):

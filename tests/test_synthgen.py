@@ -167,8 +167,8 @@ class TestGenerateSynthetic:
         split = generate_synthetic(spec, tmp_path)
         assert sorted(os.listdir(tmp_path / "images")) == \
                sorted(f"s{i:06d}.ppm" for i in range(40))
-        for name, part in (("train", split.train), ("val", split.val),
-                           ("test", split.test)):
+        assert list(split) == ["train", "val", "test"]
+        for name, part in split.items():
             on_disk = read_manifest(tmp_path / f"{name}.csv")
             assert [s.id for s in on_disk] == [s.id for s in part]
         prov = json.loads((tmp_path / "provenance.json").read_text())
@@ -229,7 +229,7 @@ def serial_corpus(spec, out_dir, ratios=SPLIT_RATIOS):
             fh.write(b"P6\n%d %d\n255\n" % (spec.image_side, spec.image_side))
             fh.write(pixels.tobytes())
     for name in ("train", "val", "test"):
-        write_manifest(getattr(split, name), os.path.join(out_dir, f"{name}.csv"))
+        write_manifest(split[name], os.path.join(out_dir, f"{name}.csv"))
     with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
         json.dump({"spec": asdict(spec), "ratios": list(ratios)}, fh, indent=2,
                   sort_keys=True)
