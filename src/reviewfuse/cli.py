@@ -2,8 +2,9 @@
 
 Config precedence is defaults < JSON config file < command-line flags. A
 flag's default is the library's own: ``TrainConfig``'s, ``GeneratorSpec``'s
-or the desk model's sizes. Exit codes: 0 success, 1 usage error, 2
-data/format error, 3 training or evaluation failure.
+or the desk model's sizes. Exit codes: 0 success, 1 usage error (a
+``ParameterError`` too), 2 data or file error (a ``DataError`` or an
+``OSError``), 3 any other ``ReviewFuseError``, a training or eval failure.
 """
 
 from __future__ import annotations
@@ -22,33 +23,16 @@ from . import autograd as ag
 from .bundle import atomic_open, load_bundle, save_bundle
 from .data import IMAGES, PROVENANCE, SPLITS, PreparedDataset, ReviewSample, \
     align_images, manifest_path, read_split
-from .errors import (
-    AlignmentError,
-    ContractError,
-    FormatError,
-    LabelError,
-    ManifestError,
-    ParameterError,
-    ReviewFuseError,
-    SplitError,
-    TokenIndexError,
-    TrainingDivergenceError,
-)
+from .errors import DataError, FormatError, ParameterError, ReviewFuseError
 from .fusion import predict_labels
 from .gradsuite import run_gradcheck
+from .imageproc import DESK_CROP_SIDE
 from .metrics import PAPER_REFERENCE, emit_report, evaluate, format_confusion
 from .model import MODES
 from .synthgen import SPLIT_RATIOS, GeneratorSpec, generate_synthetic
-from .textproc import Vocabulary
+from .textproc import DESK_MAX_LEN, DESK_VOCAB_SIZE, Vocabulary
 from .training import TrainConfig, eval_outputs, model_from_bundle, model_to_bundle
-from .workflow import (
-    DESK_CROP_SIDE,
-    DESK_MAX_LEN,
-    DESK_VOCAB_SIZE,
-    compare_baselines,
-    load_corpus,
-    train_model,
-)
+from .workflow import compare_baselines, load_corpus, train_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -254,7 +238,7 @@ def cmd_train(cfg) -> int:
     tc = TrainConfig(**train_config)
     corpus = load_corpus(cfg["data"], max_len=cfg["max_len"],
                          crop_side=cfg["crop_side"],
-                         vocab_size=cfg["vocab_size"])
+                         vocab_size=cfg["vocab_size"], modes=(cfg["mode"],))
     model, report = train_model(cfg["mode"], corpus, tc, log=print)
     print(f"best epoch {report.best_epoch} "
           f"(val_acc={report.val_accuracies[report.best_epoch - 1]:.4f}), "
@@ -451,11 +435,10 @@ def main(argv=None) -> int:
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ManifestError, FormatError, AlignmentError, SplitError,
-            TokenIndexError, LabelError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergenceError, ContractError, ReviewFuseError) as e:
+    except ReviewFuseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUN
 

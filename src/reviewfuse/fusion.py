@@ -14,25 +14,20 @@ from .errors import DimensionError, ParameterError
 
 @dataclass
 class FusionConfig:
-    d_text: int
-    d_img: int
-    d_hidden: int = 32
+    d_in: int  # the fused features: the encoders' widths summed
+    d_hidden: int
 
     def __post_init__(self):
-        if any(type(n) is not int for n in (self.d_text, self.d_img, self.d_hidden)):
+        if any(type(n) is not int for n in (self.d_in, self.d_hidden)):
             raise ParameterError("head extents must be integers")
-        if self.d_text < 0 or self.d_img < 0 or self.d_text + self.d_img < 1:
+        if self.d_in < 1:
             raise ParameterError("fused input dimension must be positive")
         if self.d_hidden < 1:
             raise ParameterError("d_hidden must be positive")
 
-    @property
-    def d_in(self) -> int:
-        return self.d_text + self.d_img
-
 
 def paper_scale_fusion_config() -> FusionConfig:
-    return FusionConfig(d_text=768, d_img=2048, d_hidden=512)
+    return FusionConfig(d_in=768 + 2048, d_hidden=512)  # BERT-base, ResNet-50
 
 
 def fusion_layout(cfg: FusionConfig):

@@ -83,8 +83,7 @@ def _check_attention_block(rng, cls_only=False):
 
 
 def _check_residual_block(rng):
-    cfg = ImageEncoderConfig(input_side=5, stem_channels=2,
-                             stages=[(1, 3, 2)], d_out=3)
+    cfg = ImageEncoderConfig(input_side=5, stem_channels=2, stages=[(1, 3, 2)])
     p = ag.init_params(image_encoder_layout(cfg), rng, np.float64)
     p["s0.b0.norm2_g"].data[:] = 0.6  # off zero so both convs participate
     x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
@@ -116,7 +115,7 @@ def _check_cross_entropy(rng):
 
 
 def _check_fusion_head(rng):
-    cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
+    cfg = FusionConfig(d_in=4 + 3, d_hidden=5)
     p = ag.init_params(fusion_layout(cfg), rng, np.float64)
     # the fused features: text columns, then image columns
     t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -133,7 +132,7 @@ def _full_model_pair(seed):
     text_cfg = TextEncoderConfig(vocab_size=12, d_model=8, n_layers=1,
                                  n_heads=2, d_ff=12, max_len=6, dropout_p=0.0)
     image_cfg = ImageEncoderConfig(input_side=8, stem_channels=3,
-                                   stages=[(1, 3, 1), (1, 4, 2)], d_out=4)
+                                   stages=[(1, 3, 1), (1, 4, 2)])
     m32 = ReviewClassifier("fused", text_cfg, image_cfg, d_hidden=6,
                            seed=seed, dtype=np.float32)
     m64 = ReviewClassifier("fused", text_cfg, image_cfg, d_hidden=6,

@@ -28,11 +28,10 @@ class ImageEncoderConfig:
     # (blocks, channels, stride of the stage's first block)
     stages: list[tuple[int, int, int]] = field(
         default_factory=lambda: [(2, 16, 1), (2, 32, 2), (2, 64, 2)])
-    d_out: int = 64
 
     def __post_init__(self):
         self.stages = [tuple(s) for s in self.stages]
-        extents = (self.input_side, self.stem_channels, self.d_out,
+        extents = (self.input_side, self.stem_channels,
                    *(n for s in self.stages for n in s))
         if not self.stages or any(type(n) is not int for n in extents):
             raise ParameterError("image encoder needs integer extents and a stage")
@@ -41,18 +40,18 @@ class ImageEncoderConfig:
                 raise ParameterError(f"stage stride must be 1 or 2, got {stride}")
             if blocks < 1 or channels < 1:
                 raise ParameterError("stage blocks/channels must be positive")
-        if self.stages[-1][1] != self.d_out:
-            raise ParameterError(
-                f"final stage channels {self.stages[-1][1]} must equal d_out {self.d_out}"
-            )
+
+    @property
+    def d_out(self) -> int:
+        """The pooled width: the last stage's channel count."""
+        return self.stages[-1][1]
 
 
 def paper_scale_image_config() -> ImageEncoderConfig:
     """ResNet-50-shaped contract: 224 input, 2048-d pooled output."""
     return ImageEncoderConfig(input_side=224, stem_channels=64,
                               stages=[(2, 256, 1), (2, 512, 2), (2, 1024, 2),
-                                      (2, 2048, 2)],
-                              d_out=2048)
+                                      (2, 2048, 2)])
 
 
 def image_encoder_layout(cfg: ImageEncoderConfig):

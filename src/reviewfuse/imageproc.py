@@ -12,6 +12,8 @@ images runs it on each batch of crops it is given.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
@@ -24,9 +26,12 @@ DESK_CROP_SIDE = 32
 
 
 def load_ppm(path) -> np.ndarray:
-    """Decode a binary PPM (P6, maxval 255) to its H x W x 3 uint8 pixels."""
+    """Decode a binary PPM (P6, maxval 255) to its H x W x 3 uint8 pixels,
+    a writable view of the one buffer the file is read into."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]  # a file that shrank since fstat
+        blob += fh.read()  # or grew: its extra bytes are trailing bytes
     # header: magic, width, height, maxval tokens (comments allowed), then
     # exactly one whitespace byte before the pixel payload
     pos = 0
@@ -45,7 +50,7 @@ def load_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
-        tokens.append(blob[start:pos])
+        tokens.append(bytes(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     if tokens[0] != b"P6":
         raise FormatError(f"{path}: not a P6 PPM (magic {tokens[0]!r} at offset 0)")
@@ -65,7 +70,7 @@ def load_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: {len(blob) - pos - need} trailing bytes "
                           f"after the pixel body at offset {pos + need}")
     return np.frombuffer(blob, dtype=np.uint8, count=need,
-                         offset=pos).reshape(height, width, 3).copy()
+                         offset=pos).reshape(height, width, 3)
 
 
 def encode_ppm(pixels: np.ndarray) -> bytes:
@@ -128,12 +133,17 @@ def normalize_channels(pixels: np.ndarray) -> np.ndarray:
 
 def preprocess(path, crop_side: int) -> np.ndarray:
     """One file's step of the image transform that training, eval and
-    predict share: load -> resize to crop_side * 8/7 -> center crop; the
-    crop's bytes, channels-first: a (3, crop_side, crop_side) uint8 array.
-    ``normalize_batch`` is the other step."""
-    resize_side = max(crop_side, round(crop_side * 8 / 7))
-    crop = center_crop(resize_bilinear(load_ppm(path), resize_side), crop_side)
+    predict share: load -> resize to ``resize_side(crop_side)`` -> center
+    crop; the crop's bytes, channels-first: a (3, crop_side, crop_side)
+    uint8 array. ``normalize_batch`` is the other step."""
+    crop = center_crop(resize_bilinear(load_ppm(path), resize_side(crop_side)),
+                       crop_side)
     return crop.transpose(2, 0, 1)
+
+
+def resize_side(crop_side: int) -> int:
+    """The side ``preprocess`` resizes to before its center crop: 8/7 of it."""
+    return max(crop_side, round(crop_side * 8 / 7))
 
 
 def _norm_table() -> np.ndarray:

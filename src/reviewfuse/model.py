@@ -18,7 +18,9 @@ from .image_encoder import ImageEncoderConfig, encode_image, image_encoder_layou
 from .imageproc import normalize_batch
 from .text_encoder import TextEncoderConfig, encode_text, text_encoder_layout
 
-MODES = ("text_only", "image_only", "fused")
+# whether a model of each mode reads (text, images)
+READS = {"text_only": (True, False), "image_only": (False, True), "fused": (True, True)}
+MODES = tuple(READS)
 
 
 class ReviewClassifier:
@@ -35,16 +37,17 @@ class ReviewClassifier:
     def _configure(self, mode, text_cfg, image_cfg, d_hidden) -> None:
         if mode not in MODES:
             raise ContractError(f"unknown mode {mode!r}, expected one of {MODES}")
-        if mode in ("text_only", "fused") and text_cfg is None:
+        text, images = READS[mode]
+        if text and text_cfg is None:
             raise ContractError(f"mode {mode} requires a text encoder config")
-        if mode in ("image_only", "fused") and image_cfg is None:
+        if images and image_cfg is None:
             raise ContractError(f"mode {mode} requires an image encoder config")
         self.mode = mode
-        self.text_cfg = text_cfg if mode != "image_only" else None
-        self.image_cfg = image_cfg if mode != "text_only" else None
-        d_text = self.text_cfg.d_model if self.text_cfg else 0
-        d_img = self.image_cfg.d_out if self.image_cfg else 0
-        self.fusion_cfg = FusionConfig(d_text, d_img, d_hidden)
+        self.text_cfg = text_cfg if text else None
+        self.image_cfg = image_cfg if images else None
+        d_in = ((self.text_cfg.d_model if text else 0)
+                + (self.image_cfg.d_out if images else 0))
+        self.fusion_cfg = FusionConfig(d_in, d_hidden)
 
     def _layout(self):
         """``(name, shape, init)`` of every parameter, in serialization order."""
@@ -110,11 +113,12 @@ class ReviewClassifier:
         Draws no random numbers and allocates no weight array: ``arrays``
         are checked against the parameter layout's names and shapes, and
         each becomes its parameter's data, without a copy if float32. A
-        ``dropout_p`` entry, which older configs carry, is not read.
+        ``dropout_p`` entry, and the image config's ``d_out`` (its last
+        stage's width), which older configs carry, are not read.
         """
         text_cfg = TextEncoderConfig(**cfg["text_cfg"]) if cfg.get("text_cfg") else None
-        image_cfg = (ImageEncoderConfig(**cfg["image_cfg"])
-                     if cfg.get("image_cfg") else None)
+        image = {k: v for k, v in (cfg.get("image_cfg") or {}).items() if k != "d_out"}
+        image_cfg = ImageEncoderConfig(**image) if image else None
         model = cls.__new__(cls)
         model._configure(cfg["mode"], text_cfg, image_cfg, cfg["d_hidden"])
         shapes = {name: shape for name, shape, _ in model._layout()}

@@ -37,7 +37,7 @@ from .bundle import atomic_open
 from .data import IMAGES, PROVENANCE, SPLITS, ReviewSample, image_path, \
     manifest_path, stratified_split, write_manifest
 from .errors import ParameterError
-from .imageproc import encode_ppm
+from .imageproc import DESK_CROP_SIDE, encode_ppm, resize_side
 
 # every genuine phrase concedes a flaw with "but" before the concrete
 # detail, and every fake phrase reaches for the stock superlative
@@ -106,7 +106,7 @@ HUE_TINTS = np.array([
 ])
 
 # the float64 pixel noise of one chunk of ``generate_synthetic``'s samples:
-# 15 desk-size (37-pixel) images, 1 at paper scale (224)
+# 15 desk-size images, 1 at paper scale (224)
 CHUNK_BYTES = 512 * 1024
 
 # rendered chunks waiting for the writer thread, at most
@@ -137,7 +137,7 @@ class GeneratorSpec:
     seed: int = 7
     text_flip_rate: float = 0.25
     p_match: float = 0.95
-    image_side: int = 37
+    image_side: int = resize_side(DESK_CROP_SIDE)  # the desk resize copies it
 
     def __post_init__(self):
         if not 0.0 <= self.text_flip_rate < 0.5:

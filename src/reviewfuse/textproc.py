@@ -23,8 +23,10 @@ CLS_ID = 2
 SEP_ID = 3
 RESERVED = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
 
-# tokens per review at desk scale, [CLS] and [SEP] included
+# tokens per review at desk scale, [CLS] and [SEP] included, and the
+# vocabulary's size, the reserved ids included
 DESK_MAX_LEN = 16
+DESK_VOCAB_SIZE = 2000
 
 
 class _PunctuationTable(dict):
@@ -64,7 +66,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
 
-def build_vocab(corpus: list[str], max_size: int = 2000) -> Vocabulary:
+def build_vocab(corpus: list[str], max_size: int = DESK_VOCAB_SIZE) -> Vocabulary:
     """Rank normalized whitespace tokens by frequency (ties lexicographic)."""
     if max_size < 4:
         raise ParameterError(f"max_size must be >= 4, got {max_size}")

@@ -15,13 +15,11 @@ from .fusion import predict_labels
 from .image_encoder import ImageEncoderConfig
 from .imageproc import DESK_CROP_SIDE
 from .metrics import MetricsReport, evaluate
-from .model import MODES, ReviewClassifier
+from .model import MODES, READS, ReviewClassifier
 from .text_encoder import TextEncoderConfig
-from .textproc import DESK_MAX_LEN, Vocabulary, build_vocab
+from .textproc import DESK_MAX_LEN, DESK_VOCAB_SIZE, Vocabulary, build_vocab
 from .training import AdamState, TrainConfig, TrainReport, adam_update, \
     eval_outputs, fit
-
-DESK_VOCAB_SIZE = 2000
 
 
 @dataclass
@@ -37,18 +35,22 @@ class Corpus:
 
 def load_corpus(data_dir, max_len: int = DESK_MAX_LEN,
                 crop_side: int = DESK_CROP_SIDE,
-                vocab_size: int = DESK_VOCAB_SIZE) -> Corpus:
-    """Read the split manifests, align images, tokenize and decode everything.
+                vocab_size: int = DESK_VOCAB_SIZE, modes=MODES) -> Corpus:
+    """Read the split manifests and tokenize every review; where a model of
+    one of ``modes`` reads images, also align and decode every image.
 
     The vocabulary comes from the training split only.
     """
-    image_dir = os.path.join(data_dir, IMAGES)
-    splits = {name: align_images(read_split(data_dir, name), image_dir)[0]
-              for name in SPLITS}
+    splits = {name: read_split(data_dir, name) for name in SPLITS}
+    need_images = any(READS[mode][1] for mode in modes)
+    if need_images:
+        image_dir = os.path.join(data_dir, IMAGES)
+        splits = {k: align_images(v, image_dir)[0] for k, v in splits.items()}
     vocab = build_vocab([s.text for s in splits["train"]], max_size=vocab_size)
     prepared = {
         name: PreparedDataset.prepare(samples, vocab=vocab, max_len=max_len,
-                                      crop_side=crop_side)
+                                      crop_side=crop_side,
+                                      need_images=need_images)
         for name, samples in splits.items()
     }
     return Corpus(**prepared, vocab=vocab, max_len=max_len, crop_side=crop_side)

@@ -149,7 +149,7 @@ def test_paper_scale_shapes_by_construction():
     fusion_cfg = paper_scale_fusion_config()
     assert text_cfg.d_model == 768
     assert image_cfg.d_out == 2048
-    assert fusion_cfg.d_text + fusion_cfg.d_img == 2816
+    assert fusion_cfg.d_in == text_cfg.d_model + image_cfg.d_out == 2816
     assert fusion_cfg.d_hidden == 512
     params = ag.init_params(fusion_layout(fusion_cfg), np.random.default_rng(0))
     assert params["head.w1"].data.shape == (2816, 512)
@@ -175,7 +175,7 @@ def test_early_stopping_restores_best_epoch():
     text_cfg = TextEncoderConfig(vocab_size=20, d_model=8, n_layers=1,
                                  n_heads=2, d_ff=16, max_len=8)
     image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
-                                   stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
+                                   stages=[(1, 4, 1), (1, 8, 2)])
     model = ReviewClassifier("text_only", text_cfg, image_cfg, d_hidden=8,
                              seed=0)
     accs = [0.5, 0.8, 0.8, 0.8]
@@ -216,8 +216,7 @@ def test_training_sanity_on_separable_data():
                                          n_layers=1, n_heads=2, d_ff=16,
                                          max_len=8, dropout_p=text_dropout)
             image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
-                                           stages=[(1, 4, 1), (1, 8, 2)],
-                                           d_out=8)
+                                           stages=[(1, 4, 1), (1, 8, 2)])
             model = ReviewClassifier("text_only", text_cfg, image_cfg,
                                      d_hidden=8, seed=seed)
             cfg = TrainConfig(lr=1e-2, weight_decay=0.0, batch_size=16,

@@ -445,10 +445,20 @@ class TestMissingImage:
         assert code == 2 and out == ""
         assert "missing image files for ids: s000050" in err
 
-    def test_train_aligns_every_split_in_any_mode(self, capsys, tmp_path, data):
-        # load_corpus prepares both modalities whatever the mode trains
-        code, out, err = run(capsys, "train", "--data", str(data), "--out",
-                             str(tmp_path / "m.fkit"), "--mode", "text_only")
+    def train(self, capsys, data, out, mode):
+        return run(capsys, "train", "--data", str(data), "--out", str(out),
+                   "--mode", mode, "--max-epochs", "2", "--patience", "1",
+                   "--seed", "1")
+
+    def test_text_only_train_reads_no_image(self, capsys, tmp_path, corpus_dir,
+                                            data):
+        whole, gone = tmp_path / "whole.fkit", tmp_path / "gone.fkit"
+        assert self.train(capsys, corpus_dir, whole, "text_only")[0] == 0
+        assert self.train(capsys, data, gone, "text_only")[0] == 0
+        assert gone.read_bytes() == whole.read_bytes()
+
+    def test_fused_train_names_the_missing_image(self, capsys, tmp_path, data):
+        code, out, err = self.train(capsys, data, tmp_path / "m.fkit", "fused")
         assert code == 2 and "missing image files for ids: s000050" in err
         assert not (tmp_path / "m.fkit").exists()
 
@@ -530,7 +540,7 @@ def test_unwritable_output_is_a_data_error_before_any_work(
 
 
 ERROR_EXIT_CODES = {
-    errors.ParameterError: 1, cli.UsageError: 1,
+    errors.ParameterError: 1, cli.UsageError: 1, errors.DataError: 2,
     errors.ManifestError: 2, errors.FormatError: 2, errors.AlignmentError: 2,
     errors.SplitError: 2, errors.TokenIndexError: 2, errors.LabelError: 2,
     OSError: 2,
@@ -563,7 +573,7 @@ class TestPredict:
         text_cfg = TextEncoderConfig(vocab_size=10, d_model=8, n_layers=1,
                                      n_heads=2, d_ff=16, max_len=8)
         image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
-                                       stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
+                                       stages=[(1, 4, 1), (1, 8, 2)])
         model = ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=0)
         for t in model.params.values():
             t.data[:] = 0.0
@@ -681,6 +691,24 @@ class TestPredict:
             "model": {**bundle.config["model"], "dropout_p": 0.0}}), old)
         assert run(capsys, "predict", "--model", old, *argv)[:2] == (code, want)
         assert code == 0
+
+    def test_d_out_of_older_bundles_is_ignored(self, capsys, corpus_dir,
+                                               trained, tmp_path):
+        # bundles written while the image config had a d_out field carry
+        # "d_out": 64, the last stage's width; such a bundle loads, and
+        # predict and eval print what they print for the bundle without it
+        argv = [["predict", "--text", "absolutely amazing best ever",
+                 "--image", str(corpus_dir / "images" / "s000000.ppm")],
+                ["eval", "--data", str(corpus_dir), "--split", "val"]]
+        want = [run(capsys, *a, "--model", trained) for a in argv]
+        bundle = load_bundle(trained)
+        assert "d_out" not in bundle.config["model"]["image_cfg"]
+        old = str(tmp_path / "old.fkit")
+        model = bundle.config["model"]
+        save_bundle(ModelBundle(bundle.tensors, {**bundle.config, "model": {
+            **model, "image_cfg": {**model["image_cfg"], "d_out": 64}}}), old)
+        assert [run(capsys, *a, "--model", old) for a in argv] == want
+        assert [code for code, _, _ in want] == [0, 0]
 
     def test_image_with_trailing_bytes(self, capsys, tmp_path):
         model, image = self._zero_model_path(tmp_path), self._ppm(tmp_path)

@@ -18,7 +18,7 @@ BATCH_SIZES = (1, 3)
 
 
 def desk_cfg():
-    return FusionConfig(d_text=32, d_img=64, d_hidden=32)
+    return FusionConfig(d_in=32 + 64, d_hidden=32)
 
 
 def desk_batch(n, seed=0):
@@ -57,7 +57,7 @@ class TestFuse:
                     t.data = fused.params[k].data.copy()
         reviews, crops = desk_batch(3, seed=1)
         feats = fused.encode_batch(reviews, crops).data
-        d_text = fused.fusion_cfg.d_text
+        d_text = fused.text_cfg.d_model
         np.testing.assert_array_equal(feats[:, :d_text],
                                       text.encode_batch(reviews, None).data)
         np.testing.assert_array_equal(feats[:, d_text:],
@@ -93,7 +93,7 @@ class TestClassify:
             np.testing.assert_array_equal(a, b)
 
     def test_gradcheck_f32_against_f64_oracle(self):
-        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
+        cfg = FusionConfig(d_in=4 + 3, d_hidden=5)
         p64 = ag.init_params(fusion_layout(cfg), np.random.default_rng(3), np.float64)
         p32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True)
                for k, v in p64.items()}
@@ -109,7 +109,7 @@ class TestClassify:
         assert err < 1e-3
 
     def test_gradcheck_f64(self):
-        cfg = FusionConfig(d_text=4, d_img=3, d_hidden=5)
+        cfg = FusionConfig(d_in=4 + 3, d_hidden=5)
         p = ag.init_params(fusion_layout(cfg), np.random.default_rng(5), np.float64)
         x = Tensor(np.random.default_rng(6).normal(size=(3, 7)),
                    requires_grad=True)
@@ -128,7 +128,7 @@ class TestClassify:
     def test_linear_region_linearity(self):
         # with all hidden pre-activations positive the head is linear in
         # its input
-        cfg = FusionConfig(d_text=2, d_img=2, d_hidden=3)
+        cfg = FusionConfig(d_in=2 + 2, d_hidden=3)
         p = ag.init_params(fusion_layout(cfg), np.random.default_rng(8))
         p["head.b1"].data[:] = 10.0  # push hidden units into the linear region
         f = lambda arr: classify_batch(p, cfg, Tensor(arr)).data

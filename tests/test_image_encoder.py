@@ -31,7 +31,7 @@ from graph_walk import chained_channel_norm, step_op_counts
 
 def tiny_cfg(**kw):
     defaults = dict(input_side=8, stem_channels=4,
-                    stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
+                    stages=[(1, 4, 1), (1, 8, 2)])
     defaults.update(kw)
     return ImageEncoderConfig(**defaults)
 
@@ -56,13 +56,14 @@ class TestInit:
         fan_in = 8 * 9
         assert abs(k.var() - 2.0 / fan_in) < 0.1 * (2.0 / fan_in)
 
-    def test_final_stage_channels_must_match_d_out(self):
-        with pytest.raises(ParameterError):
+    def test_d_out_is_the_final_stage_width(self):
+        assert ImageEncoderConfig(stages=[(1, 8, 1), (1, 4, 2)]).d_out == 4
+        with pytest.raises(TypeError):  # a read-only fact, not a setting
             ImageEncoderConfig(stages=[(1, 4, 1)], d_out=8)
 
     def test_bad_stride(self):
         with pytest.raises(ParameterError):
-            ImageEncoderConfig(stages=[(1, 64, 3)], d_out=64)
+            ImageEncoderConfig(stages=[(1, 64, 3)])
 
 
 class TestResidualBlock:
@@ -77,7 +78,7 @@ class TestResidualBlock:
 
     def test_stride2_shape(self):
         cfg = ImageEncoderConfig(input_side=8, stem_channels=3,
-                                 stages=[(1, 6, 2)], d_out=6)
+                                 stages=[(1, 6, 2)])
         p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(6))
         x = ag.Tensor(np.random.default_rng(7).normal(size=(3, 1, 8, 8)).astype(np.float32))
         out = residual_block(x, p, "s0.b0.", stride=2)
@@ -85,7 +86,7 @@ class TestResidualBlock:
 
     def test_block_gradcheck_f64(self):
         cfg = ImageEncoderConfig(input_side=5, stem_channels=2,
-                                 stages=[(1, 3, 2)], d_out=3)
+                                 stages=[(1, 3, 2)])
         p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(8), np.float64)
         # nonzero branch gain so the second conv participates in the check
         p["s0.b0.norm2_g"].data[:] = 0.7
@@ -117,7 +118,7 @@ class TestEncodeImage:
         assert cfg.d_out == 2048
         # shape contract by construction: pooled output = final stage channels
         small = ImageEncoderConfig(input_side=16, stem_channels=4,
-                                   stages=[(1, 2048, 2)], d_out=2048)
+                                   stages=[(1, 2048, 2)])
         p = ag.init_params(image_encoder_layout(small), np.random.default_rng(15))
         img = ag.Tensor(np.random.default_rng(16).normal(size=(1, 3, 16, 16)).astype(np.float32))
         assert encode_image(p, small, img).shape == (1, 2048)
@@ -138,7 +139,7 @@ class TestEncodeImage:
         # zero input + zero-branch blocks: the embedding is computable by hand
         # from the stem alone (stage transitions only apply projections)
         cfg = ImageEncoderConfig(input_side=4, stem_channels=2,
-                                 stages=[(1, 2, 1)], d_out=2)
+                                 stages=[(1, 2, 1)])
         p = ag.init_params(image_encoder_layout(cfg), np.random.default_rng(18))
         img = ag.Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         out = encode_image(p, cfg, img)
@@ -264,7 +265,7 @@ def test_float64_twin_of_im2col_encoder(monkeypatch):
     # an odd input side, stride-2 stages with 1x1 projections and a stride-1
     # channel change: every tap offset and phase the encoder can use
     cfg = ImageEncoderConfig(input_side=9, stem_channels=3,
-                             stages=[(1, 4, 1), (2, 5, 2), (1, 6, 2)], d_out=6)
+                             stages=[(1, 4, 1), (2, 5, 2), (1, 6, 2)])
     model = ReviewClassifier("image_only", None, cfg, d_hidden=5, seed=26,
                              dtype=np.float64)
     for name, t in model.params.items():

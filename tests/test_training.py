@@ -49,7 +49,7 @@ def tiny_model(mode="fused", seed=0, dtype=np.float32):
     text_cfg = TextEncoderConfig(vocab_size=20, d_model=8, n_layers=1,
                                  n_heads=2, d_ff=16, max_len=8)
     image_cfg = ImageEncoderConfig(input_side=8, stem_channels=4,
-                                   stages=[(1, 4, 1), (1, 8, 2)], d_out=8)
+                                   stages=[(1, 4, 1), (1, 8, 2)])
     return ReviewClassifier(mode, text_cfg, image_cfg, d_hidden=8, seed=seed,
                             dtype=dtype)
 
